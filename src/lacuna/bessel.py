@@ -8,6 +8,11 @@ Two evaluation regimes, chosen per call:
   the identity J0(x)^2 + 2*sum_{k>=1} Jk(x)^2 = 1, with periodic
   rescaling so the unnormalized recurrence never overflows.
 
+One recurrence, ``_miller``, records J_0..J_n in a single pass:
+``besselj`` takes entry n, ``besselj_batch`` returns the whole row, and
+the J1 zero finder reads entries 0 and 1, so a scalar value in the
+recurrence regime is bitwise equal to its batch entry.
+
 The guaranteed box is |n| <= 1200, 0 <= x <= 1e4, with absolute error
 at most 1e-12.  Negative orders reduce through J_{-n} = (-1)^n J_n and
 are therefore bitwise consistent with their positive mirror.
@@ -16,7 +21,7 @@ are therefore bitwise consistent with their positive mirror.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,33 +86,8 @@ def _series(n: int, x: float) -> float:
     raise EvaluationError(f"series for J_{n}({x}) did not settle in 1000 terms")
 
 
-def _miller_single(n: int, x: float) -> float:
-    # One downward pass tracking only J_n; n >= 0, x > 0.
-    n_start = n + int(math.ceil(START_SLOPE * x)) + START_OFFSET
-    p_up = 0.0  # p_{k+1}
-    p = 1.0  # p_k at k = n_start
-    ssum = 0.0
-    saved = 0.0
-    for k in range(n_start, 0, -1):
-        if k == n:
-            saved = p
-        ssum += p * p
-        p_up, p = p, (2.0 * k / x) * p - p_up
-        if abs(p) > _RESCALE:
-            p *= _RESCALE_INV
-            p_up *= _RESCALE_INV
-            saved *= _RESCALE_INV
-            ssum *= _RESCALE_INV * _RESCALE_INV
-    if n == 0:
-        saved = p
-    ssum = 2.0 * ssum + p * p
-    if not (ssum > 0.0 and math.isfinite(ssum)):
-        raise EvaluationError(f"recurrence normalization failed for (n={n}, x={x})")
-    return saved / math.sqrt(ssum)
-
-
-def _miller_batch(n_max: int, x: float) -> np.ndarray:
-    # One downward pass recording J_0..J_{n_max}; x > 0.
+def _miller(n_max: int, x: float) -> np.ndarray:
+    # The one downward pass: records J_0..J_{n_max}; x > 0.
     n_start = n_max + int(math.ceil(START_SLOPE * x)) + START_OFFSET
     out = np.zeros(n_max + 1)
     p_up = 0.0
@@ -133,29 +113,11 @@ def _miller_batch(n_max: int, x: float) -> np.ndarray:
 
 
 def _j0_j1(x: float) -> tuple[float, float]:
-    # Shared helper for zero refinement: one pass, both orders.
+    # Both orders for zero refinement; x > 0.
     if x <= SERIES_SWITCH:
         return _series(0, x), _series(1, x)
-    n_start = 1 + int(math.ceil(START_SLOPE * x)) + START_OFFSET
-    p_up = 0.0
-    p = 1.0
-    ssum = 0.0
-    j1 = 0.0
-    for k in range(n_start, 0, -1):
-        if k == 1:
-            j1 = p
-        ssum += p * p
-        p_up, p = p, (2.0 * k / x) * p - p_up
-        if abs(p) > _RESCALE:
-            p *= _RESCALE_INV
-            p_up *= _RESCALE_INV
-            j1 *= _RESCALE_INV
-            ssum *= _RESCALE_INV * _RESCALE_INV
-    ssum = 2.0 * ssum + p * p
-    if not (ssum > 0.0 and math.isfinite(ssum)):
-        raise EvaluationError(f"recurrence normalization failed for (n_max=1, x={x})")
-    scale = 1.0 / math.sqrt(ssum)
-    return p * scale, j1 * scale
+    j = _miller(1, x)
+    return float(j[0]), float(j[1])
 
 
 def besselj(n: int, x: float) -> float:
@@ -173,7 +135,7 @@ def besselj(n: int, x: float) -> float:
         return sign * (1.0 if n_abs == 0 else 0.0)
     if x <= max(SERIES_SWITCH, 0.5 * n_abs):
         return sign * _series(n_abs, x)
-    return sign * _miller_single(n_abs, x)
+    return sign * float(_miller(n_abs, x)[n_abs])
 
 
 def besselj_batch(n_max: int, x: float) -> np.ndarray:
@@ -190,7 +152,7 @@ def besselj_batch(n_max: int, x: float) -> np.ndarray:
         out = np.zeros(n_max + 1)
         out[0] = 1.0
         return out
-    return _miller_batch(n_max, x)
+    return _miller(n_max, x)
 
 
 @dataclass(frozen=True)

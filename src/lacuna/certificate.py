@@ -805,7 +805,7 @@ def check_systems(
         "trivial": [], "S2": [], "S3": [], "S4": [], "S5": []
     }
     instances["trivial"].extend(_global_rows(A, b, flb))
-    for point in classify_brute_force(A):
+    for point in _classified_map(A).values():
         if point.kind is not PointKind.EXCEPTION:
             continue
         for inst in _dispatch_exception(point, A, b, flb):
@@ -829,6 +829,11 @@ def derive_params(
 ) -> tuple[CertificateParams, tuple[SystemReport, ...]]:
     """Solve the systems and take each eps at its window midpoint."""
     reports = check_systems(A, b, f_lower=f_lower, r_max=r_max, tol=tol)
+    return params_from_reports(b, reports), tuple(reports)
+
+
+def params_from_reports(b: float, reports: list[SystemReport]) -> CertificateParams:
+    """Each eps at the midpoint of its window in already solved systems."""
     eps: dict[int, float] = {}
     for report in reports:
         for inst in report.instances:
@@ -840,7 +845,7 @@ def derive_params(
                     f"{inst.description}"
                 )
             eps[inst.point] = 0.5 * (inst.eps_lo + inst.eps_hi)
-    return CertificateParams.from_mapping(b, eps), tuple(reports)
+    return CertificateParams.from_mapping(b, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +860,7 @@ class TheoremVerdict:
     margin: float           # rhs - s_exact
     error_budget: float
     s_exact: float
+    s_error_bound: float    # the part of the budget that S itself carries
     rhs: float
     equality_case: bool     # within budget of equality with support in {0}
 
@@ -889,6 +895,7 @@ def verify_theorem(
         margin=margin,
         error_budget=budget,
         s_exact=s.value,
+        s_error_bound=s.error_bound,
         rhs=rhs,
         equality_case=(verdict != "fails" and abs(margin) <= budget and on_zero),
     )
@@ -901,7 +908,7 @@ def verify_theorem(
 def exception_frequencies(spectrum: SpectrumSet) -> tuple[int, ...]:
     """Elements participating in some exception writing, sorted."""
     out: set[int] = set()
-    for point in classify_brute_force(spectrum):
+    for point in _classified_map(spectrum).values():
         if point.kind is PointKind.EXCEPTION:
             for rep in point.reps:
                 out.update(rep.entries)

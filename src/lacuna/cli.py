@@ -16,7 +16,6 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,7 +44,7 @@ class RunConfig:
     fmt: str = "json"
     output: str | None = None
     use_cache: bool = True
-    threads: int = 1
+    threads: int = 1        # validated only: every run is single-threaded
 
     def __post_init__(self) -> None:
         if not (self.r_max > 0 and self.tol > 0 and self.order_cap > 0):
@@ -524,10 +523,9 @@ def _run_trial(
     label: str,
     cfg: RunConfig,
 ) -> dict:
-    s = ct.compute_S_exact(vec, r_max=cfg.r_max, tol=cfg.tol)
-    ub = ct.compute_S_upper_bound(vec, params, r_max=cfg.r_max, tol=cfg.tol)
-    grouped_ok = s.value <= ub.value + ub.error_bound + s.error_bound
     verdict = ct.verify_theorem(vec, r_max=cfg.r_max, tol=cfg.tol)
+    ub = ct.compute_S_upper_bound(vec, params, r_max=cfg.r_max, tol=cfg.tol)
+    grouped_ok = verdict.s_exact <= ub.value + ub.error_bound + verdict.s_error_bound
     passed = grouped_ok and (
         verdict.verdict == "holds"
         or (verdict.verdict == "indeterminate" and verdict.equality_case)
@@ -536,7 +534,7 @@ def _run_trial(
         "index": index,
         "source": label,
         "support": list(vec.support),
-        "s_exact": s.value,
+        "s_exact": verdict.s_exact,
         "upper_bound": ub.value,
         "grouped_ok": grouped_ok,
         "verdict": verdict.verdict,
@@ -549,6 +547,8 @@ def _run_trial(
 
 def cmd_certify(args: argparse.Namespace) -> int:
     cfg = _config(args, "json")
+    if args.trials < 0:
+        raise RangeError(f"trials must be >= 0, got {args.trials}")
     spectrum = _spectrum_from_args(args)
     b = args.b
     window = ct.feasible_b_interval()
@@ -587,9 +587,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         payload["trials_run"] = []
         _emit_certify(payload, cfg)
         return EXIT_FAIL
-    params, _ = ct.derive_params(
-        spectrum, b, f_lower=flb, r_max=cfg.r_max, tol=cfg.tol
-    )
+    params = ct.params_from_reports(b, reports)
     payload["eps"] = [[d, e] for d, e in params.eps]
 
     jobs: list[tuple[int, str, ct.CoefficientVector]] = []
@@ -603,15 +601,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             vec = ct.random_vector(spectrum, rng, adversarial=(i % 3 == 0))
             jobs.append((i, "random", vec))
 
-    def run(job: tuple[int, str, ct.CoefficientVector]) -> dict:
-        index, label, vec = job
-        return _run_trial(params, vec, index, label, cfg)
-
-    if cfg.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            trials = list(pool.map(run, jobs))
-    else:
-        trials = [run(job) for job in jobs]
+    trials = [_run_trial(params, vec, index, label, cfg) for index, label, vec in jobs]
     payload["trials_run"] = trials
     all_pass = all(t["passed"] for t in trials)
     payload["verdict"] = "holds" if all_pass else "fails"
@@ -696,7 +686,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=_FORMATS, default=None)
     common.add_argument("--output", default=None, help="write the report to this path")
     common.add_argument("--no-cache", action="store_true", help="bypass on-disk caches")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument(
+        "--threads", type=int, default=1, help="accepted (>= 1); runs are single-threaded"
+    )
 
     subs = parser.add_subparsers(dest="command", required=True)
 

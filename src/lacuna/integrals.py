@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +45,7 @@ DEFAULT_TOL = 1.0e-6
 MIN_R_MAX = 100.0
 MAX_HALVINGS = 6
 NODE_COUNT = 1001
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 
@@ -103,6 +104,24 @@ class QuadratureTable:
     order_cap: int
 
 
+def _load_cached(path: Path, *keys: str) -> list[np.ndarray] | None:
+    """The named arrays of a cache file, or None when it is absent or unreadable."""
+    try:
+        with np.load(path) as data:
+            return [data[k] for k in keys]
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        # missing, empty, truncated, pickled, a bare .npy, or lacking a key
+        return None
+
+
+def _save_cached(path: Path, **arrays: np.ndarray) -> None:
+    # write beside the target, then rename, so readers never see a partial file
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(".tmp.npz")
+    np.savez(tmp, **arrays)
+    os.replace(tmp, path)
+
+
 def _table_path(order_cap: int) -> Path:
     return cache_dir() / f"table_v{CACHE_VERSION}_{NODE_COUNT}_{order_cap}.npz"
 
@@ -130,12 +149,9 @@ def build_table(order_cap: int, *, cache: bool = True) -> QuadratureTable:
     if not 0 <= order_cap <= MAX_ORDER:
         raise RangeError(f"order_cap {order_cap} outside [0, {MAX_ORDER}]")
     path = _table_path(order_cap)
-    if cache and path.exists():
-        with np.load(path) as data:
-            zeros_arr = data["zeros"]
-            nodes = data["nodes"]
-            weights = data["weights"]
-            mat = data["bessel_cache"]
+    loaded = _load_cached(path, "zeros", "nodes", "weights", "bessel_cache") if cache else None
+    if loaded is not None:
+        zeros_arr, nodes, weights, mat = loaded
         if zeros_arr.shape == (NODE_COUNT,) and mat.shape == (NODE_COUNT, order_cap + 1):
             for arr in (nodes, weights, mat):
                 arr.setflags(write=False)
@@ -144,16 +160,13 @@ def build_table(order_cap: int, *, cache: bool = True) -> QuadratureTable:
             )
     table = _assemble_table(order_cap)
     if cache:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp.npz")
-        np.savez(
-            tmp,
+        _save_cached(
+            path,
             zeros=table.zeros.zeros,
             nodes=table.nodes,
             weights=table.weights,
             bessel_cache=table.bessel_cache,
         )
-        os.replace(tmp, path)
     return table
 
 
@@ -447,13 +460,11 @@ def sweep_diagonal(
     n_max = int(n_max)
     _validate_quad_params(r_max, tol)
     path = _sweep_path(n_max, r_max, tol)
-    if cache and path.exists():
-        with np.load(path) as data:
-            direct = data["direct"]
-            quad_diff = float(data["quad_diff"])
-        if direct.shape == (n_max + 1,) * 3:
-            direct.setflags(write=False)
-            return DiagonalSweep(n_max, direct, quad_diff, tol, r_max)
+    loaded = _load_cached(path, "direct", "quad_diff") if cache else None
+    if loaded is not None and loaded[0].shape == (n_max + 1,) * 3:
+        direct, quad_diff = loaded
+        direct.setflags(write=False)
+        return DiagonalSweep(n_max, direct, float(quad_diff), tol, r_max)
     n_panels = math.ceil(r_max / PANEL_WIDTH)
     coarse = _diagonal_stack(n_max, r_max, n_panels)
     fine = _diagonal_stack(n_max, r_max, 2 * n_panels)
@@ -473,8 +484,5 @@ def sweep_diagonal(
                 direct[b, c, a] = direct[c, a, b] = direct[c, b, a] = v
     direct.setflags(write=False)
     if cache:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp.npz")
-        np.savez(tmp, direct=direct, quad_diff=quad_diff)
-        os.replace(tmp, path)
+        _save_cached(path, direct=direct, quad_diff=quad_diff)
     return DiagonalSweep(n_max, direct, quad_diff, tol, r_max)

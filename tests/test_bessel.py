@@ -16,6 +16,7 @@ from lacuna.bessel import (
     MAX_ARG,
     MAX_ORDER,
     MAX_ZEROS,
+    SERIES_SWITCH,
     ZERO_TOL,
     ZeroSequence,
     besselj,
@@ -106,6 +107,13 @@ def test_batch_matches_scalar():
         b = besselj_batch(540, x)
         for k in (0, 1, 3, 17, 250, 540):
             assert b[k] == pytest.approx(besselj(k, x), abs=1.0e-12)
+
+
+def test_scalar_is_bitwise_batch_entry():
+    # past the series range both entry points read the same recurrence
+    for n, x in ((0, 12.5), (1, 13.0), (5, 250.0), (40, 1047.5), (532, 1047.5), (1200, 9999.0)):
+        assert x > max(SERIES_SWITCH, 0.5 * n)
+        assert besselj(n, x) == besselj_batch(n, x)[n]
 
 
 def test_batch_shape_and_dtype():

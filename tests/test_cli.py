@@ -1,5 +1,6 @@
 """End-to-end command tests through lacuna.cli.main."""
 
+import collections
 import csv
 import io
 import json
@@ -198,6 +199,37 @@ def test_certify_threads_do_not_change_output(capsys):
     _, out1, _ = run(capsys, *base, "--threads", "1")
     _, out2, _ = run(capsys, *base, "--threads", "2")
     assert out1 == out2
+
+
+def test_certify_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "certify", "--base", "4", "--depth", "4", "--trials", "-3")
+    assert code == 2 and out == "" and "trials" in err
+
+
+def test_certify_runs_each_stage_once(monkeypatch, capsys):
+    from lacuna import certificate as ct
+
+    calls = collections.Counter()
+
+    def counted(name):
+        original = getattr(ct, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ct, name, wrapper)
+
+    for name in ("compute_S_exact", "check_systems", "classify_brute_force"):
+        counted(name)
+    ct._classified_map.cache_clear()
+    code, _, _ = run(
+        capsys, "certify", "--base", "5", "--depth", "4", "--trials", "6", "--seed", "7"
+    )
+    assert code == 0
+    assert calls["compute_S_exact"] == 6
+    assert calls["check_systems"] == 1
+    assert calls["classify_brute_force"] <= 1
 
 
 def test_certify_coefficient_file(tmp_path, capsys):

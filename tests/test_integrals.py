@@ -62,6 +62,16 @@ def test_table_disk_cache_roundtrip(tmp_path, monkeypatch):
     assert np.array_equal(built.weights, loaded.weights)
 
 
+def test_table_corrupt_cache_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv("LACUNA_CACHE_DIR", str(tmp_path))
+    path = ig._table_path(5)
+    path.write_bytes(b"garbage")
+    table = ig.build_table(5, cache=True)
+    assert table.bessel_cache.shape == (1001, 6)
+    with np.load(path) as data:  # the rebuild replaced the bad file
+        assert np.array_equal(data["bessel_cache"], table.bessel_cache)
+
+
 def test_tilde_reference_value(table12):
     got = ig.i_tilde(0, 0, 0, table12)
     assert got.value == pytest.approx(TILDE_000, rel=1.0e-12)
@@ -249,6 +259,16 @@ def test_sweep_disk_cache(tmp_path, monkeypatch):
     assert list(tmp_path.glob("sweep_*.npz"))
     second = ig.sweep_diagonal(3, r_max=1000.0, tol=1.0e-4, cache=True)
     assert np.array_equal(first.direct, second.direct)
+
+
+@pytest.mark.parametrize("junk", [b"garbage", b"", b"PK\x03\x04"])
+def test_sweep_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, junk):
+    monkeypatch.setenv("LACUNA_CACHE_DIR", str(tmp_path))
+    path = ig._sweep_path(3, 1000.0, 1.0e-4)
+    path.write_bytes(junk)
+    sw = ig.sweep_diagonal(3, r_max=1000.0, tol=1.0e-4, cache=True)
+    with np.load(path) as data:
+        assert np.array_equal(data["direct"], sw.direct)
 
 
 def test_threshold_window_from_sweep():
