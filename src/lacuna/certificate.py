@@ -39,7 +39,7 @@ from .integrals import (
     MAX_SEXTET_ORDER,
     IntegralValue,
     f_ratio,
-    i_direct,
+    i_direct_moduli,
 )
 from .spectrum import (
     ClassifiedPoint,
@@ -121,18 +121,13 @@ class CoefficientVector:
 
 
 # ---------------------------------------------------------------------------
-# interaction values, cached per (orders, quadrature knobs)
-
-
-@functools.lru_cache(maxsize=16384)
-def _interaction_pos(orders: tuple[int, ...], r_max: float, tol: float) -> IntegralValue:
-    return i_direct(orders, r_max=r_max, tol=tol)
+# interaction values, from the direct route's memo on sorted moduli
 
 
 def _interaction(sextet: tuple[int, ...], r_max: float, tol: float) -> IntegralValue:
-    # J_{-n} = (-1)^n J_n: cache on sorted moduli, reapply the parity
+    # J_{-n} = (-1)^n J_n: look up the sorted moduli, reapply the parity
     parity = sum(abs(n) for n in sextet if n < 0) % 2
-    base = _interaction_pos(tuple(sorted(abs(n) for n in sextet)), r_max, tol)
+    base = i_direct_moduli(tuple(sorted(abs(n) for n in sextet)), r_max, tol)
     if parity:
         return IntegralValue(-base.value, base.error_bound, base.method, base.guaranteed)
     return base
@@ -140,7 +135,7 @@ def _interaction(sextet: tuple[int, ...], r_max: float, tol: float) -> IntegralV
 
 def _diag(m1: int, m2: int, m3: int, r_max: float, tol: float) -> IntegralValue:
     a, b, c = sorted((abs(m1), abs(m2), abs(m3)))
-    return _interaction_pos((a, a, b, b, c, c), r_max, tol)
+    return i_direct_moduli((a, a, b, b, c, c), r_max, tol)
 
 
 @functools.lru_cache(maxsize=64)
@@ -878,7 +873,7 @@ def verify_theorem(
     equality case rather than an indeterminate verdict.
     """
     s = compute_S_exact(f, r_max=r_max, tol=tol)
-    i000 = _interaction_pos((0, 0, 0, 0, 0, 0), r_max, tol)
+    i000 = i_direct_moduli((0, 0, 0, 0, 0, 0), r_max, tol)
     mass3 = f.mass() ** 3
     rhs = i000.value * mass3
     budget = s.error_bound + i000.error_bound * mass3

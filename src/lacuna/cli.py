@@ -549,6 +549,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
     cfg = _config(args, "json")
     if args.trials < 0:
         raise RangeError(f"trials must be >= 0, got {args.trials}")
+    if args.trials == 0 and args.coeff is None:
+        raise RangeError("trials must be >= 1 without --coeff: no vector would be checked")
     spectrum = _spectrum_from_args(args)
     b = args.b
     window = ct.feasible_b_interval()

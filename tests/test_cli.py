@@ -206,6 +206,16 @@ def test_certify_rejects_negative_trials(capsys):
     assert code == 2 and out == "" and "trials" in err
 
 
+def test_certify_rejects_zero_trials_without_coeff(capsys):
+    # no vector would be checked, so no verdict may be printed
+    code, out, err = run(capsys, "certify", "--base", "4", "--depth", "4", "--trials", "0")
+    assert code == 2 and out == "" and "trials" in err and "--coeff" in err
+    code, out, _ = run(
+        capsys, "certify", "--base", "4", "--depth", "4", "--trials", "0", "--coeff", "const"
+    )
+    assert code == 0 and json.loads(out)["verdict"] == "holds"
+
+
 def test_certify_runs_each_stage_once(monkeypatch, capsys):
     from lacuna import certificate as ct
 

@@ -11,9 +11,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lacuna.bessel
 from lacuna import integrals as ig
 from lacuna.errors import QuadratureError, RangeError
 
@@ -155,6 +157,11 @@ def test_direct_input_validation(monkeypatch):
         ig.i_direct((0,) * 6, r_max=50.0)
     with pytest.raises(RangeError):
         ig.i_direct((0,) * 6, tol=0.0)
+    bad_keys = [(1, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 533), (0, 0),
+                (0, 0, 0, 0, 0.5, 1)]
+    for moduli in bad_keys:
+        with pytest.raises(RangeError):
+            ig.i_direct_moduli(moduli, 4000.0, 1.0e-6)
     monkeypatch.setattr(ig, "MAX_HALVINGS", 0)
     with pytest.raises(QuadratureError):
         ig.i_direct((0,) * 6, r_max=100.0)
@@ -307,6 +314,93 @@ def test_excluded_rows_really_sit_below():
     d110 = ig.i_direct((1, 1, 1, 1, 0, 0))
     d112 = ig.i_direct((1, 1, 1, 1, 2, 2))
     assert abs(d110.value - d112.value) < 1.0e-15
+
+
+# the r_max = 4000 pair of i_direct grids: the first pass and one halving
+def _direct_grids(r_max=4000.0):
+    n_panels = math.ceil(r_max / ig.PANEL_WIDTH)
+    return [ig._panel_grid(r_max, m)[0] for m in (n_panels, 2 * n_panels)]
+
+
+def _jv_rows(orders, nodes):
+    return np.array([scipy.special.jv(n, nodes) for n in orders])
+
+
+def test_bessel_rows_match_jv_on_direct_grids():
+    orders = [0, 1, 2, 13, 121, 256, 364, 532]
+    for nodes in _direct_grids():
+        rows = ig._bessel_rows(orders, nodes)
+        ref = _jv_rows(orders, nodes)
+        assert rows.shape == (len(orders), nodes.size)
+        assert np.max(np.abs(rows - ref)) <= 1.0e-12
+        # at and below the split every value is scipy's jv itself
+        split = np.searchsorted(nodes, max(orders), "right")
+        assert 0 < split < nodes.size
+        assert np.array_equal(rows[:, :split], ref[:, :split])
+
+
+def test_bessel_rows_match_jv_on_sweep_grid():
+    # each node's recurrence is independent of the others, so a sample of
+    # the r_max = 40000 fine grid gives the same values as the whole grid
+    nodes = ig._panel_grid(40000.0, 2 * math.ceil(40000.0 / ig.PANEL_WIDTH))[0]
+    sample = np.concatenate((nodes[:1000], nodes[1000::29]))
+    orders = list(range(41))
+    rows = ig._bessel_rows(orders, sample)
+    assert np.max(np.abs(rows - _jv_rows(orders, sample))) <= 1.0e-12
+
+
+def test_bessel_rows_empty_regions():
+    # every node of the r_max = 100 grid lies below order 532: all jv
+    nodes = ig._panel_grid(100.0, math.ceil(100.0 / ig.PANEL_WIDTH))[0]
+    assert nodes[-1] < 532
+    assert np.array_equal(ig._bessel_rows([532], nodes), _jv_rows([532], nodes))
+    # order 0 alone: no node lies at or below it, J0 comes straight from scipy
+    assert np.array_equal(ig._bessel_rows([0], nodes)[0], scipy.special.j0(nodes))
+
+
+def test_direct_route_uses_no_package_bessel(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the direct route must not call lacuna.bessel")
+
+    for name in ("besselj", "besselj_batch", "j1_zeros"):
+        monkeypatch.setattr(lacuna.bessel, name, forbidden)
+        monkeypatch.setattr(ig, name, forbidden)
+    # parameters no other test uses, so nothing comes from a memo
+    got = ig.i_direct((1, 1, 2, 2, 3, 3), r_max=1234.0)
+    assert got.value > 0.0
+    sw = ig.sweep_diagonal(3, r_max=1234.0, tol=1.0e-4, cache=False)
+    assert sw.value(1, 2, 3) == pytest.approx(got.value, abs=5.0e-11)
+
+
+def test_f_ratio_reuses_direct_values(monkeypatch):
+    calls = []
+    original = ig._product_on_grid
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ig, "_product_on_grid", counted)
+    first = ig.f_ratio(2, 1, 0, r_max=1500.0)
+    assert calls  # numerator and denominator were evaluated
+    seen = len(calls)
+    again = ig.f_ratio(2, 1, 0, r_max=1500.0)
+    signed = ig.f_ratio(0, -1, 2, r_max=1500.0)
+    assert len(calls) == seen
+    assert again == first and signed.value == first.value
+
+
+def test_cache_file_versions_are_separate(monkeypatch):
+    table = ig._table_path(5)
+    sweep = ig._sweep_path(3, 1000.0, 1.0e-4)
+    assert table.name.startswith(f"table_v{ig.TABLE_VERSION}_")
+    assert sweep.name.startswith(f"sweep_v{ig.SWEEP_VERSION}_")
+    monkeypatch.setattr(ig, "SWEEP_VERSION", ig.SWEEP_VERSION + 1)
+    bumped = ig._sweep_path(3, 1000.0, 1.0e-4)
+    assert ig._table_path(5) == table and bumped != sweep
+    # the panel width changes every sweep value, so it is part of the key
+    monkeypatch.setattr(ig, "PANEL_WIDTH", ig.PANEL_WIDTH / 2)
+    assert ig._sweep_path(3, 1000.0, 1.0e-4) != bumped
 
 
 @settings(max_examples=60, deadline=None)
