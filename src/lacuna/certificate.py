@@ -363,7 +363,6 @@ class CertificateParams:
 
     b: float = DEFAULT_B
     eps: tuple[tuple[int, float], ...] = ()
-    a_rule: Callable[[SpectrumSet, int, int], int] | None = None
 
     def __post_init__(self) -> None:
         if not self.b > 1:
@@ -385,10 +384,6 @@ class CertificateParams:
             return self._eps_map[d]
         except KeyError:
             raise CertificateError(f"no eps assigned for exception point {d}") from None
-
-    def a_exponent(self, spectrum: SpectrumSet, n1: int, n2: int) -> int:
-        rule = self.a_rule if self.a_rule is not None else default_a_exponent
-        return rule(spectrum, n1, n2)
 
 
 @dataclass(frozen=True)
@@ -483,7 +478,7 @@ def compute_S_upper_bound(
                 if A.is_triple(d):
                     add(9.0 / params.eps_for(d), mono, ival)
                 else:
-                    a = params.a_exponent(A, n1, n2)
+                    a = default_a_exponent(A, n1, n2)
                     add(9.0 * params.eps_for(d) ** a if a else 9.0, mono, ival)
             # paired-conjugate cross sum, nonzero opposite modulus only
             if n2 != 0:

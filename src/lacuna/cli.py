@@ -1,10 +1,12 @@
 """Command-line front end for evaluation, classification, certification.
 
 One report per invocation, to stdout or ``--output``, as json, csv, or
-text. Exit codes are a stable contract: 0 success, 1 verification
-failure, 2 usage or range error. Reports carry no timestamps, paths,
-or machine identity, so identical configuration and seed give
-byte-identical bytes; json objects are emitted with sorted keys.
+text. Every command builds one :class:`Report` and :func:`_render` is
+the only code that knows the three formats. Exit codes are a stable
+contract: 0 success, 1 verification failure, 2 usage or range error.
+Reports carry no timestamps, paths, or machine identity, so identical
+configuration and seed give byte-identical bytes; json objects are
+emitted with sorted keys.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 from . import bessel
 from . import certificate as ct
@@ -47,21 +50,24 @@ class RunConfig:
     threads: int = 1        # validated only: every run is single-threaded
 
     def __post_init__(self) -> None:
-        if not (self.r_max > 0 and self.tol > 0 and self.order_cap > 0):
-            raise RangeError("r_max, tol and order_cap must be positive")
+        # chained comparisons are false for nan, so nan fails here too
+        if not (0 < self.r_max < math.inf and 0 < self.tol < math.inf and self.order_cap > 0):
+            raise RangeError(
+                "r_max and tol must be finite and positive, and order_cap positive"
+            )
         if self.threads < 1:
             raise RangeError(f"threads must be >= 1, got {self.threads}")
         if self.fmt not in _FORMATS:
             raise RangeError(f"format must be one of {_FORMATS}")
 
 
-def _config(args: argparse.Namespace, default_fmt: str) -> RunConfig:
+def _config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         r_max=getattr(args, "r_max", ig.DEFAULT_R_MAX),
         tol=getattr(args, "tol", ig.DEFAULT_TOL),
         order_cap=getattr(args, "order_cap", ig.ORDER_GUARANTEE_CAP),
         seed=getattr(args, "seed", 0),
-        fmt=args.format or default_fmt,
+        fmt=args.format or args.default_fmt,
         output=args.output,
         use_cache=not args.no_cache,
         threads=args.threads,
@@ -69,34 +75,71 @@ def _config(args: argparse.Namespace, default_fmt: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# one report, one renderer
+
+
+@dataclass(frozen=True)
+class Report:
+    """One command's result, ready for any of the three formats.
+
+    ``payload`` is the json body (``schema`` is added on rendering).
+    ``rows`` and ``text`` are called only when csv or text is asked
+    for, so a large json report never pays for its other forms.
+    """
+
+    payload: dict
+    header: list[str]
+    rows: Callable[[], Iterable[Iterable]]
+    text: Callable[[], str]
+    code: int = EXIT_OK
+
+
+def _table(header: list[str], records: list[dict]) -> Callable[[], Iterable[list]]:
+    """Csv rows that read each header name as a key of each record."""
+    return lambda: ([rec.get(name) for name in header] for rec in records)
+
+
+def _cell(value):
+    """A csv cell: a flat list is space-joined, a list of lists ``a,b;c,d``.
+
+    Anything else goes to the csv writer as is, which writes None as an
+    empty cell and a float, numpy scalars included, as ``str``, the
+    shortest decimal that reads back as the same float.
+    """
+    if not isinstance(value, list):
+        return value
+    if value and isinstance(value[0], list):
+        return ";".join(",".join(map(str, part)) for part in value)
+    return " ".join(map(str, value))
+
+
+def _render(report: Report, cfg: RunConfig) -> int:
+    """Write ``report`` in the configured format and place; return its exit code."""
+    if cfg.fmt == "json":
+        body = json.dumps({"schema": SCHEMA, **report.payload}, sort_keys=True, indent=2)
+    elif cfg.fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(report.header)
+        writer.writerows([_cell(v) for v in row] for row in report.rows())
+        body = buf.getvalue()
+    else:
+        body = report.text()
+    if not body.endswith("\n"):
+        body += "\n"
+    if not cfg.output:
+        sys.stdout.write(body)
+        return report.code
+    try:
+        Path(cfg.output).write_text(body, encoding="utf-8")
+    except OSError as exc:
+        raise RangeError(f"cannot write report: {exc}") from None
+    return report.code
 
 
 def _finite(x: float) -> float | None:
     # json has no portable infinity; absent bound -> null
     return None if math.isinf(x) else x
-
-
-def _emit(text: str, cfg: RunConfig) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if cfg.output:
-        Path(cfg.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(payload: dict, cfg: RunConfig) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    _emit(json.dumps(payload, sort_keys=True, indent=2), cfg)
-
-
-def _emit_csv(header: list[str], rows: list[list], cfg: RunConfig) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buf.getvalue(), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -135,162 +178,111 @@ def _spectrum_desc(spectrum: sp.SpectrumSet) -> dict:
 # bessel
 
 
-def cmd_bessel(args: argparse.Namespace) -> int:
-    cfg = _config(args, "text")
-    if args.bessel_cmd == "eval":
-        value = bessel.besselj(args.n, args.x)
-        if cfg.fmt == "json":
-            _emit_json(
-                {"command": "bessel.eval", "n": args.n, "x": args.x, "value": value}, cfg
-            )
-        elif cfg.fmt == "csv":
-            _emit_csv(["n", "x", "value"], [[args.n, args.x, repr(value)]], cfg)
-        else:
-            _emit(repr(value), cfg)
-        return EXIT_OK
-    seq = bessel.j1_zeros(args.count)
-    values = [float(z) for z in seq.zeros]
-    if cfg.fmt == "json":
-        _emit_json({"command": "bessel.zeros", "count": args.count, "zeros": values}, cfg)
-    elif cfg.fmt == "csv":
-        _emit_csv(["r", "zero"], [[r, repr(z)] for r, z in enumerate(values)], cfg)
-    else:
-        _emit("\n".join(repr(z) for z in values), cfg)
-    return EXIT_OK
+def cmd_bessel_eval(args: argparse.Namespace, cfg: RunConfig) -> Report:
+    value = bessel.besselj(args.n, args.x)
+    return Report(
+        {"command": "bessel.eval", "n": args.n, "x": args.x, "value": value},
+        ["n", "x", "value"],
+        lambda: [[args.n, args.x, value]],
+        lambda: repr(value),
+    )
+
+
+def cmd_bessel_zeros(args: argparse.Namespace, cfg: RunConfig) -> Report:
+    values = [float(z) for z in bessel.j1_zeros(args.count).zeros]
+    return Report(
+        {"command": "bessel.zeros", "count": args.count, "zeros": values},
+        ["r", "zero"],
+        lambda: enumerate(values),
+        lambda: "\n".join(map(repr, values)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # integrals
 
-
-def _integral_row(k: int, m: int, n: int, iv: ig.IntegralValue) -> list:
-    return [k, m, n, repr(iv.value), repr(iv.error_bound), iv.method]
+_TRIPLE_HEADER = ["k", "m", "n", "value", "error", "method"]
 
 
-def _emit_triple_report(command: str, row: list, cfg: RunConfig) -> None:
-    if cfg.fmt == "csv":
-        _emit_csv(["k", "m", "n", "value", "error", "method"], [row], cfg)
-    elif cfg.fmt == "json":
-        k, m, n, value, error, method = row
-        _emit_json(
-            {
-                "command": command,
-                "k": k,
-                "m": m,
-                "n": n,
-                "value": float(value),
-                "error": float(error),
-                "method": method,
-            },
-            cfg,
-        )
-    else:
-        k, m, n, value, error, method = row
-        _emit(f"({k},{m},{n}) = {value} +- {error} [{method}]", cfg)
+def _triple_report(command: str, k: int, m: int, n: int, iv: ig.IntegralValue) -> Report:
+    return Report(
+        {"command": command, "k": k, "m": m, "n": n,
+         "value": iv.value, "error": iv.error_bound, "method": iv.method},
+        _TRIPLE_HEADER,
+        lambda: [[k, m, n, iv.value, iv.error_bound, iv.method]],
+        lambda: f"({k},{m},{n}) = {iv.value!r} +- {iv.error_bound!r} [{iv.method}]",
+    )
 
 
-def cmd_integrals(args: argparse.Namespace) -> int:
-    cfg = _config(args, "csv")
-    sub = args.integrals_cmd
-    if sub == "F":
-        k, m, n = args.orders
-        rv = ig.f_ratio(k, m, n, r_max=cfg.r_max, tol=cfg.tol)
-        if cfg.fmt == "json":
-            _emit_json(
-                {
-                    "command": "integrals.F",
-                    "k": k,
-                    "m": m,
-                    "n": n,
-                    "value": rv.value,
-                    "lo": rv.lo,
-                    "hi": rv.hi,
-                },
-                cfg,
-            )
-        elif cfg.fmt == "csv":
-            err = max(rv.value - rv.lo, rv.hi - rv.value)
-            _emit_csv(
-                ["k", "m", "n", "value", "error", "method"],
-                [[k, m, n, repr(rv.value), repr(err), "direct_ratio"]],
-                cfg,
-            )
-        else:
-            _emit(f"F({k},{m},{n}) = {rv.value!r} in [{rv.lo!r}, {rv.hi!r}]", cfg)
-        return EXIT_OK
-    if sub == "copt":
-        iv = ig.c_opt(r_max=cfg.r_max, tol=cfg.tol)
-        _emit_triple_report("integrals.copt", _integral_row(0, 0, 0, iv), cfg)
-        return EXIT_OK
-    if sub == "tilde":
-        k, m, n = args.orders
-        cap = max(cfg.order_cap, abs(k), abs(m), abs(n))
-        table = ig.build_table(cap, cache=cfg.use_cache)
-        iv = ig.i_tilde(abs(k), abs(m), abs(n), table)
-        _emit_triple_report("integrals.tilde", _integral_row(k, m, n, iv), cfg)
-        return EXIT_OK
-    if sub == "direct":
-        iv = ig.i_direct(tuple(args.orders), r_max=cfg.r_max, tol=cfg.tol)
-        if cfg.fmt == "csv":
-            _emit_csv(
-                ["n1", "n2", "n3", "n4", "n5", "n6", "value", "error", "method"],
-                [[*args.orders, repr(iv.value), repr(iv.error_bound), iv.method]],
-                cfg,
-            )
-        elif cfg.fmt == "json":
-            _emit_json(
-                {
-                    "command": "integrals.direct",
-                    "orders": list(args.orders),
-                    "value": iv.value,
-                    "error": iv.error_bound,
-                    "method": iv.method,
-                },
-                cfg,
-            )
-        else:
-            _emit(
-                f"I{tuple(args.orders)} = {iv.value!r} +- {iv.error_bound!r}", cfg
-            )
-        return EXIT_OK
-    return _sweep_suite(args, cfg)
+def cmd_integrals_f(args: argparse.Namespace, cfg: RunConfig) -> Report:
+    k, m, n = args.orders
+    rv = ig.f_ratio(k, m, n, r_max=cfg.r_max, tol=cfg.tol)
+    err = max(rv.value - rv.lo, rv.hi - rv.value)
+    return Report(
+        {"command": "integrals.F", "k": k, "m": m, "n": n,
+         "value": rv.value, "lo": rv.lo, "hi": rv.hi},
+        _TRIPLE_HEADER,
+        lambda: [[k, m, n, rv.value, err, "direct_ratio"]],
+        lambda: f"F({k},{m},{n}) = {rv.value!r} in [{rv.lo!r}, {rv.hi!r}]",
+    )
 
 
-def _sweep_suite(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_integrals_copt(args: argparse.Namespace, cfg: RunConfig) -> Report:
+    return _triple_report("integrals.copt", 0, 0, 0, ig.c_opt(r_max=cfg.r_max, tol=cfg.tol))
+
+
+def cmd_integrals_tilde(args: argparse.Namespace, cfg: RunConfig) -> Report:
+    k, m, n = args.orders
+    cap = max(cfg.order_cap, abs(k), abs(m), abs(n))
+    table = ig.build_table(cap, cache=cfg.use_cache)
+    return _triple_report("integrals.tilde", k, m, n, ig.i_tilde(abs(k), abs(m), abs(n), table))
+
+
+def cmd_integrals_direct(args: argparse.Namespace, cfg: RunConfig) -> Report:
+    orders = list(args.orders)
+    iv = ig.i_direct(tuple(orders), r_max=cfg.r_max, tol=cfg.tol)
+    return Report(
+        {"command": "integrals.direct", "orders": orders,
+         "value": iv.value, "error": iv.error_bound, "method": iv.method},
+        [f"n{i}" for i in range(1, 7)] + ["value", "error", "method"],
+        lambda: [[*orders, iv.value, iv.error_bound, iv.method]],
+        lambda: f"I{tuple(orders)} = {iv.value!r} +- {iv.error_bound!r}",
+    )
+
+
+def cmd_integrals_sweep(args: argparse.Namespace, cfg: RunConfig) -> Report:
     if args.suite != "bounds-f":
         raise RangeError(f"unknown suite {args.suite!r}; available: bounds-f")
     n_max = args.n_max
     sweep = ig.sweep_diagonal(n_max, r_max=cfg.r_max, tol=cfg.tol, cache=cfg.use_cache)
-
-    def worst(points, threshold):
-        entries = [(sweep.ratio_lo(*p), p) for p in points]
-        if not entries:
-            return None
-        lo, point = min(entries)
-        return {
-            "threshold": threshold,
-            "worst_point": list(point),
-            "worst_lo": lo,
-            "margin": lo - threshold,
-            "status": "pass" if lo > threshold else "fail",
-        }
-
     rows: list[dict] = []
 
-    def row(family, points, threshold):
-        data = worst(points, threshold)
-        if data is None:
-            rows.append({"family": family, "status": "skipped"})
-        else:
-            rows.append({"family": family, **data})
-
-    row("single (n,0,0) > 5, 2 <= n", [(n, 0, 0) for n in range(2, n_max + 1)], 5.0)
-    f100 = sweep.value(0, 0, 0) / sweep.value(1, 0, 0) if n_max >= 1 else None
-    if f100 is not None:
-        dev = abs(f100 - 5.0)
+    def family(label: str, points: list[tuple[int, int, int]], threshold: float) -> None:
+        # label is a format string; the threshold fills its one {} field
+        name = label.format(threshold)
+        if not points:
+            rows.append({"family": name, "status": "skipped"})
+            return
+        lo, point = min((sweep.ratio_lo(*p), p) for p in points)
         rows.append(
             {
-                "family": "single (1,0,0) within 2e-2 of 5",
+                "family": name,
+                "threshold": threshold,
+                "worst_point": list(point),
+                "worst_lo": lo,
+                "margin": lo - threshold,
+                "status": "pass" if lo > threshold else "fail",
+            }
+        )
+
+    single = ct.F_FLOOR_SINGLE
+    family("single (n,0,0) > {:g}, 2 <= n", [(n, 0, 0) for n in range(2, n_max + 1)], single)
+    if n_max >= 1:
+        f100 = sweep.value(0, 0, 0) / sweep.value(1, 0, 0)
+        dev = abs(f100 - single)
+        rows.append(
+            {
+                "family": f"single (1,0,0) within 2e-2 of {single:g}",
                 "threshold": 2e-2,
                 "worst_point": [1, 0, 0],
                 "worst_lo": f100,
@@ -298,30 +290,30 @@ def _sweep_suite(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "status": "pass" if dev <= 2e-2 else "fail",
             }
         )
-    row(
-        "pair-zero (n,n,0) > 7.94",
+    family(
+        "pair-zero (n,n,0) > {:g}",
         [(n, n, 0) for n in range(1, min(20, n_max) + 1)],
-        7.94,
+        ct.F_FLOOR_PAIR0,
     )
-    row(
-        "pair-zero (n,n,0) > 10.8, 3 <= n",
+    family(
+        "pair-zero (n,n,0) > {:g}, 3 <= n",
         [(n, n, 0) for n in range(3, min(21, n_max) + 1)],
-        10.8,
+        ct.F_FLOOR_PAIR0_HIGH,
     )
-    row("diagonal (n,n,n) > 3.2", [(n, n, n) for n in range(1, n_max + 1)], 3.2)
+    family("diagonal (n,n,n) > {:g}", [(n, n, n) for n in range(1, n_max + 1)], ct.F_FLOOR_TRIPLE)
     cap = min(30, n_max)
-    row(
-        "pair (n,n,m) > 10, n != m, not {1,1,2}",
+    family(
+        "pair (n,n,m) > {:g}, n != m, not {{1,1,2}}",
         [
             (n, n, m)
             for n in range(1, cap + 1)
             for m in range(1, cap + 1)
             if n != m and (n, m) != (1, 2)
         ],
-        10.0,
+        ct.F_FLOOR_PAIR,
     )
-    row(
-        "distinct (n,m,k) > 18, not (3,2,0)",
+    family(
+        "distinct (n,m,k) > {:g}, not (3,2,0)",
         [
             (n, m, k)
             for n in range(1, cap + 1)
@@ -329,40 +321,11 @@ def _sweep_suite(args: argparse.Namespace, cfg: RunConfig) -> int:
             for k in range(0, m)
             if (n, m, k) != (3, 2, 0)
         ],
-        18.0,
+        ct.F_FLOOR_DISTINCT,
     )
     passed = all(r["status"] != "fail" for r in rows)
-    if cfg.fmt == "json":
-        _emit_json(
-            {
-                "command": "integrals.sweep",
-                "suite": args.suite,
-                "config": {
-                    "n_max": n_max,
-                    "r_max": cfg.r_max,
-                    "tol": cfg.tol,
-                    "quad_diff": sweep.quad_diff,
-                },
-                "rows": rows,
-                "passed": passed,
-            },
-            cfg,
-        )
-    elif cfg.fmt == "csv":
-        header = ["family", "threshold", "worst_point", "worst_lo", "margin", "status"]
-        body = [
-            [
-                r["family"],
-                r.get("threshold", ""),
-                " ".join(str(v) for v in r.get("worst_point", [])),
-                repr(r["worst_lo"]) if "worst_lo" in r else "",
-                repr(r["margin"]) if "margin" in r else "",
-                r["status"],
-            ]
-            for r in rows
-        ]
-        _emit_csv(header, body, cfg)
-    else:
+
+    def text() -> str:
         lines = []
         for r in rows:
             if r["status"] == "skipped":
@@ -374,16 +337,34 @@ def _sweep_suite(args: argparse.Namespace, cfg: RunConfig) -> int:
                     f"(margin {r['margin']:+.4f})"
                 )
         lines.append("suite: " + ("pass" if passed else "FAIL"))
-        _emit("\n".join(lines), cfg)
-    return EXIT_OK if passed else EXIT_FAIL
+        return "\n".join(lines)
+
+    header = ["family", "threshold", "worst_point", "worst_lo", "margin", "status"]
+    return Report(
+        {
+            "command": "integrals.sweep",
+            "suite": args.suite,
+            "config": {
+                "n_max": n_max,
+                "r_max": cfg.r_max,
+                "tol": cfg.tol,
+                "quad_diff": sweep.quad_diff,
+            },
+            "rows": rows,
+            "passed": passed,
+        },
+        header,
+        _table(header, rows),
+        text,
+        EXIT_OK if passed else EXIT_FAIL,
+    )
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = _config(args, "json")
+def cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> Report:
     spectrum = _spectrum_from_args(args)
     points = sp.classify_brute_force(spectrum)
     entries = []
@@ -415,39 +396,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             if p.boundary_safe
         }
         cross = "ok" if brute == equations else "mismatch"
-    payload = {
-        "command": "spectrum.classify",
-        "spectrum": _spectrum_desc(spectrum),
-        "points": entries,
-        "summary": {
-            **counts,
-            "total": len(entries),
-            "boundary_safe_exceptions": sum(
-                1
-                for e in entries
-                if e["class"] == "exception" and e["boundary_safe"]
-            ),
-            "unique_pair_sums": unique_sums,
-        },
-        "cross_check": cross,
-    }
-    if cfg.fmt == "json":
-        _emit_json(payload, cfg)
-    elif cfg.fmt == "csv":
-        header = ["D", "class", "subtype", "families", "reps", "boundary_safe"]
-        body = [
-            [
-                e["D"],
-                e["class"],
-                e["subtype"] or "",
-                " ".join(str(t) for t in e["families"]),
-                ";".join(",".join(str(v) for v in rep) for rep in e["reps"]),
-                e["boundary_safe"],
-            ]
-            for e in entries
-        ]
-        _emit_csv(header, body, cfg)
-    else:
+
+    def text() -> str:
         lines = [
             f"spectrum: {list(spectrum.lambdas)} ({len(spectrum.elements)} elements)"
         ]
@@ -464,8 +414,31 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         )
         if cross is not None:
             lines.append(f"cross-check: {cross}")
-        _emit("\n".join(lines), cfg)
-    return EXIT_OK if cross in (None, "ok") else EXIT_FAIL
+        return "\n".join(lines)
+
+    header = ["D", "class", "subtype", "families", "reps", "boundary_safe"]
+    return Report(
+        {
+            "command": "spectrum.classify",
+            "spectrum": _spectrum_desc(spectrum),
+            "points": entries,
+            "summary": {
+                **counts,
+                "total": len(entries),
+                "boundary_safe_exceptions": sum(
+                    1
+                    for e in entries
+                    if e["class"] == "exception" and e["boundary_safe"]
+                ),
+                "unique_pair_sums": unique_sums,
+            },
+            "cross_check": cross,
+        },
+        header,
+        _table(header, entries),
+        text,
+        EXIT_OK if cross in (None, "ok") else EXIT_FAIL,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +518,20 @@ def _run_trial(
     }
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    cfg = _config(args, "json")
+# one csv row per trial, one column per trial key
+_CERTIFY_HEADER = [
+    "index", "source", "support", "s_exact", "upper_bound", "grouped_ok",
+    "verdict", "margin", "error_budget", "equality_case", "passed",
+]
+
+
+def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> Report:
     if args.trials < 0:
         raise RangeError(f"trials must be >= 0, got {args.trials}")
     if args.trials == 0 and args.coeff is None:
         raise RangeError("trials must be >= 1 without --coeff: no vector would be checked")
+    if not math.isfinite(args.b):
+        raise RangeError(f"b must be finite, got {args.b}")
     spectrum = _spectrum_from_args(args)
     b = args.b
     window = ct.feasible_b_interval()
@@ -575,20 +556,27 @@ def cmd_certify(args: argparse.Namespace) -> int:
             "b_inside": b_inside,
         },
     }
+
+    def report(verdict: str, code: int) -> Report:
+        # a run stopped early reports the stages it never reached as empty
+        payload["verdict"] = verdict
+        payload.setdefault("system_reports", [])
+        payload.setdefault("trials_run", [])
+        return Report(
+            payload,
+            _CERTIFY_HEADER,
+            _table(_CERTIFY_HEADER, payload["trials_run"]),
+            lambda: _certify_text(payload),
+            code,
+        )
+
     if not b_inside:
-        payload["verdict"] = "b-interval violation"
-        payload["system_reports"] = []
-        payload["trials_run"] = []
-        _emit_certify(payload, cfg)
-        return EXIT_FAIL
+        return report("b-interval violation", EXIT_FAIL)
     flb = ct.FLowerBounds(spectrum, r_max=cfg.r_max, tol=cfg.tol)
     reports = ct.check_systems(spectrum, b, f_lower=flb, r_max=cfg.r_max, tol=cfg.tol)
     payload["system_reports"] = [_report_dict(r) for r in reports]
     if not all(r.passed for r in reports):
-        payload["verdict"] = "system infeasible"
-        payload["trials_run"] = []
-        _emit_certify(payload, cfg)
-        return EXIT_FAIL
+        return report("system infeasible", EXIT_FAIL)
     params = ct.params_from_reports(b, reports)
     payload["eps"] = [[d, e] for d, e in params.eps]
 
@@ -606,54 +594,17 @@ def cmd_certify(args: argparse.Namespace) -> int:
     trials = [_run_trial(params, vec, index, label, cfg) for index, label, vec in jobs]
     payload["trials_run"] = trials
     all_pass = all(t["passed"] for t in trials)
-    payload["verdict"] = "holds" if all_pass else "fails"
-    _emit_certify(payload, cfg)
-    return EXIT_OK if all_pass else EXIT_FAIL
+    return report("holds" if all_pass else "fails", EXIT_OK if all_pass else EXIT_FAIL)
 
 
-def _emit_certify(payload: dict, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
-        _emit_json(payload, cfg)
-        return
-    if cfg.fmt == "csv":
-        header = [
-            "index",
-            "source",
-            "support",
-            "s_exact",
-            "upper_bound",
-            "grouped_ok",
-            "verdict",
-            "margin",
-            "error_budget",
-            "equality_case",
-            "passed",
-        ]
-        body = [
-            [
-                t["index"],
-                t["source"],
-                " ".join(str(n) for n in t["support"]),
-                repr(t["s_exact"]),
-                repr(t["upper_bound"]),
-                t["grouped_ok"],
-                t["verdict"],
-                repr(t["margin"]),
-                repr(t["error_budget"]),
-                t["equality_case"],
-                t["passed"],
-            ]
-            for t in payload["trials_run"]
-        ]
-        _emit_csv(header, body, cfg)
-        return
+def _certify_text(payload: dict) -> str:
     w = payload["b_interval"]
     lines = [
         f"b = {payload['config']['b']} against window "
         f"[{w['lo']:.4f}, {w['hi']:.4f}] ({w['lo_exact']}, {w['hi_exact']}): "
         + ("inside" if w["b_inside"] else "OUTSIDE")
     ]
-    for rep in payload.get("system_reports", []):
+    for rep in payload["system_reports"]:
         lines.append(
             f"system {rep['system']}: "
             + ("ok" if rep["passed"] else "INFEASIBLE")
@@ -662,7 +613,7 @@ def _emit_certify(payload: dict, cfg: RunConfig) -> None:
     if "eps" in payload:
         eps = ", ".join(f"{d} -> {e:.4f}" for d, e in payload["eps"])
         lines.append(f"eps: {eps or '(none)'}")
-    trials = payload.get("trials_run", [])
+    trials = payload["trials_run"]
     if trials:
         ok = sum(1 for t in trials if t["passed"])
         worst = min(trials, key=lambda t: t["margin"] - t["error_budget"])
@@ -672,7 +623,7 @@ def _emit_certify(payload: dict, cfg: RunConfig) -> None:
             + (" (equality case)" if worst["equality_case"] else "")
         )
     lines.append(f"verdict: {payload['verdict']}")
-    _emit("\n".join(lines), cfg)
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -695,37 +646,46 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     # common flags attach to leaf parsers only: a parent default on an
-    # outer parser would overwrite a value parsed before the subcommand
+    # outer parser would overwrite a value parsed before the subcommand.
+    # Each leaf names its report builder; each group its default format.
     p_bessel = subs.add_parser("bessel", help="Bessel function values")
+    p_bessel.set_defaults(default_fmt="text")
     bessel_subs = p_bessel.add_subparsers(dest="bessel_cmd", required=True)
     p_eval = bessel_subs.add_parser("eval", parents=[common])
     p_eval.add_argument("-n", type=int, required=True, help="order, |n| <= 1200")
     p_eval.add_argument("-x", type=float, required=True, help="argument in [0, 1e4]")
+    p_eval.set_defaults(func=cmd_bessel_eval)
     p_zeros = bessel_subs.add_parser("zeros", parents=[common])
     p_zeros.add_argument("-c", "--count", type=int, required=True)
-    p_bessel.set_defaults(func=cmd_bessel)
+    p_zeros.set_defaults(func=cmd_bessel_zeros)
 
     p_int = subs.add_parser("integrals", help="sextet integrals and F")
+    p_int.set_defaults(default_fmt="csv")
     int_subs = p_int.add_subparsers(dest="integrals_cmd", required=True)
     p_f = int_subs.add_parser("F", parents=[common])
     p_f.add_argument("orders", type=int, nargs=3, metavar="N")
+    p_f.set_defaults(func=cmd_integrals_f)
     p_copt = int_subs.add_parser("copt", parents=[common])
+    p_copt.set_defaults(func=cmd_integrals_copt)
     p_tilde = int_subs.add_parser("tilde", parents=[common])
     p_tilde.add_argument("orders", type=int, nargs=3, metavar="N")
     p_tilde.add_argument("--order-cap", type=int, default=ig.ORDER_GUARANTEE_CAP)
+    p_tilde.set_defaults(func=cmd_integrals_tilde)
     p_direct = int_subs.add_parser("direct", parents=[common])
     p_direct.add_argument("orders", type=int, nargs=6, metavar="N")
+    p_direct.set_defaults(func=cmd_integrals_direct)
     p_sweep = int_subs.add_parser("sweep", parents=[common])
     p_sweep.add_argument("--suite", required=True)
     p_sweep.add_argument("--n-max", type=int, default=40)
+    p_sweep.set_defaults(func=cmd_integrals_sweep)
     for sub in (p_f, p_copt, p_tilde, p_direct):
         sub.add_argument("--r-max", dest="r_max", type=float, default=ig.DEFAULT_R_MAX)
         sub.add_argument("--tol", type=float, default=ig.DEFAULT_TOL)
     p_sweep.add_argument("--r-max", dest="r_max", type=float, default=40000.0)
     p_sweep.add_argument("--tol", type=float, default=2.0e-6)
-    p_int.set_defaults(func=cmd_integrals)
 
     p_spec = subs.add_parser("spectrum", help="triple-sum classification")
+    p_spec.set_defaults(default_fmt="json")
     spec_subs = p_spec.add_subparsers(dest="spectrum_cmd", required=True)
     p_cls = spec_subs.add_parser("classify", parents=[common])
     _add_spectrum_args(p_cls)
@@ -734,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="compare brute force against the equation route",
     )
-    p_spec.set_defaults(func=cmd_spectrum)
+    p_cls.set_defaults(func=cmd_spectrum)
 
     p_cert = subs.add_parser("certify", parents=[common], help="run the certificate")
     _add_spectrum_args(p_cert)
@@ -748,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cert.add_argument("--r-max", dest="r_max", type=float, default=ig.DEFAULT_R_MAX)
     p_cert.add_argument("--tol", type=float, default=ig.DEFAULT_TOL)
-    p_cert.set_defaults(func=cmd_certify)
+    p_cert.set_defaults(func=cmd_certify, default_fmt="json")
     return parser
 
 
@@ -756,7 +716,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _config(args)
+        return _render(args.func(args, cfg), cfg)
     except (RangeError, SpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -106,6 +106,25 @@ def test_integrals_sweep_low_precision_fails_honestly(capsys):
     assert failing == ["pair-zero (n,n,0) > 7.94"]
 
 
+def test_integrals_sweep_csv_plain_floats(capsys):
+    # the default csv format writes numbers as plain decimals, never as
+    # numpy reprs, and each one reads back as the json report's value
+    args = (
+        "integrals", "sweep", "--suite", "bounds-f",
+        "--n-max", "4", "--r-max", "4000", "--tol", "1e-5", "--no-cache",
+    )
+    code_csv, out_csv, _ = run(capsys, *args)
+    code_json, out_json, _ = run(capsys, *args, "--format", "json")
+    assert code_csv == code_json == 1
+    assert "np." not in out_csv
+    rows = list(csv.DictReader(io.StringIO(out_csv)))
+    expected = json.loads(out_json)["rows"]
+    assert [r["family"] for r in rows] == [r["family"] for r in expected]
+    for got, want in zip(rows, expected):
+        assert float(got["worst_lo"]) == want["worst_lo"]
+        assert float(got["margin"]) == want["margin"]
+
+
 def test_integrals_sweep_unknown_suite(capsys):
     code, _, err = run(capsys, "integrals", "sweep", "--suite", "nope")
     assert code == 2 and "unknown suite" in err
@@ -206,6 +225,23 @@ def test_certify_rejects_negative_trials(capsys):
     assert code == 2 and out == "" and "trials" in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--b", "nan"),
+        ("--b", "inf"),
+        # the b check would fail before any integral validates r_max
+        ("--b", "7.5", "--r-max", "inf", "--tol", "inf"),
+        ("--r-max", "nan"),
+        ("--tol", "inf"),
+    ],
+)
+def test_certify_rejects_non_finite_numbers(capsys, extra):
+    # json has no NaN or Infinity, so these must never reach a report
+    code, out, err = run(capsys, "certify", "--base", "5", "--depth", "2", *extra)
+    assert code == 2 and out == "" and "finite" in err
+
+
 def test_certify_rejects_zero_trials_without_coeff(capsys):
     # no vector would be checked, so no verdict may be printed
     code, out, err = run(capsys, "certify", "--base", "4", "--depth", "4", "--trials", "0")
@@ -282,6 +318,15 @@ def test_certify_output_file(tmp_path, capsys):
     assert payload["schema"] == "lacuna-verify/1"
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(
+        capsys, "bessel", "eval", "-n", "1", "-x", "1", "--output", str(target)
+    )
+    assert code == 2 and out == "" and "cannot write report" in err
+    assert not target.exists()
+
+
 def test_thread_count_validation(capsys):
     code, _, err = run(capsys, "bessel", "eval", "-n", "0", "-x", "1", "--threads", "0")
     assert code == 2 and "threads" in err
@@ -295,3 +340,62 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == pytest.approx(0.4400505857449335, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# every leaf command in every format
+
+_TRIPLE = ["k", "m", "n", "value", "error", "method"]
+_LEAVES = [
+    (("bessel", "eval", "-n", "1", "-x", "1"), ["n", "x", "value"], 0),
+    (("bessel", "zeros", "-c", "3"), ["r", "zero"], 0),
+    (("integrals", "F", "1", "0", "0"), _TRIPLE, 0),
+    (("integrals", "copt"), _TRIPLE, 0),
+    (("integrals", "tilde", "1", "0", "0"), _TRIPLE, 0),
+    (
+        ("integrals", "direct", "1", "1", "0", "0", "1", "1"),
+        ["n1", "n2", "n3", "n4", "n5", "n6", "value", "error", "method"],
+        0,
+    ),
+    (
+        # at r_max 4000 the pair-zero family fails, so the suite exits 1
+        (
+            "integrals", "sweep", "--suite", "bounds-f",
+            "--n-max", "2", "--r-max", "4000", "--tol", "1e-5", "--no-cache",
+        ),
+        ["family", "threshold", "worst_point", "worst_lo", "margin", "status"],
+        1,
+    ),
+    (
+        ("spectrum", "classify", "--base", "5", "--depth", "3", "--cross-check"),
+        ["D", "class", "subtype", "families", "reps", "boundary_safe"],
+        0,
+    ),
+    (
+        ("certify", "--base", "5", "--depth", "3", "--trials", "2"),
+        [
+            "index", "source", "support", "s_exact", "upper_bound", "grouped_ok",
+            "verdict", "margin", "error_budget", "equality_case", "passed",
+        ],
+        0,
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(
+    "argv, header, expected_code",
+    _LEAVES,
+    ids=[" ".join(w for w in a[:2] if not w.startswith("-")) for a, _, _ in _LEAVES],
+)
+def test_every_command_renders_every_format(capsys, argv, header, expected_code, fmt):
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == expected_code
+    if fmt == "json":
+        assert json.loads(out)["schema"] == "lacuna-verify/1"
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == header and len(rows) > 1
+        assert all(len(row) == len(header) for row in rows)
+    else:
+        assert out.strip() and out.endswith("\n") and not out.endswith("\n\n")
