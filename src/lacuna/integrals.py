@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 import scipy.special
 
+from . import bessel
 from .bessel import MAX_ORDER, ZERO_TOL, ZeroSequence, besselj, besselj_batch, j1_zeros
 from .errors import QuadratureError, RangeError
 
@@ -49,8 +50,8 @@ MIN_R_MAX = 100.0
 MAX_HALVINGS = 6
 NODE_COUNT = 1001
 TABLE_VERSION = 2                    # bump when table bits move
-SWEEP_VERSION = 3                    # bump when sweep bits move
-BESSEL_BLOCK = 4096                  # nodes per pass of the forward recurrence
+SWEEP_VERSION = 4                    # bump when sweep bits move
+BESSEL_BLOCK = 4096                  # nodes per pass of the grid kernels
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 
@@ -128,19 +129,21 @@ def _save_cached(path: Path, **arrays: np.ndarray) -> None:
 
 
 def _table_path(order_cap: int) -> Path:
-    return cache_dir() / f"table_v{TABLE_VERSION}_{NODE_COUNT}_{order_cap}.npz"
+    # the Miller start moves the table's bits, so it is part of the key
+    return cache_dir() / (
+        f"table_v{TABLE_VERSION}_start{bessel.START_SLOPE!r}x+{bessel.START_OFFSET}"
+        f"_{NODE_COUNT}_{order_cap}.npz"
+    )
 
 
 def _assemble_table(order_cap: int) -> QuadratureTable:
     zeros = j1_zeros(NODE_COUNT)
-    j0_at = np.array([besselj(0, float(z)) for z in zeros.zeros])
+    j0_at = besselj(0, zeros.zeros)
     if np.any(np.abs(j0_at) <= 1.0e-3):
         raise QuadratureError("J0 nearly vanishes at a J1 zero; weights unusable")
     weights = (2.0 / 9.0) / (j0_at * j0_at)
     nodes = zeros.zeros / 3.0
-    cache = np.empty((NODE_COUNT, order_cap + 1))
-    for r in range(NODE_COUNT):
-        cache[r] = besselj_batch(order_cap, float(nodes[r]))
+    cache = besselj_batch(order_cap, nodes)
     for arr in (nodes, weights, cache):
         arr.setflags(write=False)
     return QuadratureTable(zeros, nodes, weights, cache, order_cap)
@@ -476,16 +479,32 @@ class DiagonalSweep:
 
 
 def _diagonal_stack(n_max: int, r_max: float, n_panels: int) -> np.ndarray:
-    """G[k, m, n] = sum_r w_r r_r J_k^2 J_m^2 J_n^2 on one panel grid."""
+    """G[k, m, n] = sum_r w_r r_r J_k^2 J_m^2 J_n^2 on one panel grid.
+
+    One BESSEL_BLOCK of nodes at a time: the Bessel rows of the block,
+    the weighted products J_k^2 J_m^2 of the sorted pairs k <= m only,
+    and their product with every J_n^2 added into a small accumulator,
+    which is mirrored in (k, m) at the end. No array spans the grid.
+    """
     nodes, rw = _panel_grid(r_max, n_panels)
     count = n_max + 1
-    j2 = _bessel_rows(list(range(count)), nodes)
-    np.multiply(j2, j2, out=j2)
+    orders = list(range(count))
+    pairs = [(k, m) for k in orders for m in orders[k:]]
+    acc = np.zeros((len(pairs), count))
+    prod = np.empty((len(pairs), BESSEL_BLOCK))
+    for lo in range(0, nodes.size, BESSEL_BLOCK):
+        j2 = _bessel_rows(orders, nodes[lo:lo + BESSEL_BLOCK])
+        np.multiply(j2, j2, out=j2)
+        w = rw[lo:lo + BESSEL_BLOCK]
+        p = prod[:, :w.size]
+        row = 0
+        for k in orders:  # rows row.. hold the pairs (k, k..n_max)
+            np.multiply(j2[k:], j2[k] * w, out=p[row:row + count - k])
+            row += count - k
+        acc += p @ j2.T
     out = np.empty((count, count, count))
-    tmp = np.empty_like(j2)
-    for k in range(count):
-        np.multiply(j2, j2[k] * rw, out=tmp)
-        out[k] = tmp @ j2.T
+    for (k, m), g in zip(pairs, acc):
+        out[k, m] = out[m, k] = g
     return out
 
 
@@ -504,9 +523,9 @@ def sweep_diagonal(
 ) -> DiagonalSweep:
     """Direct-route quadrature of all diagonal triples with orders <= n_max.
 
-    One shared Bessel grid and a matrix product per leading order replace
-    ~n_max^3/6 independent quadratures; the whole pi/4 pass is repeated at
-    pi/8 and the worst disagreement must stay within tol.
+    One matrix product of the sorted order pairs per block of nodes
+    replaces ~n_max^3/6 independent quadratures; the whole pi/4 pass is
+    repeated at pi/8 and the worst disagreement must stay within tol.
     """
     if not isinstance(n_max, (int, np.integer)) or not 0 <= int(n_max) <= MAX_SEXTET_ORDER:
         raise RangeError(f"n_max must be an integer in [0, {MAX_SEXTET_ORDER}]")

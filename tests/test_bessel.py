@@ -116,6 +116,41 @@ def test_scalar_is_bitwise_batch_entry():
         assert besselj(n, x) == besselj_batch(n, x)[n]
 
 
+# x in both regimes and at their edges, for the array entry points
+ARRAY_XS = (0.0, 0.5, 7.25, 11.999, 12.0, 13.0, 250.0, 1047.5, 9999.0)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 40, 532, 1200])
+def test_array_batch_is_bitwise_float_calls(n_max):
+    xs = np.array(ARRAY_XS + (n_max / 2, n_max / 2 + 0.5, 1047.5))  # one x twice
+    rows = besselj_batch(n_max, xs)
+    assert rows.shape == (xs.size, n_max + 1) and rows.dtype == np.float64
+    for x, row in zip(xs, rows):
+        assert np.array_equal(row, besselj_batch(n_max, float(x)))
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 2, 7, -7, 40, -41, 532, 1200, -1200])
+def test_array_besselj_is_bitwise_float_calls(n):
+    xs = np.array(ARRAY_XS + (abs(n) / 2, abs(n) / 2 + 0.5))
+    got = besselj(n, xs)
+    want = np.array([besselj(n, float(x)) for x in xs])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # signed zeros too
+
+
+def test_array_argument_out_of_range():
+    for bad in (-0.5, MAX_ARG * (1.0 + 1.0e-12), math.inf, -math.inf, math.nan):
+        xs = np.array([1.0, 20.0, bad, 30.0])
+        with pytest.raises(RangeError):
+            besselj(0, xs)
+        with pytest.raises(RangeError):
+            besselj_batch(4, xs)
+    with pytest.raises(RangeError):
+        besselj(0, np.ones((2, 2)))
+    with pytest.raises(RangeError):
+        besselj(MAX_ORDER + 1, np.ones(3))
+
+
 def test_batch_shape_and_dtype():
     b = besselj_batch(5, 2.0)
     assert b.shape == (6,) and b.dtype == np.float64
@@ -171,6 +206,43 @@ def zeros_1001():
 @pytest.mark.parametrize("r,expected", J1_ZEROS_FROZEN)
 def test_frozen_zeros(zeros_1001, r, expected):
     assert zeros_1001.zeros[r] == pytest.approx(expected, abs=1.0e-11)
+
+
+def test_zeros_match_scipy(zeros_1001):
+    ref = scipy.special.jn_zeros(1, 1000)
+    assert np.max(np.abs(zeros_1001.zeros[1:] - ref)) <= 1.0e-11
+
+
+def _one_x_zero(r):
+    # the zero finder's steps for one zero, through float calls only
+    def j0_j1(x):
+        if x <= SERIES_SWITCH:
+            return besselj(0, x), besselj(1, x)
+        row = besselj_batch(1, x)
+        return float(row[0]), float(row[1])
+
+    beta = (r + 0.25) * math.pi
+    b2 = beta * beta
+    x = beta - 0.375 / beta + (3.0 / 128.0) / (beta * b2) - 0.23025 / (beta * b2 * b2)
+    a, b = x - 0.2, x + 0.2
+    fa = j0_j1(a)[1]
+    for _ in range(60):
+        j0, j1 = j0_j1(x)
+        if abs(j1) <= ZERO_TOL:
+            return x
+        if j1 * fa < 0.0:
+            b = x
+        else:
+            a, fa = x, j1
+        deriv = j0 - j1 / x
+        newton = x - j1 / deriv if deriv != 0.0 else math.nan
+        x = newton if a < newton < b else 0.5 * (a + b)
+    raise AssertionError(f"zero {r} did not converge")
+
+
+def test_zeros_are_bitwise_one_x_steps(zeros_1001):
+    for r in (*range(1, 30), 500, 999, 1000):
+        assert zeros_1001.zeros[r] == _one_x_zero(r)
 
 
 def test_zeros_start_at_origin(zeros_1001):

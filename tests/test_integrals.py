@@ -401,6 +401,35 @@ def test_cache_file_versions_are_separate(monkeypatch):
     # the panel width changes every sweep value, so it is part of the key
     monkeypatch.setattr(ig, "PANEL_WIDTH", ig.PANEL_WIDTH / 2)
     assert ig._sweep_path(3, 1000.0, 1.0e-4) != bumped
+    # so does the start of the table's Miller recurrence
+    monkeypatch.setattr(lacuna.bessel, "START_OFFSET", lacuna.bessel.START_OFFSET + 1)
+    shifted = ig._table_path(5)
+    assert shifted != table
+    monkeypatch.setattr(lacuna.bessel, "START_SLOPE", lacuna.bessel.START_SLOPE + 0.1)
+    assert ig._table_path(5) not in (table, shifted)
+
+
+def test_table_uses_array_passes(monkeypatch):
+    # the table's J0 weights and rows, and the J1 zeros, come from lane
+    # passes over all nodes; a per-node call would reach the one-x loop
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the table must not run the one-x recurrence")
+
+    monkeypatch.setattr(lacuna.bessel, "_miller", forbidden)
+    table = ig.build_table(40, cache=False)
+    assert table.bessel_cache.shape == (1001, 41)
+
+
+def test_diagonal_stack_matches_whole_grid_sum():
+    # several node blocks, the last one partial
+    r_max, n_panels = 1000.0, 1275
+    nodes, rw = ig._panel_grid(r_max, n_panels)
+    assert nodes.size % ig.BESSEL_BLOCK and nodes.size > 3 * ig.BESSEL_BLOCK
+    j2 = ig._bessel_rows(list(range(7)), nodes) ** 2
+    want = np.einsum("kr,mr,nr->kmn", j2 * rw, j2, j2)
+    got = ig._diagonal_stack(6, r_max, n_panels)
+    assert np.max(np.abs(got - want)) <= 1.0e-14
+    assert np.array_equal(got, got.transpose(1, 0, 2))  # mirrored, not recomputed
 
 
 @settings(max_examples=60, deadline=None)
