@@ -37,7 +37,7 @@ from .errors import EvaluationError, RangeError, ZeroFindingError
 
 MAX_ORDER = 1200
 MAX_ARG = 1.0e4
-MAX_ZEROS = 5000
+MAX_ZEROS = 3182                     # positive J1 zeros up to MAX_ARG; the next is 10000.47
 
 # Power series below this argument (or below half the order: for
 # x <= n/2 the series has no damaging cancellation in absolute terms).

@@ -35,11 +35,11 @@ from typing import Callable, Mapping
 from .errors import CertificateError, RangeError, StructureViolation
 from .integrals import (
     DEFAULT_R_MAX,
-    DEFAULT_TOL,
     MAX_SEXTET_ORDER,
     IntegralValue,
     f_ratio,
     i_direct_moduli,
+    i_direct_signed,
 )
 from .spectrum import (
     ClassifiedPoint,
@@ -124,18 +124,9 @@ class CoefficientVector:
 # interaction values, from the direct route's memo on sorted moduli
 
 
-def _interaction(sextet: tuple[int, ...], r_max: float, tol: float) -> IntegralValue:
-    # J_{-n} = (-1)^n J_n: look up the sorted moduli, reapply the parity
-    parity = sum(abs(n) for n in sextet if n < 0) % 2
-    base = i_direct_moduli(tuple(sorted(abs(n) for n in sextet)), r_max, tol)
-    if parity:
-        return IntegralValue(-base.value, base.error_bound, base.method, base.guaranteed)
-    return base
-
-
-def _diag(m1: int, m2: int, m3: int, r_max: float, tol: float) -> IntegralValue:
+def _diag(m1: int, m2: int, m3: int, r_max: float) -> IntegralValue:
     a, b, c = sorted((abs(m1), abs(m2), abs(m3)))
-    return i_direct_moduli((a, a, b, b, c, c), r_max, tol)
+    return i_direct_moduli((a, a, b, b, c, c), r_max)
 
 
 @functools.lru_cache(maxsize=64)
@@ -283,7 +274,6 @@ def compute_S_exact(
     f: CoefficientVector,
     *,
     r_max: float = DEFAULT_R_MAX,
-    tol: float = DEFAULT_TOL,
 ) -> SextetSum:
     """Evaluate S literally, grouped by the shared triple sum D.
 
@@ -320,7 +310,7 @@ def compute_S_exact(
                 if z2 == 0:
                     continue
                 weight = float(r1.perm_count * r2.perm_count)
-                ival = _interaction(r1.entries + r2.entries, r_max, tol)
+                ival = i_direct_signed(r1.entries + r2.entries, r_max)
                 term = weight * z1 * z2.conjugate()
                 bucket += term * ival.value
                 err += abs(term) * ival.error_bound
@@ -399,7 +389,6 @@ def compute_S_upper_bound(
     params: CertificateParams,
     *,
     r_max: float = DEFAULT_R_MAX,
-    tol: float = DEFAULT_TOL,
 ) -> BoundValue:
     """The eleven grouped sums dominating S, coefficients as printed.
 
@@ -419,21 +408,9 @@ def compute_S_upper_bound(
     def xm(n: int) -> float:
         return x.get(n, 0.0)
 
-    def in_e2(d: int) -> bool:
+    def in_e(d: int, subtype: ExceptionKind) -> bool:
         c = classified.get(d)
-        return (
-            c is not None
-            and c.kind is PointKind.EXCEPTION
-            and c.subtype is ExceptionKind.ONE_DISTINCT
-        )
-
-    def in_e1(d: int) -> bool:
-        c = classified.get(d)
-        return (
-            c is not None
-            and c.kind is PointKind.EXCEPTION
-            and c.subtype is ExceptionKind.BOTH_REPEAT
-        )
+        return c is not None and c.kind is PointKind.EXCEPTION and c.subtype is subtype
 
     total = 0.0
     err = 0.0
@@ -456,9 +433,9 @@ def compute_S_upper_bound(
                     continue
                 d = n1 + n2 + n3
                 coeff = 15.0
-                if in_e2(d):
+                if in_e(d, ExceptionKind.ONE_DISTINCT):
                     coeff += 6.0 / params.eps_for(d)
-                add(coeff, x[n1] * x[n2] * x[n3], _diag(n1, n2, n3, r_max, tol))
+                add(coeff, x[n1] * x[n2] * x[n3], _diag(n1, n2, n3, r_max))
 
     for n1 in supp:
         if n1 == 0:
@@ -469,12 +446,12 @@ def compute_S_upper_bound(
                 continue
             d = 2 * n1 + n2
             mono = x[n1] ** 2 * x[n2]
-            ival = _diag(n1, n1, n2, r_max, tol)
+            ival = _diag(n1, n1, n2, r_max)
             coeff = 9.0 * (1.0 + (1.0 if n2 != 0 else 0.0))
-            if in_e2(d):
+            if in_e(d, ExceptionKind.ONE_DISTINCT):
                 coeff += 9.0 * params.eps_for(d)
             add(coeff, mono, ival)
-            if in_e1(d):
+            if in_e(d, ExceptionKind.BOTH_REPEAT):
                 if A.is_triple(d):
                     add(9.0 / params.eps_for(d), mono, ival)
                 else:
@@ -486,25 +463,25 @@ def compute_S_upper_bound(
         # pure sixth powers: 1, plus eps when 3 n1 is an exception
         d3 = 3 * n1
         coeff = 1.0
-        if in_e1(d3) or in_e2(d3):
+        if in_e(d3, ExceptionKind.BOTH_REPEAT) or in_e(d3, ExceptionKind.ONE_DISTINCT):
             coeff += params.eps_for(d3)
-        ival3 = _diag(n1, n1, n1, r_max, tol)
+        ival3 = _diag(n1, n1, n1, r_max)
         add(coeff, x[n1] ** 3, ival3)
         add(9.0, x[n1] ** 2 * xm(-n1), ival3)
         # rows against the zero frequency
-        ival0 = _diag(n1, n1, 0, r_max, tol)
+        ival0 = _diag(n1, n1, 0, r_max)
         add(9.0 * (b + 1.0) / (b - 1.0), x[n1] ** 2 * x.get(0, 0.0), ival0)
         add(9.0 * (b - 3.0) / (b - 1.0), x[n1] * xm(-n1) * x.get(0, 0.0), ival0)
-        add(6.0, x[n1] * x.get(0, 0.0) ** 2, _diag(n1, 0, 0, r_max, tol))
+        add(6.0, x[n1] * x.get(0, 0.0) ** 2, _diag(n1, 0, 0, r_max))
     # conjugate-pair square sums, any first modulus
     for n1 in supp:
         for n2 in supp:
             if abs(n1) == abs(n2):
                 continue
             coeff = 18.0 - (9.0 if n2 == 0 else 0.0)
-            add(coeff, x[n1] * x[n2] * xm(-n2), _diag(n1, n2, n2, r_max, tol))
+            add(coeff, x[n1] * x[n2] * xm(-n2), _diag(n1, n2, n2, r_max))
     # the constant-mode cube
-    add(1.0, x.get(0, 0.0) ** 3, _diag(0, 0, 0, r_max, tol))
+    add(1.0, x.get(0, 0.0) ** 3, _diag(0, 0, 0, r_max))
     return BoundValue(value=total, error_bound=err)
 
 
@@ -528,14 +505,13 @@ class FLowerBounds:
         *,
         numeric: Callable[[int, int, int], float | None] | None | str = "direct",
         r_max: float = DEFAULT_R_MAX,
-        tol: float = DEFAULT_TOL,
-    ) -> None:
+        ) -> None:
         self._moduli = frozenset(abs(v) for v in spectrum.lambdas)
         if numeric == "direct":
             def direct(n: int, m: int, k: int) -> float | None:
                 if n > MAX_SEXTET_ORDER:
                     return None
-                return f_ratio(n, m, k, r_max=r_max, tol=tol).lo
+                return f_ratio(n, m, k, r_max=r_max).lo
             self._numeric: Callable[[int, int, int], float | None] | None = direct
         else:
             self._numeric = numeric
@@ -778,7 +754,6 @@ def check_systems(
     *,
     f_lower: FLowerBounds | None = None,
     r_max: float = DEFAULT_R_MAX,
-    tol: float = DEFAULT_TOL,
 ) -> list[SystemReport]:
     """Check the global rows once and one system per exception point.
 
@@ -790,7 +765,7 @@ def check_systems(
     """
     if not b > 1:
         raise RangeError(f"weight b must exceed 1, got {b}")
-    flb = f_lower if f_lower is not None else FLowerBounds(A, r_max=r_max, tol=tol)
+    flb = f_lower if f_lower is not None else FLowerBounds(A, r_max=r_max)
     instances: dict[str, list[SystemInstance]] = {
         "trivial": [], "S2": [], "S3": [], "S4": [], "S5": []
     }
@@ -815,10 +790,9 @@ def derive_params(
     *,
     f_lower: FLowerBounds | None = None,
     r_max: float = DEFAULT_R_MAX,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[CertificateParams, tuple[SystemReport, ...]]:
     """Solve the systems and take each eps at its window midpoint."""
-    reports = check_systems(A, b, f_lower=f_lower, r_max=r_max, tol=tol)
+    reports = check_systems(A, b, f_lower=f_lower, r_max=r_max)
     return params_from_reports(b, reports), tuple(reports)
 
 
@@ -859,7 +833,6 @@ def verify_theorem(
     f: CoefficientVector,
     *,
     r_max: float = DEFAULT_R_MAX,
-    tol: float = DEFAULT_TOL,
 ) -> TheoremVerdict:
     """Compare the exact sextic sum against the constant-mode ceiling.
 
@@ -867,8 +840,8 @@ def verify_theorem(
     on {0} lands within roundoff of equality and is reported as the
     equality case rather than an indeterminate verdict.
     """
-    s = compute_S_exact(f, r_max=r_max, tol=tol)
-    i000 = i_direct_moduli((0, 0, 0, 0, 0, 0), r_max, tol)
+    s = compute_S_exact(f, r_max=r_max)
+    i000 = i_direct_moduli((0, 0, 0, 0, 0, 0), r_max)
     mass3 = f.mass() ** 3
     rhs = i000.value * mass3
     budget = s.error_bound + i000.error_bound * mass3

@@ -50,11 +50,9 @@ class RunConfig:
     threads: int = 1        # validated only: every run is single-threaded
 
     def __post_init__(self) -> None:
-        # chained comparisons are false for nan, so nan fails here too
-        if not (0 < self.r_max < math.inf and 0 < self.tol < math.inf and self.order_cap > 0):
-            raise RangeError(
-                "r_max and tol must be finite and positive, and order_cap positive"
-            )
+        # nan fails chained comparisons too; tol is checked once, where it is used
+        if not (0 < self.r_max < math.inf and self.order_cap > 0):
+            raise RangeError("r_max must be finite and positive, and order_cap positive")
         if self.threads < 1:
             raise RangeError(f"threads must be >= 1, got {self.threads}")
         if self.fmt not in _FORMATS:
@@ -496,8 +494,8 @@ def _run_trial(
     label: str,
     cfg: RunConfig,
 ) -> dict:
-    verdict = ct.verify_theorem(vec, r_max=cfg.r_max, tol=cfg.tol)
-    ub = ct.compute_S_upper_bound(vec, params, r_max=cfg.r_max, tol=cfg.tol)
+    verdict = ct.verify_theorem(vec, r_max=cfg.r_max)
+    ub = ct.compute_S_upper_bound(vec, params, r_max=cfg.r_max)
     grouped_ok = verdict.s_exact <= ub.value + ub.error_bound + verdict.s_error_bound
     passed = grouped_ok and (
         verdict.verdict == "holds"
@@ -533,6 +531,7 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> Report:
     if not math.isfinite(args.b):
         raise RangeError(f"b must be finite, got {args.b}")
     spectrum = _spectrum_from_args(args)
+    ig.validate_quad_params(cfg.r_max, cfg.tol, spectrum.top)
     b = args.b
     window = ct.feasible_b_interval()
     b_inside = window.feasible and window.lo < b < window.hi
@@ -572,8 +571,8 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> Report:
 
     if not b_inside:
         return report("b-interval violation", EXIT_FAIL)
-    flb = ct.FLowerBounds(spectrum, r_max=cfg.r_max, tol=cfg.tol)
-    reports = ct.check_systems(spectrum, b, f_lower=flb, r_max=cfg.r_max, tol=cfg.tol)
+    flb = ct.FLowerBounds(spectrum, r_max=cfg.r_max)
+    reports = ct.check_systems(spectrum, b, f_lower=flb, r_max=cfg.r_max)
     payload["system_reports"] = [_report_dict(r) for r in reports]
     if not all(r.passed for r in reports):
         return report("system infeasible", EXIT_FAIL)
@@ -678,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--suite", required=True)
     p_sweep.add_argument("--n-max", type=int, default=40)
     p_sweep.set_defaults(func=cmd_integrals_sweep)
-    for sub in (p_f, p_copt, p_tilde, p_direct):
+    for sub in (p_f, p_copt, p_direct):  # the table route takes neither
         sub.add_argument("--r-max", dest="r_max", type=float, default=ig.DEFAULT_R_MAX)
         sub.add_argument("--tol", type=float, default=ig.DEFAULT_TOL)
     p_sweep.add_argument("--r-max", dest="r_max", type=float, default=40000.0)

@@ -11,13 +11,13 @@ an explicit absolute error bound. Two independent routes are provided:
   guaranteed to undershoot the true diagonal integral by less than 1e-2
   for orders up to 532; Bessel factors come from this package's own
   evaluator (lacuna.bessel).
-* direct route: Gauss-Legendre panel quadrature of the truncated
-  oscillatory integral on [0, R_max] with the analytic tail bound
-  (2/pi)^3 / R_max from |J_n(r)| <= sqrt(2/(pi r)); Bessel factors come
-  from scipy: ``scipy.special.jv`` on nodes r <= n, and J0, J1 from
-  scipy carried up by the forward recurrence on nodes r > n, where it is
-  stable. On the r_max = 4000 grids the two agree to 7.1e-14 absolute
-  for every order 0..532.
+* direct route: one pass of 10-node Gauss-Legendre panels of width
+  <= pi/4 on [0, R], for orders <= N < R. Its bound is proven before
+  the pass: disc(R) + eval(R, N) + tail(R, N), see ``quad_bound`` and
+  ``tail_bound``. Bessel factors come from scipy: ``scipy.special.jv``
+  on nodes r <= n, and J0, J1 from scipy carried up by the forward
+  recurrence on nodes r > n, where it is stable. On the r_max = 4000
+  grid the two agree to 7.1e-14 absolute for every order 0..532.
 
 The two routes share no Bessel code, so their agreement is a genuine
 cross-check rather than a reproducibility statement.
@@ -45,13 +45,16 @@ ORDER_GUARANTEE_CAP = 532            # table gap bound certified up to here
 TABLE_GAP = 1.0e-2                   # one-sided gap bound of the table route
 MAX_SEXTET_ORDER = 532
 DEFAULT_R_MAX = 4000.0
-DEFAULT_TOL = 1.0e-6
+DEFAULT_TOL = 1.0e-6                 # ceiling on the proven quadrature bound
 MIN_R_MAX = 100.0
-MAX_HALVINGS = 6
 NODE_COUNT = 1001
 TABLE_VERSION = 2                    # bump when table bits move
-SWEEP_VERSION = 4                    # bump when sweep bits move
+SWEEP_VERSION = 5                    # bump when sweep bits move
 BESSEL_BLOCK = 4096                  # nodes per pass of the grid kernels
+ELLIPSE_RHO = 20.0                   # Bernstein ellipse of the discretisation bound
+LANDAU_C = 0.7857468705              # |J_n(x)| <= c x^(-1/3), n >= 0 (Landau 2000)
+BESSEL_FACTOR_ERR = 1.0e-12          # assumed: |computed - true| of one direct-route factor
+UNIT_ROUNDOFF = 2.0**-53
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 
@@ -178,15 +181,10 @@ def build_table(order_cap: int, *, cache: bool = True) -> QuadratureTable:
     return table
 
 
-_SHARED_TABLE: QuadratureTable | None = None
-
-
+@functools.lru_cache(maxsize=1)
 def shared_table() -> QuadratureTable:
     """Lazily built module-wide table covering the full certified range."""
-    global _SHARED_TABLE
-    if _SHARED_TABLE is None:
-        _SHARED_TABLE = build_table(ORDER_GUARANTEE_CAP)
-    return _SHARED_TABLE
+    return build_table(ORDER_GUARANTEE_CAP)
 
 
 def _check_order(n: object, cap: int, what: str) -> int:
@@ -216,7 +214,8 @@ def i_tilde(k: int, m: int, n: int, table: QuadratureTable) -> IntegralValue:
 
 
 @functools.lru_cache(maxsize=16)
-def _panel_grid(r_max: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+def _panel_grid(r_max: float) -> tuple[np.ndarray, np.ndarray]:
+    n_panels = math.ceil(r_max / PANEL_WIDTH)
     width = r_max / n_panels
     centers = (np.arange(n_panels) + 0.5) * width
     nodes = (centers[:, None] + (0.5 * width) * _GL_NODES[None, :]).ravel()
@@ -257,26 +256,81 @@ def _bessel_rows(orders: list[int], nodes: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=48)
-def _order_on_grid(order: int, r_max: float, n_panels: int) -> np.ndarray:
-    nodes, _ = _panel_grid(r_max, n_panels)
+def _order_on_grid(order: int, r_max: float) -> np.ndarray:
+    nodes, _ = _panel_grid(r_max)
     values = _bessel_rows([order], nodes)[0]
     values.setflags(write=False)
     return values
 
 
-def _product_on_grid(orders: tuple[int, ...], r_max: float, n_panels: int) -> float:
-    _, rw = _panel_grid(r_max, n_panels)
+def _product_on_grid(orders: tuple[int, ...], r_max: float) -> float:
+    _, rw = _panel_grid(r_max)
     prod = rw.copy()
     for n in orders:
-        prod *= _order_on_grid(n, r_max, n_panels)
+        prod *= _order_on_grid(n, r_max)
     return float(np.sum(prod))
 
 
-def _validate_quad_params(r_max: float, tol: float) -> None:
-    if not (MIN_R_MAX <= r_max < math.inf):
-        raise RangeError(f"r_max must lie in [{MIN_R_MAX}, inf), got {r_max!r}")
-    if not (0.0 < tol < math.inf):
-        raise RangeError(f"tol must be positive and finite, got {tol!r}")
+def tail_bound(r_max: float, top: int) -> float:
+    """Bound on the integral over [r_max, inf) for orders <= top < r_max.
+
+    For x > n, J_n^2 <= J_n^2 + Y_n^2 <= 2 / (pi sqrt(x^2 - n^2)) (Watson
+    13.74, DLMF 10.18); this integrates x (2/pi)^3 (x^2 - top^2)^(-3/2).
+    """
+    return TAIL_COEFF / math.sqrt(r_max * r_max - top * top)
+
+
+@functools.lru_cache(maxsize=16)
+def _disc_bound(r_max: float) -> float:
+    """Gauss-Legendre error of the pass against the integral over [0, r_max].
+
+    A panel of half-width h and centre c maps t in [-1, 1] to r = c + h t.
+    On the Bernstein ellipse E_rho, of semi-axes a and b, |r| <= c + h a
+    and, by Bessel's integral (DLMF 10.9.2), |J_n(z)| <= I_0(|Im z|)
+    <= I_0(h b). With M the bound on r J...J, an m-node rule errs by at
+    most (64/15) M rho^(2-2m) / (rho^2 - 1) (Trefethen, ATAP Thm 19.3),
+    times h per panel; the panel centres average r_max / 2.
+    """
+    n_panels = math.ceil(r_max / PANEL_WIDTH)
+    h, rho = 0.5 * r_max / n_panels, ELLIPSE_RHO
+    a, b = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
+    rule = (64.0 / 15.0) * rho ** (2 - 2 * GL_ORDER) / (rho * rho - 1.0)
+    return n_panels * h * (0.5 * r_max + h * a) * rule * float(scipy.special.i0(h * b)) ** 6
+
+
+@functools.lru_cache(maxsize=64)
+def _eval_bound(r_max: float, top: int) -> float:
+    """Error of the computed pass against the exact rule, orders <= top.
+
+    Assumed: each computed factor lies within BESSEL_FACTOR_ERR of J_n at
+    its rounded node, which lies within 8u r of the exact node, and
+    |J_n'| <= 1, so d = BESSEL_FACTOR_ERR + 8u r. Proven: every factor is
+    at most E = min(1, LANDAU_C r^(-1/3)) and, for r > top, the envelope
+    of tail_bound. So a node's product errs by at most 6 d (E + d)^5, and
+    rounding the weights, products and the sum of n terms adds at most
+    gamma_(n+16) sum w r (E + d)^6 (Higham, ASNA, ch. 3-4).
+    """
+    nodes, rw = _panel_grid(r_max)
+    gap = np.maximum(nodes * nodes - top * top, 1.0e-300)  # r <= top: no modulus envelope
+    env = np.minimum(1.0, LANDAU_C / np.cbrt(nodes))
+    env = np.minimum(env, np.sqrt(2.0 / (math.pi * np.sqrt(gap))))
+    d = BESSEL_FACTOR_ERR + 8.0 * UNIT_ROUNDOFF * nodes
+    k = (nodes.size + 16) * UNIT_ROUNDOFF
+    return float(np.sum(rw * (env + d) ** 5 * (6.0 * d + k / (1.0 - k) * (env + d))))
+
+
+def quad_bound(r_max: float, top: int) -> float:
+    """Proven error of the one pass on [0, r_max] for orders <= top: disc + eval."""
+    if not (MIN_R_MAX <= r_max < math.inf and r_max > top):
+        raise RangeError(f"r_max must be finite, >= {MIN_R_MAX} and > order {top}, got {r_max!r}")
+    return _disc_bound(r_max) + _eval_bound(r_max, top)
+
+
+def validate_quad_params(r_max: float, tol: float, top: int) -> None:
+    """Check r_max, and tol as a ceiling on the proven quadrature bound."""
+    bound = quad_bound(r_max, top)
+    if not bound <= tol < math.inf:
+        raise RangeError(f"tol={tol!r} must be finite and >= the proven quad bound {bound:.3e}")
 
 
 def i_direct(
@@ -287,26 +341,31 @@ def i_direct(
 ) -> IntegralValue:
     """Direct quadrature of the sextet integral, the table route's oracle.
 
-    Gauss-Legendre panels of width <= pi/4 on [0, r_max], halved until two
-    consecutive refinements agree within tol. The reported bound adds the
-    analytic tail (2/pi)^3 / r_max for the discarded range [r_max, inf).
-    Bessel factors come from scipy: ``jv`` on nodes r <= n and the forward
-    recurrence from J0, J1 on nodes r > n (see ``_bessel_rows``).
-    Values are memoised on the sorted moduli (``i_direct_moduli``), so a
-    repeated sextet, in any order and with any signs, costs one lookup.
+    One pass of Gauss-Legendre panels of width <= pi/4 on [0, r_max] > N,
+    the largest order. Its bound, quad_bound + tail_bound, is proven before
+    the pass; ``tol`` is only a ceiling on quad_bound. Bessel factors come
+    from scipy (see ``_bessel_rows``). Values are memoised on the sorted
+    moduli (``i_direct_moduli``), so a repeated sextet, in any order and
+    with any signs, costs one lookup.
     """
     if len(index) != 6:
         raise RangeError(f"need exactly six orders, got {len(index)}")
-    orders = [_check_order(n, MAX_SEXTET_ORDER, "order") for n in index]
-    base = i_direct_moduli(tuple(sorted(abs(n) for n in orders)), r_max, tol)
+    orders = tuple(_check_order(n, MAX_SEXTET_ORDER, "order") for n in index)
+    validate_quad_params(r_max, tol, max(abs(n) for n in orders))
+    return i_direct_signed(orders, r_max)
+
+
+def i_direct_signed(sextet: tuple[int, ...], r_max: float) -> IntegralValue:
+    """i_direct without its per-call checks, for callers that made them."""
+    base = i_direct_moduli(tuple(sorted(abs(n) for n in sextet)), r_max)
     # J_{-n} = (-1)^n J_n turns signs into one global parity factor
-    if sum(abs(n) for n in orders if n < 0) % 2:
+    if sum(abs(n) for n in sextet if n < 0) % 2:
         return IntegralValue(-base.value, base.error_bound, base.method)
     return base
 
 
 @functools.lru_cache(maxsize=16384)
-def i_direct_moduli(moduli: tuple[int, ...], r_max: float, tol: float) -> IntegralValue:
+def i_direct_moduli(moduli: tuple[int, ...], r_max: float) -> IntegralValue:
     """i_direct of six ascending non-negative orders: the direct route's memo.
 
     Callers that already hold sorted moduli (the certificate's inner
@@ -317,18 +376,8 @@ def i_direct_moduli(moduli: tuple[int, ...], r_max: float, tol: float) -> Integr
         _check_order(n, MAX_SEXTET_ORDER, "order")
     if len(moduli) != 6 or list(moduli) != sorted(moduli) or moduli[0] < 0:
         raise RangeError(f"need six ascending non-negative orders, got {moduli}")
-    _validate_quad_params(r_max, tol)
-    n_panels = math.ceil(r_max / PANEL_WIDTH)
-    prev = _product_on_grid(moduli, r_max, n_panels)
-    for _ in range(MAX_HALVINGS):
-        n_panels *= 2
-        cur = _product_on_grid(moduli, r_max, n_panels)
-        if abs(cur - prev) <= tol:
-            return IntegralValue(cur, tol + TAIL_COEFF / r_max, "direct_truncated")
-        prev = cur
-    raise QuadratureError(
-        f"panel refinement did not reach tol={tol} within {MAX_HALVINGS} halvings"
-    )
+    bound = quad_bound(r_max, moduli[-1]) + tail_bound(r_max, moduli[-1])
+    return IntegralValue(_product_on_grid(moduli, r_max), bound, "direct_truncated")
 
 
 def script_i(
@@ -444,26 +493,21 @@ def cauchy_schwarz_bound(
 class DiagonalSweep:
     """Direct-route values of every diagonal integral with orders <= n_max.
 
-    ``direct[k, m, n]`` is the pi/8-panel quadrature of script_i(k,m,n) on
-    [0, r_max]; ``quad_diff`` is the largest disagreement against the pi/4
-    pass over all triples, an empirical stand-in for the halving check of
-    i_direct. Truncation only discards a non-negative integrand, so the
-    one-sided enclosure is [direct - quad_diff, direct + quad_diff + tail].
+    ``direct[k, m, n]`` is the one pi/4-panel pass of script_i(k,m,n) on
+    [0, r_max]; ``quad_diff`` is the proven quad_bound(r_max, n_max) of
+    every entry, to which error_bound adds tail_bound(r_max, n_max).
+    Truncation only discards a non-negative integrand, so the one-sided
+    enclosure is [direct - quad_diff, direct + quad_diff + tail].
     """
 
     n_max: int
     direct: np.ndarray
     quad_diff: float
-    tol: float
     r_max: float
 
     @property
-    def tail_bound(self) -> float:
-        return TAIL_COEFF / self.r_max
-
-    @property
     def error_bound(self) -> float:
-        return self.tol + self.tail_bound
+        return self.quad_diff + tail_bound(self.r_max, self.n_max)
 
     def value(self, k: int, m: int, n: int) -> float:
         a, b, c = sorted(abs(int(v)) for v in (k, m, n))
@@ -478,15 +522,15 @@ class DiagonalSweep:
         return (num - e) / (self.value(k, m, n) + e)
 
 
-def _diagonal_stack(n_max: int, r_max: float, n_panels: int) -> np.ndarray:
-    """G[k, m, n] = sum_r w_r r_r J_k^2 J_m^2 J_n^2 on one panel grid.
+def _diagonal_stack(n_max: int, r_max: float) -> np.ndarray:
+    """G[k, m, n] = sum_r w_r r_r J_k^2 J_m^2 J_n^2 on the panel grid.
 
     One BESSEL_BLOCK of nodes at a time: the Bessel rows of the block,
     the weighted products J_k^2 J_m^2 of the sorted pairs k <= m only,
     and their product with every J_n^2 added into a small accumulator,
     which is mirrored in (k, m) at the end. No array spans the grid.
     """
-    nodes, rw = _panel_grid(r_max, n_panels)
+    nodes, rw = _panel_grid(r_max)
     count = n_max + 1
     orders = list(range(count))
     pairs = [(k, m) for k in orders for m in orders[k:]]
@@ -508,9 +552,9 @@ def _diagonal_stack(n_max: int, r_max: float, n_panels: int) -> np.ndarray:
     return out
 
 
-def _sweep_path(n_max: int, r_max: float, tol: float) -> Path:
+def _sweep_path(n_max: int, r_max: float) -> Path:
     return cache_dir() / (
-        f"sweep_v{SWEEP_VERSION}_{n_max}_{r_max:g}_{tol:g}_{GL_ORDER}_{PANEL_WIDTH:.17g}.npz"
+        f"sweep_v{SWEEP_VERSION}_{n_max}_{r_max:g}_{GL_ORDER}_{PANEL_WIDTH:.17g}.npz"
     )
 
 
@@ -523,38 +567,22 @@ def sweep_diagonal(
 ) -> DiagonalSweep:
     """Direct-route quadrature of all diagonal triples with orders <= n_max.
 
-    One matrix product of the sorted order pairs per block of nodes
-    replaces ~n_max^3/6 independent quadratures; the whole pi/4 pass is
-    repeated at pi/8 and the worst disagreement must stay within tol.
+    One pi/4 pass, bounded and checked against ``tol`` as in i_direct,
+    with one matrix product of the sorted order pairs per block of nodes
+    in place of ~n_max^3/6 independent quadratures.
     """
     if not isinstance(n_max, (int, np.integer)) or not 0 <= int(n_max) <= MAX_SEXTET_ORDER:
         raise RangeError(f"n_max must be an integer in [0, {MAX_SEXTET_ORDER}]")
     n_max = int(n_max)
-    _validate_quad_params(r_max, tol)
-    path = _sweep_path(n_max, r_max, tol)
-    loaded = _load_cached(path, "direct", "quad_diff") if cache else None
-    if loaded is not None and loaded[0].shape == (n_max + 1,) * 3:
-        direct, quad_diff = loaded
-        direct.setflags(write=False)
-        return DiagonalSweep(n_max, direct, float(quad_diff), tol, r_max)
-    n_panels = math.ceil(r_max / PANEL_WIDTH)
-    coarse = _diagonal_stack(n_max, r_max, n_panels)
-    fine = _diagonal_stack(n_max, r_max, 2 * n_panels)
-    quad_diff = float(np.max(np.abs(coarse - fine)))
-    if quad_diff > tol:
-        raise QuadratureError(
-            f"pi/4 and pi/8 passes disagree by {quad_diff:.3e} > tol={tol}"
-        )
-    del coarse
-    # exact permutation symmetry: broadcast each sorted triple's value
-    direct = np.empty_like(fine)
-    for a in range(n_max + 1):
-        for b in range(a, n_max + 1):
-            for c in range(b, n_max + 1):
-                v = fine[a, b, c]
-                direct[a, b, c] = direct[a, c, b] = direct[b, a, c] = v
-                direct[b, c, a] = direct[c, a, b] = direct[c, b, a] = v
-    direct.setflags(write=False)
-    if cache:
-        _save_cached(path, direct=direct, quad_diff=quad_diff)
-    return DiagonalSweep(n_max, direct, quad_diff, tol, r_max)
+    validate_quad_params(r_max, tol, n_max)
+    path = _sweep_path(n_max, r_max)
+    loaded = _load_cached(path, "direct") if cache else None
+    if loaded is None or loaded[0].shape != (n_max + 1,) * 3:
+        stack = _diagonal_stack(n_max, r_max)
+        # exact permutation symmetry: every entry takes its sorted triple's value
+        a, b, c = np.sort(np.indices(stack.shape).reshape(3, -1), axis=0)
+        loaded = [stack[a, b, c].reshape(stack.shape)]
+        if cache:
+            _save_cached(path, direct=loaded[0])
+    loaded[0].setflags(write=False)
+    return DiagonalSweep(n_max, loaded[0], quad_bound(r_max, n_max), r_max)

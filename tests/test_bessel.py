@@ -286,3 +286,11 @@ def test_zero_count_limits():
         j1_zeros(MAX_ZEROS + 2)  # indices 0..MAX_ZEROS are supported
     seq = j1_zeros(3)
     assert seq.count == 3
+
+
+def test_every_supported_zero_lies_in_the_box():
+    # the 1e-12 contract covers x <= MAX_ARG; the next zero, 10000.47, does not
+    seq = j1_zeros(MAX_ZEROS + 1)
+    assert seq.zeros[-1] <= MAX_ARG
+    assert seq.zeros[-1] + 3.0 > MAX_ARG  # the last zero in the box, not an earlier one
+    assert seq.zeros[-1] == pytest.approx(scipy.special.jn_zeros(1, MAX_ZEROS)[-1], abs=1e-9)

@@ -49,6 +49,12 @@ def test_bessel_zeros(capsys):
     assert values[2] == pytest.approx(7.0155866698154465, rel=1e-12)
 
 
+def test_bessel_zeros_past_the_box_exit_2(capsys):
+    # zero 3183 lies at 10000.47, past the evaluation box
+    code, out, err = run(capsys, "bessel", "zeros", "-c", "3184")
+    assert code == 2 and out == "" and "3183" in err
+
+
 # ---------------------------------------------------------------------------
 # integrals
 
@@ -82,6 +88,10 @@ def test_integrals_tilde_table_route(capsys):
 
     direct = ig.i_direct((1, 1, 0, 0, 0, 0))
     assert abs(payload["value"] - direct.value) <= payload["error"] + direct.error_bound
+    # the table route reads neither --r-max nor --tol, so it takes neither
+    with pytest.raises(SystemExit) as exc:
+        main(["integrals", "tilde", "1", "0", "0", "--tol", "0"])
+    assert exc.value.code == 2
 
 
 def test_integrals_direct_csv(capsys):
@@ -123,6 +133,26 @@ def test_integrals_sweep_csv_plain_floats(capsys):
     for got, want in zip(rows, expected):
         assert float(got["worst_lo"]) == want["worst_lo"]
         assert float(got["margin"]) == want["margin"]
+
+
+def test_integrals_direct_r_max_below_order_exits_2(capsys):
+    # the tail envelope needs r_max above the largest order
+    code, out, err = run(
+        capsys, "integrals", "direct", "200", "0", "0", "0", "0", "0", "--r-max", "150"
+    )
+    assert code == 2 and out == "" and "order 200" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--base", "4", "--depth", "3", "--trials", "1"),
+        ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "2", "--no-cache"),
+    ],
+)
+def test_tol_below_proven_bound_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--tol", "1e-13")
+    assert code == 2 and out == "" and "proven quad bound" in err
 
 
 def test_integrals_sweep_unknown_suite(capsys):

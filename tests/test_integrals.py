@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 import lacuna.bessel
 from lacuna import integrals as ig
-from lacuna.errors import QuadratureError, RangeError
+from lacuna.errors import RangeError
 
 # i_direct((0,)*6) at the default r_max=4000/tol=1e-6 and at the tighter
 # r_max=40000/tol=2e-6 settings; mutually consistent within error bounds
 REF_000_COARSE = 0.33680780419262046
 REF_000_FINE = 0.3368259460831131
-REF_000_FINE_ERR = 8.450306886639899e-06
+REF_000_FINE_ERR = 6.450366230456916e-06
 TILDE_000 = 0.3367587529549453
 TILDE_100 = 0.06734252275225694
 COPT_COARSE = 524.9302729529828
@@ -110,7 +110,7 @@ def test_tilde_past_guarantee_cap_is_flagged():
 def test_direct_reference_values():
     coarse = ig.i_direct((0,) * 6)
     assert coarse.value == pytest.approx(REF_000_COARSE, rel=1.0e-11)
-    assert coarse.error_bound == pytest.approx(1.0e-6 + ig.TAIL_COEFF / 4000.0)
+    assert coarse.error_bound == pytest.approx(ig.quad_bound(4000.0, 0) + ig.TAIL_COEFF / 4000.0)
     assert coarse.method == "direct_truncated"
     fine = ig.i_direct((0,) * 6, r_max=40000.0, tol=2.0e-6)
     assert fine.value == pytest.approx(REF_000_FINE, rel=1.0e-11)
@@ -150,7 +150,7 @@ def test_direct_tail_soundness():
         assert abs(near.value - far.value) <= ig.TAIL_COEFF / 2000.0 + 2.0e-6
 
 
-def test_direct_input_validation(monkeypatch):
+def test_direct_input_validation():
     with pytest.raises(RangeError):
         ig.i_direct((533, 0, 0, 0, 0, 0))
     with pytest.raises(RangeError):
@@ -161,10 +161,90 @@ def test_direct_input_validation(monkeypatch):
                 (0, 0, 0, 0, 0.5, 1)]
     for moduli in bad_keys:
         with pytest.raises(RangeError):
-            ig.i_direct_moduli(moduli, 4000.0, 1.0e-6)
-    monkeypatch.setattr(ig, "MAX_HALVINGS", 0)
-    with pytest.raises(QuadratureError):
-        ig.i_direct((0,) * 6, r_max=100.0)
+            ig.i_direct_moduli(moduli, 4000.0)
+    # tol is a ceiling: one below the proven quadrature bound is refused
+    with pytest.raises(RangeError, match="proven quad bound"):
+        ig.i_direct((0,) * 6, tol=1.0e-13)
+
+
+def test_direct_rejects_r_max_at_or_below_order():
+    # the tail envelope needs r > N for the largest order N
+    with pytest.raises(RangeError, match="order 532"):
+        ig.i_direct((532,) * 6, r_max=100.0)
+    with pytest.raises(RangeError):
+        ig.i_direct_moduli((0, 0, 0, 0, 200, 200), 200.0)
+    with pytest.raises(RangeError, match="order 200"):
+        ig.sweep_diagonal(200, r_max=150.0, cache=False)
+
+
+def test_proven_bound_within_default_tol_plus_plain_tail():
+    # never wider than tol + (2/pi)^3 / r_max at each setting's default tol;
+    # the bound grows with the largest order, so order 532 is the worst case
+    for r_max, old_tol in ((4000.0, 1.0e-6), (40000.0, 2.0e-6)):
+        for top in (0, 8, 40, 532):
+            new = ig.quad_bound(r_max, top) + ig.tail_bound(r_max, top)
+            assert new <= old_tol + ig.TAIL_COEFF / r_max, (r_max, top)
+        assert ig.tail_bound(r_max, 0) == ig.TAIL_COEFF / r_max
+        # for N > 0 the envelope sits above sqrt(2 / (pi r)): the tail grows
+        assert ig.tail_bound(r_max, 532) == ig.TAIL_COEFF / math.sqrt(r_max**2 - 532**2)
+
+
+def test_modulus_envelope_bounds_every_order():
+    # (pi/2) sqrt(x^2 - n^2) (J_n^2 + Y_n^2) <= 1 for x > n (Watson 13.74),
+    # which the tail and the evaluation bound use; for n = 0 it reads x
+    for n in (0, 1, 2, 13, 121, 364, 532, 1200):
+        x = n + np.geomspace(1.0e-6, 12000.0 - n, 4000)
+        scaled = 0.5 * math.pi * np.sqrt(x * x - n * n)
+        assert np.max(scaled * (scipy.special.jv(n, x) ** 2 + scipy.special.yv(n, x) ** 2)) <= 1.0
+    # Landau's |J_n(x)| <= c x^(-1/3), sharp at n = 0 near x = 0.77
+    for n in (0, 1, 2, 13, 121, 532):
+        x = np.concatenate((np.linspace(0.5, 1.1, 2001), np.geomspace(1.0e-3, 12000.0, 4000)))
+        assert np.max(np.abs(scipy.special.jv(n, x)) * np.cbrt(x)) <= ig.LANDAU_C
+
+
+def _reference_pass(orders, r_max, refine=4):
+    # an independent rule with 4x the panels, from leggauss and jv alone
+    n_panels = refine * math.ceil(r_max / ig.PANEL_WIDTH)
+    t, w = np.polynomial.legendre.leggauss(ig.GL_ORDER)
+    half = 0.5 * r_max / n_panels
+    r = ((2 * np.arange(n_panels) + 1)[:, None] * half + half * t).ravel()
+    prod = r * np.tile(half * w, n_panels)
+    for n in orders:
+        prod = prod * scipy.special.jv(n, r)
+    return math.fsum(prod)
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [(0,) * 6, (0, 0, 1, 1, 2, 2), (1, 1, 2, 2, 3, 3), (0, 1, 4, 13, 40, 121),
+     (5, 5, 121, 121, 364, 364)],
+)
+def test_single_pass_within_proven_bound(moduli):
+    one = ig.i_direct_moduli(moduli, 1000.0)
+    bound = ig.quad_bound(1000.0, moduli[-1])
+    assert abs(one.value - _reference_pass(moduli, 1000.0)) <= bound
+    assert one.error_bound == bound + ig.tail_bound(1000.0, moduli[-1])
+
+
+def test_one_quadrature_pass_per_value(monkeypatch):
+    counts = {"_product_on_grid": 0, "_diagonal_stack": 0}
+
+    def counted(name):
+        original = getattr(ig, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(ig, name, wrapper)
+
+    for name in counts:
+        counted(name)
+    # an r_max no other test uses, so the memo misses
+    ig.i_direct((1, 1, 2, 2, 3, 5), r_max=1357.0)
+    assert counts["_product_on_grid"] == 1
+    ig.sweep_diagonal(3, r_max=1357.0, cache=False)
+    assert counts["_diagonal_stack"] == 1
 
 
 def test_cauchy_schwarz_over_small_sextets():
@@ -237,7 +317,8 @@ def test_copt_values_and_consistency():
     scale = (2.0 * math.pi) ** 4
     assert c.value == pytest.approx(COPT_COARSE, rel=1.0e-11)
     assert c.value == scale * ig.i_direct((0,) * 6).value
-    assert c.error_bound == pytest.approx(scale * (1.0e-6 + ig.TAIL_COEFF / 4000.0))
+    bound = ig.quad_bound(4000.0, 0) + ig.TAIL_COEFF / 4000.0
+    assert c.error_bound == pytest.approx(scale * bound)
     assert c.value > 0.0
     fine = ig.c_opt(r_max=40000.0, tol=2.0e-6)
     assert fine.value == pytest.approx(COPT_FINE, rel=1.0e-11)
@@ -271,7 +352,7 @@ def test_sweep_disk_cache(tmp_path, monkeypatch):
 @pytest.mark.parametrize("junk", [b"garbage", b"", b"PK\x03\x04"])
 def test_sweep_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, junk):
     monkeypatch.setenv("LACUNA_CACHE_DIR", str(tmp_path))
-    path = ig._sweep_path(3, 1000.0, 1.0e-4)
+    path = ig._sweep_path(3, 1000.0)
     path.write_bytes(junk)
     sw = ig.sweep_diagonal(3, r_max=1000.0, tol=1.0e-4, cache=True)
     with np.load(path) as data:
@@ -316,42 +397,38 @@ def test_excluded_rows_really_sit_below():
     assert abs(d110.value - d112.value) < 1.0e-15
 
 
-# the r_max = 4000 pair of i_direct grids: the first pass and one halving
-def _direct_grids(r_max=4000.0):
-    n_panels = math.ceil(r_max / ig.PANEL_WIDTH)
-    return [ig._panel_grid(r_max, m)[0] for m in (n_panels, 2 * n_panels)]
-
-
 def _jv_rows(orders, nodes):
     return np.array([scipy.special.jv(n, nodes) for n in orders])
 
 
 def test_bessel_rows_match_jv_on_direct_grids():
+    # the r_max = 4000 grid of i_direct
+    nodes = ig._panel_grid(4000.0)[0]
     orders = [0, 1, 2, 13, 121, 256, 364, 532]
-    for nodes in _direct_grids():
-        rows = ig._bessel_rows(orders, nodes)
-        ref = _jv_rows(orders, nodes)
-        assert rows.shape == (len(orders), nodes.size)
-        assert np.max(np.abs(rows - ref)) <= 1.0e-12
-        # at and below the split every value is scipy's jv itself
-        split = np.searchsorted(nodes, max(orders), "right")
-        assert 0 < split < nodes.size
-        assert np.array_equal(rows[:, :split], ref[:, :split])
+    rows = ig._bessel_rows(orders, nodes)
+    ref = _jv_rows(orders, nodes)
+    assert rows.shape == (len(orders), nodes.size)
+    # the per-factor error that the evaluation bound assumes
+    assert np.max(np.abs(rows - ref)) <= ig.BESSEL_FACTOR_ERR == 1.0e-12
+    # at and below the split every value is scipy's jv itself
+    split = np.searchsorted(nodes, max(orders), "right")
+    assert 0 < split < nodes.size
+    assert np.array_equal(rows[:, :split], ref[:, :split])
 
 
 def test_bessel_rows_match_jv_on_sweep_grid():
     # each node's recurrence is independent of the others, so a sample of
-    # the r_max = 40000 fine grid gives the same values as the whole grid
-    nodes = ig._panel_grid(40000.0, 2 * math.ceil(40000.0 / ig.PANEL_WIDTH))[0]
+    # the r_max = 40000 grid gives the same values as the whole grid
+    nodes = ig._panel_grid(40000.0)[0]
     sample = np.concatenate((nodes[:1000], nodes[1000::29]))
     orders = list(range(41))
     rows = ig._bessel_rows(orders, sample)
-    assert np.max(np.abs(rows - _jv_rows(orders, sample))) <= 1.0e-12
+    assert np.max(np.abs(rows - _jv_rows(orders, sample))) <= ig.BESSEL_FACTOR_ERR
 
 
 def test_bessel_rows_empty_regions():
     # every node of the r_max = 100 grid lies below order 532: all jv
-    nodes = ig._panel_grid(100.0, math.ceil(100.0 / ig.PANEL_WIDTH))[0]
+    nodes = ig._panel_grid(100.0)[0]
     assert nodes[-1] < 532
     assert np.array_equal(ig._bessel_rows([532], nodes), _jv_rows([532], nodes))
     # order 0 alone: no node lies at or below it, J0 comes straight from scipy
@@ -392,15 +469,15 @@ def test_f_ratio_reuses_direct_values(monkeypatch):
 
 def test_cache_file_versions_are_separate(monkeypatch):
     table = ig._table_path(5)
-    sweep = ig._sweep_path(3, 1000.0, 1.0e-4)
+    sweep = ig._sweep_path(3, 1000.0)
     assert table.name.startswith(f"table_v{ig.TABLE_VERSION}_")
     assert sweep.name.startswith(f"sweep_v{ig.SWEEP_VERSION}_")
     monkeypatch.setattr(ig, "SWEEP_VERSION", ig.SWEEP_VERSION + 1)
-    bumped = ig._sweep_path(3, 1000.0, 1.0e-4)
+    bumped = ig._sweep_path(3, 1000.0)
     assert ig._table_path(5) == table and bumped != sweep
     # the panel width changes every sweep value, so it is part of the key
     monkeypatch.setattr(ig, "PANEL_WIDTH", ig.PANEL_WIDTH / 2)
-    assert ig._sweep_path(3, 1000.0, 1.0e-4) != bumped
+    assert ig._sweep_path(3, 1000.0) != bumped
     # so does the start of the table's Miller recurrence
     monkeypatch.setattr(lacuna.bessel, "START_OFFSET", lacuna.bessel.START_OFFSET + 1)
     shifted = ig._table_path(5)
@@ -422,12 +499,12 @@ def test_table_uses_array_passes(monkeypatch):
 
 def test_diagonal_stack_matches_whole_grid_sum():
     # several node blocks, the last one partial
-    r_max, n_panels = 1000.0, 1275
-    nodes, rw = ig._panel_grid(r_max, n_panels)
+    r_max = 1000.0
+    nodes, rw = ig._panel_grid(r_max)
     assert nodes.size % ig.BESSEL_BLOCK and nodes.size > 3 * ig.BESSEL_BLOCK
     j2 = ig._bessel_rows(list(range(7)), nodes) ** 2
     want = np.einsum("kr,mr,nr->kmn", j2 * rw, j2, j2)
-    got = ig._diagonal_stack(6, r_max, n_panels)
+    got = ig._diagonal_stack(6, r_max)
     assert np.max(np.abs(got - want)) <= 1.0e-14
     assert np.array_equal(got, got.transpose(1, 0, 2))  # mirrored, not recomputed
 
