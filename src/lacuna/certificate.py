@@ -13,7 +13,16 @@ a weighted AM-GM with one free weight b, and one free weight eps_D per
 exception point. ``check_systems`` certifies, per exception shape, that
 the grouped coefficients stay below the interaction margin 3F, which is
 what makes the grouped bound at most I(0,0,0) times the cubed mass.
-``verify_theorem`` compares both ends with a three-valued verdict.
+``verdict_of`` compares both ends with a three-valued verdict, and
+``verify_theorem`` applies it to the literal S of one vector.
+
+For a fixed spectrum both sides are fixed forms in the amplitudes: S is
+the Hermitian form sum over D of v_D^H M_D v_D, with v_D[R] = p(R) times
+the product of fhat over R, and the grouped bound is a cubic form in
+x = |fhat|^2. ``assemble_forms`` builds both once, from the same direct
+integrals the literal sums look up, and ``evaluate_forms`` checks many
+vectors with numpy, a fixed block of vectors at a time. The literal sums
+stay as the oracle the tests compare the forms against.
 
 Lower bounds for the ratio F come in two flavors: recorded analytic
 window floors (strict inequalities, trusted as assumptions and
@@ -30,7 +39,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import CertificateError, RangeError, StructureViolation
 from .integrals import (
@@ -50,9 +61,10 @@ from .spectrum import (
     classify_brute_force,
 )
 
-MAX_SUPPORT = 11        # sextet enumeration is O(support^6) grouped by D
+MAX_SUPPORT = 11        # cap of the literal compute_S_exact: O(support^6) grouped by D
 IMAG_REL_TOL = 1.0e-9   # conjugate symmetry makes S real; larger is a bug
 DEFAULT_B = 6.66
+FORM_BLOCK = 16         # vectors per numpy pass: temporaries stay near 1 MB
 
 # Analytic window floors for F(a, b, c) = I(0,0,0) / I(a,b,c), recorded
 # as assumptions. The integrals tests corroborate each on a finite
@@ -270,6 +282,26 @@ def _fprod(f: CoefficientVector, rep: TripleRep) -> complex:
     return z
 
 
+def _triples_by_sum(support: Sequence[int]) -> dict[int, list[TripleRep]]:
+    """Sorted triples of the support, grouped by their sum D."""
+    by_d: dict[int, list[TripleRep]] = defaultdict(list)
+    for combo in combinations_with_replacement(sorted(support), 3):
+        by_d[combo[0] + combo[1] + combo[2]].append(TripleRep(combo))
+    return by_d
+
+
+def _is_exception(classified: Mapping[int, ClassifiedPoint], d: int) -> bool:
+    point = classified.get(d)
+    return point is not None and point.kind is PointKind.EXCEPTION
+
+
+def _check_real(total: complex) -> None:
+    if abs(total.imag) > IMAG_REL_TOL * abs(total.real) + 1.0e-300:
+        raise CertificateError(
+            f"sextic sum has imaginary part {total.imag} against real {total.real}"
+        )
+
+
 def compute_S_exact(
     f: CoefficientVector,
     *,
@@ -288,17 +320,13 @@ def compute_S_exact(
     if len(supp) > MAX_SUPPORT:
         raise RangeError(f"support size {len(supp)} exceeds cap {MAX_SUPPORT}")
     classified = _classified_map(f.spectrum)
-    by_d: dict[int, list[TripleRep]] = defaultdict(list)
-    for combo in combinations_with_replacement(sorted(supp), 3):
-        by_d[combo[0] + combo[1] + combo[2]].append(TripleRep(combo))
+    by_d = _triples_by_sum(supp)
 
     total = 0.0 + 0.0j
     part_p3 = 0.0 + 0.0j
     part_e = 0.0 + 0.0j
     err = 0.0
     for d in sorted(by_d):
-        point = classified.get(d)
-        is_exception = point is not None and point.kind is PointKind.EXCEPTION
         bucket = 0.0 + 0.0j
         reps = by_d[d]
         for r1 in reps:
@@ -315,14 +343,11 @@ def compute_S_exact(
                 bucket += term * ival.value
                 err += abs(term) * ival.error_bound
         total += bucket
-        if is_exception:
+        if _is_exception(classified, d):
             part_e += bucket
         else:
             part_p3 += bucket
-    if abs(total.imag) > IMAG_REL_TOL * abs(total.real) + 1.0e-300:
-        raise CertificateError(
-            f"sextic sum has imaginary part {total.imag} against real {total.real}"
-        )
+    _check_real(total)
     return SextetSum(
         value=total.real,
         error_bound=err,
@@ -384,43 +409,40 @@ class BoundValue:
     error_bound: float
 
 
-def compute_S_upper_bound(
-    f: CoefficientVector,
-    params: CertificateParams,
-    *,
-    r_max: float = DEFAULT_R_MAX,
-) -> BoundValue:
-    """The eleven grouped sums dominating S, coefficients as printed.
+BoundTerm = tuple[float, tuple[int, int, int], IntegralValue]
 
-    Indicator data (exception membership and its two subclasses) comes
-    from the ambient spectrum's classification; eps weights are looked
-    up per fired exception and a missing one is a hard error. The
-    propagated error adds |coefficient| times each integral's bound.
+
+def _bound_terms(
+    spectrum: SpectrumSet,
+    params: CertificateParams,
+    support: Sequence[int],
+    r_max: float,
+) -> list[BoundTerm]:
+    """The eleven grouped sums as terms (coeff, (n1, n2, n3), integral).
+
+    A term contributes coeff * x[n1] x[n2] x[n3] * integral, x = |fhat|^2,
+    and is listed only when all three frequencies lie in ``support``, where
+    x can be nonzero. Indicator data (exception membership and its two
+    subclasses) comes from the spectrum's classification; eps weights are
+    looked up per fired exception and a missing one is a hard error.
     """
-    A = f.spectrum
+    A = spectrum
     classified = _classified_map(A)
-    supp = f.support
-    x = {n: abs(z) ** 2 for n, z in f.entries}
+    supp = tuple(support)
+    present = set(supp)
     b = params.b
     if not b > 1:
         raise RangeError(f"weight b must exceed 1, got {b}")
-
-    def xm(n: int) -> float:
-        return x.get(n, 0.0)
 
     def in_e(d: int, subtype: ExceptionKind) -> bool:
         c = classified.get(d)
         return c is not None and c.kind is PointKind.EXCEPTION and c.subtype is subtype
 
-    total = 0.0
-    err = 0.0
+    terms: list[BoundTerm] = []
 
-    def add(coeff: float, monomial: float, ival: IntegralValue) -> None:
-        nonlocal total, err
-        if monomial == 0.0:
-            return
-        total += coeff * monomial * ival.value
-        err += abs(coeff) * monomial * ival.error_bound
+    def add(coeff: float, mono: tuple[int, int, int], moduli: tuple[int, int, int]) -> None:
+        if present.issuperset(mono):
+            terms.append((coeff, mono, _diag(*moduli, r_max)))
 
     # distinct-moduli triples: 15, plus 6/eps when the sum is a
     # one-distinct exception
@@ -435,7 +457,7 @@ def compute_S_upper_bound(
                 coeff = 15.0
                 if in_e(d, ExceptionKind.ONE_DISTINCT):
                     coeff += 6.0 / params.eps_for(d)
-                add(coeff, x[n1] * x[n2] * x[n3], _diag(n1, n2, n3, r_max))
+                add(coeff, (n1, n2, n3), (n1, n2, n3))
 
     for n1 in supp:
         if n1 == 0:
@@ -445,44 +467,182 @@ def compute_S_upper_bound(
             if abs(n1) == abs(n2):
                 continue
             d = 2 * n1 + n2
-            mono = x[n1] ** 2 * x[n2]
-            ival = _diag(n1, n1, n2, r_max)
+            quartic = (n1, n1, n2)
             coeff = 9.0 * (1.0 + (1.0 if n2 != 0 else 0.0))
             if in_e(d, ExceptionKind.ONE_DISTINCT):
                 coeff += 9.0 * params.eps_for(d)
-            add(coeff, mono, ival)
+            add(coeff, quartic, quartic)
             if in_e(d, ExceptionKind.BOTH_REPEAT):
                 if A.is_triple(d):
-                    add(9.0 / params.eps_for(d), mono, ival)
+                    add(9.0 / params.eps_for(d), quartic, quartic)
                 else:
                     a = default_a_exponent(A, n1, n2)
-                    add(9.0 * params.eps_for(d) ** a if a else 9.0, mono, ival)
+                    add(9.0 * params.eps_for(d) ** a if a else 9.0, quartic, quartic)
             # paired-conjugate cross sum, nonzero opposite modulus only
             if n2 != 0:
-                add(9.0, x[n1] * xm(-n1) * x[n2], ival)
+                add(9.0, (n1, -n1, n2), quartic)
         # pure sixth powers: 1, plus eps when 3 n1 is an exception
         d3 = 3 * n1
         coeff = 1.0
         if in_e(d3, ExceptionKind.BOTH_REPEAT) or in_e(d3, ExceptionKind.ONE_DISTINCT):
             coeff += params.eps_for(d3)
-        ival3 = _diag(n1, n1, n1, r_max)
-        add(coeff, x[n1] ** 3, ival3)
-        add(9.0, x[n1] ** 2 * xm(-n1), ival3)
+        add(coeff, (n1, n1, n1), (n1, n1, n1))
+        add(9.0, (n1, n1, -n1), (n1, n1, n1))
         # rows against the zero frequency
-        ival0 = _diag(n1, n1, 0, r_max)
-        add(9.0 * (b + 1.0) / (b - 1.0), x[n1] ** 2 * x.get(0, 0.0), ival0)
-        add(9.0 * (b - 3.0) / (b - 1.0), x[n1] * xm(-n1) * x.get(0, 0.0), ival0)
-        add(6.0, x[n1] * x.get(0, 0.0) ** 2, _diag(n1, 0, 0, r_max))
+        add(9.0 * (b + 1.0) / (b - 1.0), (n1, n1, 0), (n1, n1, 0))
+        add(9.0 * (b - 3.0) / (b - 1.0), (n1, -n1, 0), (n1, n1, 0))
+        add(6.0, (n1, 0, 0), (n1, 0, 0))
     # conjugate-pair square sums, any first modulus
     for n1 in supp:
         for n2 in supp:
             if abs(n1) == abs(n2):
                 continue
             coeff = 18.0 - (9.0 if n2 == 0 else 0.0)
-            add(coeff, x[n1] * x[n2] * xm(-n2), _diag(n1, n2, n2, r_max))
+            add(coeff, (n1, n2, -n2), (n1, n2, n2))
     # the constant-mode cube
-    add(1.0, x.get(0, 0.0) ** 3, _diag(0, 0, 0, r_max))
+    add(1.0, (0, 0, 0), (0, 0, 0))
+    return terms
+
+
+def compute_S_upper_bound(
+    f: CoefficientVector,
+    params: CertificateParams,
+    *,
+    r_max: float = DEFAULT_R_MAX,
+) -> BoundValue:
+    """The eleven grouped sums dominating S, summed literally on f's support.
+
+    The propagated error adds |coefficient| times each integral's bound.
+    A fired exception without an eps weight is a ``CertificateError``.
+    """
+    x = {n: abs(z) ** 2 for n, z in f.entries}
+    total = 0.0
+    err = 0.0
+    for coeff, (n1, n2, n3), ival in _bound_terms(f.spectrum, params, f.support, r_max):
+        monomial = x[n1] * x[n2] * x[n3]
+        total += coeff * monomial * ival.value
+        err += abs(coeff) * monomial * ival.error_bound
     return BoundValue(value=total, error_bound=err)
+
+
+# ---------------------------------------------------------------------------
+# both sides as forms assembled once per spectrum
+
+
+@dataclass(frozen=True)
+class AssembledForms:
+    """The sextic form S and the grouped-bound form over a fixed support.
+
+    Column k of an amplitude array holds fhat(support[k]). Triple t is
+    ``triples[t]`` (column indices) with weight ``weights[t]`` = p(R); the
+    ordered same-D triple pairs (i, j) are the columns of ``pairs``, with
+    I(R_i join R_j) in ``pair_value`` (column 0 when D is a P3 point,
+    column 1 when it is an exception) and its error in ``pair_error``.
+    The grouped bound is sum over (a, b, c) of T[a, b, c] x_a x_b x_c with
+    T = ``bound_value``, and its error the same sum over ``bound_error``.
+    """
+
+    support: tuple[int, ...]
+    triples: np.ndarray        # (T, 3) column indices
+    weights: np.ndarray        # (T,)
+    pairs: np.ndarray          # (2, P) triple indices
+    pair_value: np.ndarray     # (P, 2)
+    pair_error: np.ndarray     # (P,)
+    bound_value: np.ndarray    # (n, n, n)
+    bound_error: np.ndarray    # (n, n, n)
+
+
+def assemble_forms(
+    spectrum: SpectrumSet,
+    params: CertificateParams,
+    support: Sequence[int],
+    *,
+    r_max: float = DEFAULT_R_MAX,
+) -> AssembledForms:
+    """Build both forms once over ``support``, a set of spectrum elements.
+
+    Each direct integral is the one the literal sums look up for a vector
+    on this support, so the forms add no quadrature. A fired exception
+    without an eps weight is a ``CertificateError`` here, at build time.
+    """
+    supp = tuple(sorted(support))
+    col = {n: k for k, n in enumerate(supp)}
+    classified = _classified_map(spectrum)
+    reps: list[TripleRep] = []
+    pairs: list[tuple[int, int]] = []
+    values: list[tuple[float, float]] = []
+    errors: list[float] = []
+    for d, group in sorted(_triples_by_sum(supp).items()):
+        first = len(reps)
+        reps.extend(group)
+        exceptional = _is_exception(classified, d)
+        for i, r1 in enumerate(group, first):
+            for j, r2 in enumerate(group, first):
+                ival = i_direct_signed(r1.entries + r2.entries, r_max)
+                pairs.append((i, j))
+                values.append((0.0, ival.value) if exceptional else (ival.value, 0.0))
+                errors.append(ival.error_bound)
+
+    n = len(supp)
+    bound_value = np.zeros((n, n, n))
+    bound_error = np.zeros((n, n, n))
+    for coeff, mono, ival in _bound_terms(spectrum, params, supp, r_max):
+        k = tuple(col[m] for m in mono)
+        bound_value[k] += coeff * ival.value
+        bound_error[k] += abs(coeff) * ival.error_bound
+    triples = [[col[m] for m in r.entries] for r in reps]
+    return AssembledForms(
+        support=supp,
+        triples=np.array(triples, dtype=np.intp).reshape(-1, 3),
+        weights=np.array([float(r.perm_count) for r in reps]),
+        pairs=np.array(pairs, dtype=np.intp).reshape(-1, 2).T,
+        pair_value=np.array(values).reshape(-1, 2),
+        pair_error=np.array(errors),
+        bound_value=bound_value,
+        bound_error=bound_error,
+    )
+
+
+def evaluate_forms(
+    forms: AssembledForms, vectors: Sequence[CoefficientVector]
+) -> list[tuple[SextetSum, BoundValue]]:
+    """S and the grouped bound of each vector, as ``compute_S_exact`` and
+    ``compute_S_upper_bound`` give them up to summation order.
+
+    Every vector must lie on the forms' support. ``FORM_BLOCK`` vectors
+    go through numpy at a time, which bounds the temporaries.
+    """
+    col = {n: k for k, n in enumerate(forms.support)}
+    n = len(forms.support)
+    t1, t2, t3 = forms.triples.T
+    i, j = forms.pairs
+    out: list[tuple[SextetSum, BoundValue]] = []
+    for lo in range(0, len(vectors), FORM_BLOCK):
+        block = vectors[lo:lo + FORM_BLOCK]
+        amp = np.zeros((len(block), n), dtype=complex)
+        for row, f in enumerate(block):
+            for m, z in f.entries:
+                amp[row, col[m]] = z
+        w = forms.weights * amp[:, t1] * amp[:, t2] * amp[:, t3]
+        # in place: at most two (vectors x pairs) arrays are alive at once
+        prod = w[:, j]
+        np.conjugate(prod, out=prod)
+        prod *= w[:, i]
+        parts = np.einsum("vp,pk->vk", prod, forms.pair_value)
+        del prod
+        aw = np.abs(w)
+        prod_abs = aw[:, i]
+        prod_abs *= aw[:, j]
+        s_err = np.einsum("vp,p->v", prod_abs, forms.pair_error)
+        x = np.abs(amp) ** 2
+        ub = np.einsum("va,vb,vc,abc->v", x, x, x, forms.bound_value)
+        ub_err = np.einsum("va,vb,vc,abc->v", x, x, x, forms.bound_error)
+        columns = (parts[:, 0], parts[:, 1], s_err, ub, ub_err)
+        for p3, e, se, u, ue in zip(*(c.tolist() for c in columns)):
+            total = p3 + e
+            _check_real(total)
+            out.append((SextetSum(total.real, se, p3.real, e.real), BoundValue(u, ue)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -829,18 +989,18 @@ class TheoremVerdict:
     equality_case: bool     # within budget of equality with support in {0}
 
 
-def verify_theorem(
+def verdict_of(
+    s: SextetSum,
     f: CoefficientVector,
     *,
     r_max: float = DEFAULT_R_MAX,
 ) -> TheoremVerdict:
-    """Compare the exact sextic sum against the constant-mode ceiling.
+    """Compare S of ``f`` against the constant-mode ceiling I(0,0,0) mass^3.
 
     Both sides use the same I(0,0,0) evaluation, so a vector supported
     on {0} lands within roundoff of equality and is reported as the
     equality case rather than an indeterminate verdict.
     """
-    s = compute_S_exact(f, r_max=r_max)
     i000 = i_direct_moduli((0, 0, 0, 0, 0, 0), r_max)
     mass3 = f.mass() ** 3
     rhs = i000.value * mass3
@@ -862,6 +1022,15 @@ def verify_theorem(
         rhs=rhs,
         equality_case=(verdict != "fails" and abs(margin) <= budget and on_zero),
     )
+
+
+def verify_theorem(
+    f: CoefficientVector,
+    *,
+    r_max: float = DEFAULT_R_MAX,
+) -> TheoremVerdict:
+    """The verdict of the literal sextic sum of ``f``."""
+    return verdict_of(compute_S_exact(f, r_max=r_max), f, r_max=r_max)
 
 
 # ---------------------------------------------------------------------------

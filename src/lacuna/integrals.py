@@ -125,10 +125,14 @@ def _load_cached(path: Path, *keys: str) -> list[np.ndarray] | None:
 
 def _save_cached(path: Path, **arrays: np.ndarray) -> None:
     # write beside the target, then rename, so readers never see a partial file
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp.npz")
-    np.savez(tmp, **arrays)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        np.savez(tmp, **arrays)
+        os.replace(tmp, path)
+    except OSError:
+        # an unusable cache directory (a file, read-only, full) means "not cached"
+        pass
 
 
 def _table_path(order_cap: int) -> Path:
@@ -298,6 +302,15 @@ def _disc_bound(r_max: float) -> float:
     return n_panels * h * (0.5 * r_max + h * a) * rule * float(scipy.special.i0(h * b)) ** 6
 
 
+@functools.lru_cache(maxsize=4)
+def _landau_envelope(r_max: float) -> np.ndarray:
+    """min(1, LANDAU_C r^(-1/3)) on every node, which no top order changes."""
+    nodes, _ = _panel_grid(r_max)
+    env = np.minimum(1.0, LANDAU_C / np.cbrt(nodes))
+    env.setflags(write=False)
+    return env
+
+
 @functools.lru_cache(maxsize=64)
 def _eval_bound(r_max: float, top: int) -> float:
     """Error of the computed pass against the exact rule, orders <= top.
@@ -311,12 +324,28 @@ def _eval_bound(r_max: float, top: int) -> float:
     gamma_(n+16) sum w r (E + d)^6 (Higham, ASNA, ch. 3-4).
     """
     nodes, rw = _panel_grid(r_max)
-    gap = np.maximum(nodes * nodes - top * top, 1.0e-300)  # r <= top: no modulus envelope
-    env = np.minimum(1.0, LANDAU_C / np.cbrt(nodes))
-    env = np.minimum(env, np.sqrt(2.0 / (math.pi * np.sqrt(gap))))
-    d = BESSEL_FACTOR_ERR + 8.0 * UNIT_ROUNDOFF * nodes
     k = (nodes.size + 16) * UNIT_ROUNDOFF
-    return float(np.sum(rw * (env + d) ** 5 * (6.0 * d + k / (1.0 - k) * (env + d))))
+    # sum of rw (E + d)^5 (6 d + k/(1-k) (E + d)), computed in place with
+    # the same roundings as the plain expression: a grid-sized array is
+    # 4 MB at r_max 40000, and at most three are alive at once here
+    env = nodes * nodes
+    env -= top * top
+    np.maximum(env, 1.0e-300, out=env)  # r <= top: no modulus envelope
+    np.sqrt(env, out=env)
+    env *= math.pi
+    np.divide(2.0, env, out=env)
+    np.sqrt(env, out=env)
+    np.minimum(_landau_envelope(r_max), env, out=env)
+    d = (8.0 * UNIT_ROUNDOFF) * nodes
+    d += BESSEL_FACTOR_ERR
+    env += d                            # E + d
+    d *= 6.0
+    rounding = env * (k / (1.0 - k))
+    rounding += d
+    env **= 5
+    env *= rw
+    env *= rounding
+    return float(np.sum(env))
 
 
 def quad_bound(r_max: float, top: int) -> float:

@@ -266,6 +266,47 @@ def test_chain_random_vectors():
             )
 
 
+def _close(form: float, literal: float) -> bool:
+    return abs(form - literal) <= 1e-13 * abs(literal)
+
+
+def test_forms_match_literal_sums():
+    # the literal sums are the oracle; the forms only change summation order
+    for A in (A4, A5, NO_EXC):
+        params, _ = ct.derive_params(A)
+        forms = ct.assemble_forms(A, params, A.elements)
+        rng = random.Random(20261018)
+        top = min(8, len(A.elements))
+        vectors = [ct.CoefficientVector.constant(A, 0.5 - 1.5j)] + [
+            ct.random_vector(A, rng, size=rng.randint(1, top), adversarial=(t % 2 == 0))
+            for t in range(2 * ct.FORM_BLOCK + 3)   # spans three blocks
+        ]
+        for f, (s, ub) in zip(vectors, ct.evaluate_forms(forms, vectors), strict=True):
+            lit_s = ct.compute_S_exact(f)
+            lit_ub = ct.compute_S_upper_bound(f, params)
+            assert _close(s.value, lit_s.value) and _close(s.error_bound, lit_s.error_bound)
+            assert _close(s.p3_part, lit_s.p3_part), (A.lambdas, f.support)
+            assert _close(s.exceptional_part, lit_s.exceptional_part), (A.lambdas, f.support)
+            assert _close(ub.value, lit_ub.value) and _close(ub.error_bound, lit_ub.error_bound)
+
+
+def test_forms_on_a_partial_support():
+    params, _ = ct.derive_params(A5)
+    f = ct.CoefficientVector.from_dict(A5, {1: 1.0, -1: 1.0})
+    forms = ct.assemble_forms(A5, params, f.support)
+    [(s, ub)] = ct.evaluate_forms(forms, [f])
+    assert forms.support == (-1, 1)
+    assert _close(s.value, S_PAIR_ONES)
+    assert _close(ub.value, ct.compute_S_upper_bound(f, params).value)
+    v = ct.verdict_of(s, f)
+    assert v.verdict == "holds" and v.margin == pytest.approx(MARGIN_PAIR_ONES, rel=1e-12)
+
+
+def test_forms_require_eps_when_built():
+    with pytest.raises(CertificateError, match="no eps assigned"):
+        ct.assemble_forms(A5, ct.CertificateParams(), A5.elements)
+
+
 def test_b5_coefficient_reduction():
     # at b = 5 the two b rows reduce to the dyadic basic-inequality weights
     b = 5.0

@@ -296,16 +296,55 @@ def test_certify_runs_each_stage_once(monkeypatch, capsys):
 
         monkeypatch.setattr(ct, name, wrapper)
 
-    for name in ("compute_S_exact", "check_systems", "classify_brute_force"):
+    names = (
+        "assemble_forms", "evaluate_forms", "compute_S_exact", "compute_S_upper_bound",
+        "verify_theorem", "check_systems", "classify_brute_force",
+    )
+    for name in names:
         counted(name)
     ct._classified_map.cache_clear()
     code, _, _ = run(
         capsys, "certify", "--base", "5", "--depth", "4", "--trials", "6", "--seed", "7"
     )
     assert code == 0
-    assert calls["compute_S_exact"] == 6
+    # both forms are built once; no trial walks the literal sums
+    assert calls["assemble_forms"] == calls["evaluate_forms"] == 1
+    assert calls["compute_S_exact"] == calls["compute_S_upper_bound"] == 0
+    assert calls["verify_theorem"] == 0
     assert calls["check_systems"] == 1
     assert calls["classify_brute_force"] <= 1
+
+
+def test_certify_support_past_the_literal_cap(capsys):
+    # 13 elements: past MAX_SUPPORT of the literal sums, within the forms
+    code, out, _ = run(
+        capsys, "certify", "--lambdas", "0,1,4,13,40,121,364", "--coeff", "const"
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] == "holds"
+    [trial] = payload["trials_run"]
+    assert len(trial["support"]) == 13
+    assert trial["passed"] and trial["grouped_ok"] and trial["verdict"] == "holds"
+    assert trial["margin"] > trial["error_budget"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("integrals", "tilde", "1", "0", "0", "--order-cap", "5"),
+        ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "2"),
+    ],
+)
+def test_unusable_cache_dir_only_skips_caching(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("LACUNA_CACHE_DIR", str(tmp_path / "cache"))
+    code, good, _ = run(capsys, *argv)
+    assert code == 0
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("LACUNA_CACHE_DIR", str(not_a_dir))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == good
 
 
 def test_certify_coefficient_file(tmp_path, capsys):

@@ -189,6 +189,22 @@ def test_proven_bound_within_default_tol_plus_plain_tail():
         assert ig.tail_bound(r_max, 532) == ig.TAIL_COEFF / math.sqrt(r_max**2 - 532**2)
 
 
+def test_eval_bound_is_bitwise_its_formula():
+    # the per-r_max parts are shared between tops; the bound must not move a bit
+    for r_max in (1000.0, 4000.0, 40000.0):
+        nodes, rw = ig._panel_grid(r_max)
+        for top in (0, 8, 40, 532):
+            if top >= r_max:
+                continue
+            gap = np.maximum(nodes * nodes - top * top, 1.0e-300)
+            env = np.minimum(1.0, ig.LANDAU_C / np.cbrt(nodes))
+            env = np.minimum(env, np.sqrt(2.0 / (math.pi * np.sqrt(gap))))
+            d = ig.BESSEL_FACTOR_ERR + 8.0 * ig.UNIT_ROUNDOFF * nodes
+            k = (nodes.size + 16) * ig.UNIT_ROUNDOFF
+            expected = float(np.sum(rw * (env + d) ** 5 * (6.0 * d + k / (1.0 - k) * (env + d))))
+            assert ig._eval_bound(r_max, top) == expected, (r_max, top)
+
+
 def test_modulus_envelope_bounds_every_order():
     # (pi/2) sqrt(x^2 - n^2) (J_n^2 + Y_n^2) <= 1 for x > n (Watson 13.74),
     # which the tail and the evaluation bound use; for n = 0 it reads x
