@@ -35,11 +35,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -59,6 +57,7 @@ from .spectrum import (
     SpectrumSet,
     TripleRep,
     classify_brute_force,
+    triples_by_sum,
 )
 
 MAX_SUPPORT = 11        # cap of the literal compute_S_exact: O(support^6) grouped by D
@@ -282,14 +281,6 @@ def _fprod(f: CoefficientVector, rep: TripleRep) -> complex:
     return z
 
 
-def _triples_by_sum(support: Sequence[int]) -> dict[int, list[TripleRep]]:
-    """Sorted triples of the support, grouped by their sum D."""
-    by_d: dict[int, list[TripleRep]] = defaultdict(list)
-    for combo in combinations_with_replacement(sorted(support), 3):
-        by_d[combo[0] + combo[1] + combo[2]].append(TripleRep(combo))
-    return by_d
-
-
 def _is_exception(classified: Mapping[int, ClassifiedPoint], d: int) -> bool:
     point = classified.get(d)
     return point is not None and point.kind is PointKind.EXCEPTION
@@ -320,7 +311,7 @@ def compute_S_exact(
     if len(supp) > MAX_SUPPORT:
         raise RangeError(f"support size {len(supp)} exceeds cap {MAX_SUPPORT}")
     classified = _classified_map(f.spectrum)
-    by_d = _triples_by_sum(supp)
+    by_d = triples_by_sum(supp)
 
     total = 0.0 + 0.0j
     part_p3 = 0.0 + 0.0j
@@ -572,7 +563,7 @@ def assemble_forms(
     pairs: list[tuple[int, int]] = []
     values: list[tuple[float, float]] = []
     errors: list[float] = []
-    for d, group in sorted(_triples_by_sum(supp).items()):
+    for d, group in sorted(triples_by_sum(supp).items()):
         first = len(reps)
         reps.extend(group)
         exceptional = _is_exception(classified, d)
@@ -652,29 +643,21 @@ def evaluate_forms(
 class FLowerBounds:
     """Best available lower bounds for F on modulus triples.
 
-    Merges the recorded analytic floors with a numeric source; the
-    larger wins. The default numeric source is the direct quadrature
-    ratio interval, skipped above the order cap. Pass ``numeric=None``
-    for floors only, or a callable ``(n, m, k) -> float | None`` on
-    descending moduli to substitute (e.g. a precomputed sweep).
+    Merges the recorded analytic floors with the direct quadrature ratio
+    interval, skipped above the order cap; the larger wins. Pass
+    ``numeric=False`` for floors only.
     """
 
     def __init__(
         self,
         spectrum: SpectrumSet,
         *,
-        numeric: Callable[[int, int, int], float | None] | None | str = "direct",
+        numeric: bool = True,
         r_max: float = DEFAULT_R_MAX,
-        ) -> None:
+    ) -> None:
         self._moduli = frozenset(abs(v) for v in spectrum.lambdas)
-        if numeric == "direct":
-            def direct(n: int, m: int, k: int) -> float | None:
-                if n > MAX_SEXTET_ORDER:
-                    return None
-                return f_ratio(n, m, k, r_max=r_max).lo
-            self._numeric: Callable[[int, int, int], float | None] | None = direct
-        else:
-            self._numeric = numeric
+        self._numeric = numeric
+        self._r_max = r_max
         self._cache: dict[tuple[int, int, int], float] = {}
 
     def _floor(self, n: int, m: int, k: int) -> float | None:
@@ -702,9 +685,9 @@ class FLowerBounds:
         if key in self._cache:
             return self._cache[key]
         best = self._floor(n, m, k)
-        if self._numeric is not None:
-            num = self._numeric(n, m, k)
-            if num is not None and (best is None or num > best):
+        if self._numeric and n <= MAX_SEXTET_ORDER:
+            num = f_ratio(n, m, k, r_max=self._r_max).lo
+            if best is None or num > best:
                 best = num
         if best is None:
             raise CertificateError(f"no lower bound available for F{key}")

@@ -36,42 +36,6 @@ EXIT_USAGE = 2
 _FORMATS = ("json", "csv", "text")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by the report-producing subcommands."""
-
-    r_max: float = ig.DEFAULT_R_MAX
-    tol: float = ig.DEFAULT_TOL
-    order_cap: int = ig.ORDER_GUARANTEE_CAP
-    seed: int = 0
-    fmt: str = "json"
-    output: str | None = None
-    use_cache: bool = True
-    threads: int = 1        # validated only: every run is single-threaded
-
-    def __post_init__(self) -> None:
-        # nan fails chained comparisons too; tol is checked once, where it is used
-        if not (0 < self.r_max < math.inf and self.order_cap > 0):
-            raise RangeError("r_max must be finite and positive, and order_cap positive")
-        if self.threads < 1:
-            raise RangeError(f"threads must be >= 1, got {self.threads}")
-        if self.fmt not in _FORMATS:
-            raise RangeError(f"format must be one of {_FORMATS}")
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        r_max=getattr(args, "r_max", ig.DEFAULT_R_MAX),
-        tol=getattr(args, "tol", ig.DEFAULT_TOL),
-        order_cap=getattr(args, "order_cap", ig.ORDER_GUARANTEE_CAP),
-        seed=getattr(args, "seed", 0),
-        fmt=args.format or args.default_fmt,
-        output=args.output,
-        use_cache=not args.no_cache,
-        threads=args.threads,
-    )
-
-
 # ---------------------------------------------------------------------------
 # one report, one renderer
 
@@ -111,11 +75,11 @@ def _cell(value):
     return " ".join(map(str, value))
 
 
-def _render(report: Report, cfg: RunConfig) -> int:
-    """Write ``report`` in the configured format and place; return its exit code."""
-    if cfg.fmt == "json":
+def _render(report: Report, fmt: str, output: str | None) -> int:
+    """Write ``report`` as ``fmt`` to ``output`` or stdout; return its exit code."""
+    if fmt == "json":
         body = json.dumps({"schema": SCHEMA, **report.payload}, sort_keys=True, indent=2)
-    elif cfg.fmt == "csv":
+    elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(report.header)
@@ -125,11 +89,11 @@ def _render(report: Report, cfg: RunConfig) -> int:
         body = report.text()
     if not body.endswith("\n"):
         body += "\n"
-    if not cfg.output:
+    if not output:
         sys.stdout.write(body)
         return report.code
     try:
-        Path(cfg.output).write_text(body, encoding="utf-8")
+        Path(output).write_text(body, encoding="utf-8")
     except OSError as exc:
         raise RangeError(f"cannot write report: {exc}") from None
     return report.code
@@ -176,7 +140,7 @@ def _spectrum_desc(spectrum: sp.SpectrumSet) -> dict:
 # bessel
 
 
-def cmd_bessel_eval(args: argparse.Namespace, cfg: RunConfig) -> Report:
+def cmd_bessel_eval(args: argparse.Namespace) -> Report:
     value = bessel.besselj(args.n, args.x)
     return Report(
         {"command": "bessel.eval", "n": args.n, "x": args.x, "value": value},
@@ -186,7 +150,7 @@ def cmd_bessel_eval(args: argparse.Namespace, cfg: RunConfig) -> Report:
     )
 
 
-def cmd_bessel_zeros(args: argparse.Namespace, cfg: RunConfig) -> Report:
+def cmd_bessel_zeros(args: argparse.Namespace) -> Report:
     values = [float(z) for z in bessel.j1_zeros(args.count).zeros]
     return Report(
         {"command": "bessel.zeros", "count": args.count, "zeros": values},
@@ -212,9 +176,9 @@ def _triple_report(command: str, k: int, m: int, n: int, iv: ig.IntegralValue) -
     )
 
 
-def cmd_integrals_f(args: argparse.Namespace, cfg: RunConfig) -> Report:
+def cmd_integrals_f(args: argparse.Namespace) -> Report:
     k, m, n = args.orders
-    rv = ig.f_ratio(k, m, n, r_max=cfg.r_max, tol=cfg.tol)
+    rv = ig.f_ratio(k, m, n, r_max=args.r_max, tol=args.tol)
     err = max(rv.value - rv.lo, rv.hi - rv.value)
     return Report(
         {"command": "integrals.F", "k": k, "m": m, "n": n,
@@ -225,20 +189,22 @@ def cmd_integrals_f(args: argparse.Namespace, cfg: RunConfig) -> Report:
     )
 
 
-def cmd_integrals_copt(args: argparse.Namespace, cfg: RunConfig) -> Report:
-    return _triple_report("integrals.copt", 0, 0, 0, ig.c_opt(r_max=cfg.r_max, tol=cfg.tol))
+def cmd_integrals_copt(args: argparse.Namespace) -> Report:
+    return _triple_report("integrals.copt", 0, 0, 0, ig.c_opt(r_max=args.r_max, tol=args.tol))
 
 
-def cmd_integrals_tilde(args: argparse.Namespace, cfg: RunConfig) -> Report:
+def cmd_integrals_tilde(args: argparse.Namespace) -> Report:
     k, m, n = args.orders
-    cap = max(cfg.order_cap, abs(k), abs(m), abs(n))
-    table = ig.build_table(cap, cache=cfg.use_cache)
+    if args.order_cap < 1:
+        raise RangeError(f"order_cap must be >= 1, got {args.order_cap}")
+    cap = max(args.order_cap, abs(k), abs(m), abs(n))
+    table = ig.build_table(cap, cache=not args.no_cache)
     return _triple_report("integrals.tilde", k, m, n, ig.i_tilde(abs(k), abs(m), abs(n), table))
 
 
-def cmd_integrals_direct(args: argparse.Namespace, cfg: RunConfig) -> Report:
+def cmd_integrals_direct(args: argparse.Namespace) -> Report:
     orders = list(args.orders)
-    iv = ig.i_direct(tuple(orders), r_max=cfg.r_max, tol=cfg.tol)
+    iv = ig.i_direct(tuple(orders), r_max=args.r_max, tol=args.tol)
     return Report(
         {"command": "integrals.direct", "orders": orders,
          "value": iv.value, "error": iv.error_bound, "method": iv.method},
@@ -248,11 +214,11 @@ def cmd_integrals_direct(args: argparse.Namespace, cfg: RunConfig) -> Report:
     )
 
 
-def cmd_integrals_sweep(args: argparse.Namespace, cfg: RunConfig) -> Report:
+def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
     if args.suite != "bounds-f":
         raise RangeError(f"unknown suite {args.suite!r}; available: bounds-f")
     n_max = args.n_max
-    sweep = ig.sweep_diagonal(n_max, r_max=cfg.r_max, tol=cfg.tol, cache=cfg.use_cache)
+    sweep = ig.sweep_diagonal(n_max, r_max=args.r_max, tol=args.tol, cache=not args.no_cache)
     rows: list[dict] = []
 
     def family(label: str, points: list[tuple[int, int, int]], threshold: float) -> None:
@@ -344,8 +310,8 @@ def cmd_integrals_sweep(args: argparse.Namespace, cfg: RunConfig) -> Report:
             "suite": args.suite,
             "config": {
                 "n_max": n_max,
-                "r_max": cfg.r_max,
-                "tol": cfg.tol,
+                "r_max": args.r_max,
+                "tol": args.tol,
                 "quad_diff": sweep.quad_diff,
             },
             "rows": rows,
@@ -362,7 +328,7 @@ def cmd_integrals_sweep(args: argparse.Namespace, cfg: RunConfig) -> Report:
 # spectrum
 
 
-def cmd_spectrum(args: argparse.Namespace, cfg: RunConfig) -> Report:
+def cmd_spectrum(args: argparse.Namespace) -> Report:
     spectrum = _spectrum_from_args(args)
     points = sp.classify_brute_force(spectrum)
     entries = []
@@ -464,7 +430,10 @@ def _read_coefficients(path: str, spectrum: sp.SpectrumSet) -> ct.CoefficientVec
         if n in values:
             raise RangeError(f"duplicate frequency {n} in coefficient file")
         values[n] = z
-    return ct.CoefficientVector.from_dict(spectrum, values)
+    vec = ct.CoefficientVector.from_dict(spectrum, values)
+    if not vec.entries:
+        raise RangeError("coefficient file has no nonzero amplitude: no vector would be checked")
+    return vec
 
 
 def _instance_dict(inst: ct.SystemInstance) -> dict:
@@ -493,9 +462,9 @@ def _trial_dict(
     vec: ct.CoefficientVector,
     s: ct.SextetSum,
     ub: ct.BoundValue,
-    cfg: RunConfig,
+    r_max: float,
 ) -> dict:
-    verdict = ct.verdict_of(s, vec, r_max=cfg.r_max)
+    verdict = ct.verdict_of(s, vec, r_max=r_max)
     grouped_ok = verdict.s_exact <= ub.value + ub.error_bound + verdict.s_error_bound
     passed = grouped_ok and (
         verdict.verdict == "holds"
@@ -523,7 +492,7 @@ _CERTIFY_HEADER = [
 ]
 
 
-def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> Report:
+def cmd_certify(args: argparse.Namespace) -> Report:
     if args.trials < 0:
         raise RangeError(f"trials must be >= 0, got {args.trials}")
     if args.trials == 0 and args.coeff is None:
@@ -531,7 +500,7 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> Report:
     if not math.isfinite(args.b):
         raise RangeError(f"b must be finite, got {args.b}")
     spectrum = _spectrum_from_args(args)
-    ig.validate_quad_params(cfg.r_max, cfg.tol, spectrum.top)
+    ig.validate_quad_params(args.r_max, args.tol, spectrum.top)
     b = args.b
     window = ct.feasible_b_interval()
     b_inside = window.feasible and window.lo < b < window.hi
@@ -541,9 +510,9 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> Report:
             "spectrum": _spectrum_desc(spectrum),
             "b": b,
             "trials": args.trials,
-            "seed": cfg.seed,
-            "r_max": cfg.r_max,
-            "tol": cfg.tol,
+            "seed": args.seed,
+            "r_max": args.r_max,
+            "tol": args.tol,
             "coeff": args.coeff,
         },
         "b_interval": {
@@ -571,8 +540,7 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> Report:
 
     if not b_inside:
         return report("b-interval violation", EXIT_FAIL)
-    flb = ct.FLowerBounds(spectrum, r_max=cfg.r_max)
-    reports = ct.check_systems(spectrum, b, f_lower=flb, r_max=cfg.r_max)
+    reports = ct.check_systems(spectrum, b, r_max=args.r_max)
     payload["system_reports"] = [_report_dict(r) for r in reports]
     if not all(r.passed for r in reports):
         return report("system infeasible", EXIT_FAIL)
@@ -586,7 +554,7 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> Report:
         jobs.append((0, args.coeff, _read_coefficients(args.coeff, spectrum)))
     else:
         for i in range(args.trials):
-            rng = random.Random(f"{cfg.seed}:{i}")
+            rng = random.Random(f"{args.seed}:{i}")
             vec = ct.random_vector(spectrum, rng, adversarial=(i % 3 == 0))
             jobs.append((i, "random", vec))
 
@@ -594,9 +562,9 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> Report:
     # file that avoids an element past the direct route's order cap still runs
     vectors = [vec for _, _, vec in jobs]
     support = sorted(set().union(*(vec.support for vec in vectors)))
-    forms = ct.assemble_forms(spectrum, params, support, r_max=cfg.r_max)
+    forms = ct.assemble_forms(spectrum, params, support, r_max=args.r_max)
     trials = [
-        _trial_dict(index, label, vec, s, ub, cfg)
+        _trial_dict(index, label, vec, s, ub, args.r_max)
         for (index, label, vec), (s, ub) in zip(jobs, ct.evaluate_forms(forms, vectors))
     ]
     payload["trials_run"] = trials
@@ -723,8 +691,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config(args)
-        return _render(args.func(args, cfg), cfg)
+        if args.threads < 1:
+            raise RangeError(f"threads must be >= 1, got {args.threads}")
+        return _render(args.func(args), args.format or args.default_fmt, args.output)
     except (RangeError, SpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

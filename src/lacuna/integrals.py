@@ -4,14 +4,15 @@ Everything here evaluates integrals of the form
 
     I(n1,...,n6) = integral_0^inf J_{n1}(r) ... J_{n6}(r) r dr
 
-or the diagonal case script_i(n1,n2,n3) = I(n1,n1,n2,n2,n3,n3), each with
-an explicit absolute error bound. Two independent routes are provided:
+each with an explicit absolute error bound, by one of two independent
+routes:
 
-* table route: a 1001-node positive quadrature over scaled J1 zeros,
-  guaranteed to undershoot the true diagonal integral by less than 1e-2
-  for orders up to 532; Bessel factors come from this package's own
-  evaluator (lacuna.bessel).
-* direct route: one pass of 10-node Gauss-Legendre panels of width
+* table route (``i_tilde``): the diagonal case I(k,k,m,m,n,n) by a
+  1001-node positive quadrature over scaled J1 zeros, guaranteed to
+  undershoot the true integral by less than 1e-2 for orders up to 532;
+  Bessel factors come from this package's own evaluator (lacuna.bessel).
+* direct route (``i_direct``, and ``sweep_diagonal`` for every diagonal
+  triple at once): one pass of 10-node Gauss-Legendre panels of width
   <= pi/4 on [0, R], for orders <= N < R. Its bound is proven before
   the pass: disc(R) + eval(R, N) + tail(R, N), see ``quad_bound`` and
   ``tail_bound``. Bessel factors come from scipy: ``scipy.special.jv``
@@ -185,12 +186,6 @@ def build_table(order_cap: int, *, cache: bool = True) -> QuadratureTable:
     return table
 
 
-@functools.lru_cache(maxsize=1)
-def shared_table() -> QuadratureTable:
-    """Lazily built module-wide table covering the full certified range."""
-    return build_table(ORDER_GUARANTEE_CAP)
-
-
 def _check_order(n: object, cap: int, what: str) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise RangeError(f"{what} must be an integer, got {n!r}")
@@ -203,7 +198,7 @@ def _check_order(n: object, cap: int, what: str) -> int:
 def i_tilde(k: int, m: int, n: int, table: QuadratureTable) -> IntegralValue:
     """Discrete 1001-node estimate of the diagonal integral from below.
 
-    The sum undershoots script_i(k,m,n) by an amount in (0, 1e-2) whenever
+    The sum undershoots I(k,k,m,m,n,n) by an amount in (0, 1e-2) whenever
     max(k,m,n) <= 532; past that range the same nominal bound is reported
     but flagged as not guaranteed.
     """
@@ -409,45 +404,9 @@ def i_direct_moduli(moduli: tuple[int, ...], r_max: float) -> IntegralValue:
     return IntegralValue(_product_on_grid(moduli, r_max), bound, "direct_truncated")
 
 
-def script_i(
-    n1: int,
-    n2: int,
-    n3: int,
-    *,
-    table: QuadratureTable | None = None,
-    route: str = "auto",
-    r_max: float = DEFAULT_R_MAX,
-    tol: float = DEFAULT_TOL,
-) -> IntegralValue:
-    """Diagonal integral I(n1,n1,n2,n2,n3,n3) with centered error bound.
-
-    Table route reports (sum + gap/2) with bound gap/2, centering the
-    one-sided undershoot; direct route defers to i_direct. Signs never
-    matter because every factor appears squared.
-    """
-    ks = sorted(abs(_check_order(v, MAX_SEXTET_ORDER, "order")) for v in (n1, n2, n3))
-    if route == "auto":
-        route = "table" if ks[2] <= ORDER_GUARANTEE_CAP else "direct"
-    if route == "table":
-        tbl = table if table is not None else shared_table()
-        if ks[2] > tbl.order_cap:
-            raise RangeError(
-                f"order {ks[2]} exceeds the supplied table's cap {tbl.order_cap}"
-            )
-        base = i_tilde(ks[0], ks[1], ks[2], tbl)
-        if not base.guaranteed:
-            return base
-        half = 0.5 * TABLE_GAP
-        return IntegralValue(base.value + half, half, "quadrature_lemma8")
-    if route == "direct":
-        a, b, c = ks
-        return i_direct((a, a, b, b, c, c), r_max=r_max, tol=tol)
-    raise RangeError(f"route must be auto, table or direct, got {route!r}")
-
-
 @dataclass(frozen=True)
 class RatioValue:
-    """The ratio script_i(0,0,0) / script_i(n1,n2,n3) with its interval.
+    """The ratio I(0,...,0) / I(n1,n1,n2,n2,n3,n3) with its interval.
 
     ``lo`` divides the numerator's lower end by the denominator's upper
     end, so certificate checks consuming it hold under worst-case error.
@@ -470,7 +429,7 @@ def f_ratio(
 ) -> RatioValue:
     """Interaction-strength ratio F; direct route on both operands.
 
-    The table route's 5e-3 half-gap is far too coarse for the threshold
+    The table route's 1e-2 gap is far too coarse for the threshold
     comparisons downstream (it would wash out margins of order 1e-1), so
     both numerator and denominator use the direct quadrature.
     """
@@ -498,31 +457,11 @@ def c_opt(*, r_max: float = DEFAULT_R_MAX, tol: float = DEFAULT_TOL) -> Integral
     return IntegralValue(scale * base.value, scale * base.error_bound, "direct_truncated")
 
 
-def cauchy_schwarz_bound(
-    index: tuple[int, int, int, int, int, int],
-    *,
-    table: QuadratureTable | None = None,
-    route: str = "auto",
-    r_max: float = DEFAULT_R_MAX,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Upper bound sqrt(script_i(n1,n2,n3) * script_i(n4,n5,n6)).
-
-    Uses the upper ends of both operand intervals, so the bound stays
-    valid under the reported numeric error.
-    """
-    if len(index) != 6:
-        raise RangeError(f"need exactly six orders, got {len(index)}")
-    first = script_i(*index[:3], table=table, route=route, r_max=r_max, tol=tol)
-    second = script_i(*index[3:], table=table, route=route, r_max=r_max, tol=tol)
-    return math.sqrt(first.hi * second.hi)
-
-
 @dataclass(frozen=True)
 class DiagonalSweep:
     """Direct-route values of every diagonal integral with orders <= n_max.
 
-    ``direct[k, m, n]`` is the one pi/4-panel pass of script_i(k,m,n) on
+    ``direct[k, m, n]`` is the one pi/4-panel pass of I(k,k,m,m,n,n) on
     [0, r_max]; ``quad_diff`` is the proven quad_bound(r_max, n_max) of
     every entry, to which error_bound adds tail_bound(r_max, n_max).
     Truncation only discards a non-negative integrand, so the one-sided

@@ -25,6 +25,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .errors import RangeError, SpectrumError, StructureViolation
 
@@ -169,14 +170,22 @@ class ClassifiedPoint:
     boundary_safe: bool
 
 
+def triples_by_sum(values: Iterable[int]) -> dict[int, list[TripleRep]]:
+    """Every unordered triple of ``values`` grouped by its sum.
+
+    Each group lists its triples in ascending order of their entries.
+    """
+    grouped: dict[int, list[TripleRep]] = defaultdict(list)
+    for combo in itertools.combinations_with_replacement(sorted(values), 3):
+        grouped[combo[0] + combo[1] + combo[2]].append(TripleRep(combo))
+    return grouped
+
+
 def enumerate_reps(spectrum: SpectrumSet) -> dict[int, tuple[TripleRep, ...]]:
     """Group every unordered triple of elements by its sum."""
     if len(spectrum.elements) > MAX_ELEMENTS:
         raise RangeError(f"element count {len(spectrum.elements)} exceeds {MAX_ELEMENTS}")
-    grouped: dict[int, list[TripleRep]] = defaultdict(list)
-    for combo in itertools.combinations_with_replacement(spectrum.elements, 3):
-        grouped[sum(combo)].append(TripleRep(combo))
-    return {d: tuple(sorted(reps, key=lambda r: r.entries)) for d, reps in grouped.items()}
+    return {d: tuple(reps) for d, reps in triples_by_sum(spectrum.elements).items()}
 
 
 def _classify_one(

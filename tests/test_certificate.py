@@ -333,7 +333,7 @@ def test_f_lower_bounds_merge():
     assert flb.lower(5, 5, 0) > 10.8                     # quadrature beats floor
     assert flb.lower(1, 0, 0) == 5.0
     assert flb.lower(5, 1, 1) >= 13.2
-    floors_only = ct.FLowerBounds(A5, numeric=None)
+    floors_only = ct.FLowerBounds(A5, numeric=False)
     assert floors_only.lower(1, 1, 0) == 7.94
     assert floors_only.lower(125, 5, 1) == 21.0          # member distinct row
     assert floors_only.lower(3, 1, 1) == 10.0            # 3 not an element here
@@ -342,7 +342,7 @@ def test_f_lower_bounds_merge():
 
 
 def test_f_lower_bounds_excluded_distinct():
-    floors_only = ct.FLowerBounds(A5, numeric=None)
+    floors_only = ct.FLowerBounds(A5, numeric=False)
     with pytest.raises(CertificateError):
         floors_only.lower(3, 2, 0)
     flb = ct.FLowerBounds(A5)                            # quadrature rescues it
@@ -417,7 +417,7 @@ def test_systems_global_row_equality_case():
 def test_dispatch_rejects_unknown_shape():
     from lacuna.spectrum import ClassifiedPoint, ExceptionKind
 
-    flb = ct.FLowerBounds(A5, numeric=None)
+    flb = ct.FLowerBounds(A5, numeric=False)
     bogus = ClassifiedPoint(
         point=9,
         reps=(TripleRep((1, 3, 5)), TripleRep((0, 4, 5))),

@@ -83,7 +83,8 @@ def test_integrals_tilde_table_route(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["method"] == "quadrature_lemma8"
-    # centered table value: the direct route must sit inside the bound
+    # the table value undershoots by less than its gap, so the direct
+    # route must sit within the two bounds
     from lacuna import integrals as ig
 
     direct = ig.i_direct((1, 1, 0, 0, 0, 0))
@@ -92,6 +93,10 @@ def test_integrals_tilde_table_route(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["integrals", "tilde", "1", "0", "0", "--tol", "0"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, "integrals", "tilde", "1", "0", "0", "--order-cap", "0")
+    assert code == 2 and out == ""
+    assert "order_cap must be >= 1" in err and "r_max" not in err
 
 
 def test_integrals_direct_csv(capsys):
@@ -374,6 +379,12 @@ def test_certify_coefficient_file_validation(tmp_path, capsys):
         capsys, "certify", "--lambdas", "0,1,5", "--coeff", str(off_spectrum)
     )
     assert code == 2 and "not a spectrum element" in err
+    # a file with no nonzero amplitude checks no vector, so no verdict
+    for body in ("n,re,im\n", "n,re,im\n1,0,0\n"):
+        zero = tmp_path / "zero.csv"
+        zero.write_text(body)
+        code, out, err = run(capsys, "certify", "--lambdas", "0,1,5", "--coeff", str(zero))
+        assert code == 2 and out == "" and "no nonzero amplitude" in err
 
 
 def test_certify_output_file(tmp_path, capsys):
