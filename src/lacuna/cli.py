@@ -5,20 +5,21 @@ text. Every command builds one :class:`Report` and :func:`_render` is
 the only code that knows the three formats. Exit codes are a stable
 contract: 0 success, 1 verification failure, 2 usage or range error.
 Reports carry no timestamps, paths, or machine identity, so identical
-configuration and seed give byte-identical bytes; json objects are
-emitted with sorted keys.
+configuration and seed give byte-identical bytes; json is written as
+``json.dumps(payload, sort_keys=True, indent=2)`` would write it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
-import json
 import math
 import random
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -75,10 +76,49 @@ def _cell(value):
     return " ".join(map(str, value))
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, one ``str.join`` per container.
+
+    json's own indented encoder yields one chunk per token through Python
+    generators; a 24 MB report is millions of chunks. Object keys must be
+    str: any other key, like any other value type, raises TypeError.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ("," + inner).join([_json(v, inner) for v in value])
+        return f"[{inner}{items}{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ("," + inner).join(
+            [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        )
+        return f"{{{inner}{items}{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _render(report: Report, fmt: str, output: str | None) -> int:
     """Write ``report`` as ``fmt`` to ``output`` or stdout; return its exit code."""
     if fmt == "json":
-        body = json.dumps({"schema": SCHEMA, **report.payload}, sort_keys=True, indent=2)
+        body = _json({"schema": SCHEMA, **report.payload})
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -501,6 +541,17 @@ def cmd_certify(args: argparse.Namespace) -> Report:
         raise RangeError(f"b must be finite, got {args.b}")
     spectrum = _spectrum_from_args(args)
     ig.validate_quad_params(args.r_max, args.tol, spectrum.top)
+    # the vectors come first: a bad --coeff file is a usage error whatever b is
+    jobs: list[tuple[int, str, ct.CoefficientVector]] = []
+    if args.coeff == "const":
+        jobs.append((0, "const", ct.CoefficientVector.constant(spectrum)))
+    elif args.coeff is not None:
+        jobs.append((0, args.coeff, _read_coefficients(args.coeff, spectrum)))
+    else:
+        for i in range(args.trials):
+            rng = random.Random(f"{args.seed}:{i}")
+            vec = ct.random_vector(spectrum, rng, adversarial=(i % 3 == 0))
+            jobs.append((i, "random", vec))
     b = args.b
     window = ct.feasible_b_interval()
     b_inside = window.feasible and window.lo < b < window.hi
@@ -546,17 +597,6 @@ def cmd_certify(args: argparse.Namespace) -> Report:
         return report("system infeasible", EXIT_FAIL)
     params = ct.params_from_reports(b, reports)
     payload["eps"] = [[d, e] for d, e in params.eps]
-
-    jobs: list[tuple[int, str, ct.CoefficientVector]] = []
-    if args.coeff == "const":
-        jobs.append((0, "const", ct.CoefficientVector.constant(spectrum)))
-    elif args.coeff is not None:
-        jobs.append((0, args.coeff, _read_coefficients(args.coeff, spectrum)))
-    else:
-        for i in range(args.trials):
-            rng = random.Random(f"{args.seed}:{i}")
-            vec = ct.random_vector(spectrum, rng, adversarial=(i % 3 == 0))
-            jobs.append((i, "random", vec))
 
     # both forms are built once, on the frequencies the vectors use: a --coeff
     # file that avoids an element past the direct route's order cap still runs
@@ -690,6 +730,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A report is millions of acyclic containers; each cyclic GC pass would
+    # rescan them all and free nothing, so the collector pauses until it is out.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         if args.threads < 1:
             raise RangeError(f"threads must be >= 1, got {args.threads}")
@@ -700,6 +744,9 @@ def main(argv: list[str] | None = None) -> int:
     except LacunaError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ routes:
   on nodes r <= n, and J0, J1 from scipy carried up by the forward
   recurrence on nodes r > n, where it is stable. On the r_max = 4000
   grid the two agree to 7.1e-14 absolute for every order 0..532.
+  ``scipy.special`` is imported on the first direct-route call, not with
+  this module, so the table route and the classifier never load scipy.
 
 The two routes share no Bessel code, so their agreement is a genuine
 cross-check rather than a reproducibility statement.
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.special
 
 from . import bessel
 from .bessel import MAX_ORDER, ZERO_TOL, ZeroSequence, besselj, besselj_batch, j1_zeros
@@ -233,6 +234,8 @@ def _bessel_rows(orders: list[int], nodes: np.ndarray) -> np.ndarray:
     stable (Gautschi, SIAM Review 9, 1967). The recurrence runs over
     BESSEL_BLOCK nodes at a time, so its work arrays stay small.
     """
+    import scipy.special  # here, not at module top: only the direct route needs scipy
+
     top = max(orders)
     row_of = {n: i for i, n in enumerate(orders)}
     out = np.empty((len(orders), nodes.size))
@@ -290,6 +293,8 @@ def _disc_bound(r_max: float) -> float:
     most (64/15) M rho^(2-2m) / (rho^2 - 1) (Trefethen, ATAP Thm 19.3),
     times h per panel; the panel centres average r_max / 2.
     """
+    import scipy.special  # here, not at module top: only the direct route needs scipy
+
     n_panels = math.ceil(r_max / PANEL_WIDTH)
     h, rho = 0.5 * r_max / n_panels, ELLIPSE_RHO
     a, b = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)

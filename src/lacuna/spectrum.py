@@ -17,7 +17,10 @@ exceptions from two Diophantine equations are implemented independently;
 the tests require them to agree on the boundary-safe range.
 
 Lambdas are plain Python integers, so arbitrarily large values are exact
-and no separate overflow checking is needed.
+and no separate overflow checking is needed. The module imports only the
+standard library. Its records (``TripleRep``, ``ClassifiedPoint``) are
+frozen slotted dataclasses: a deep spectrum makes some 180k of them, and
+none carries a per-instance ``__dict__``.
 """
 from __future__ import annotations
 
@@ -119,7 +122,7 @@ def make_spectrum(
     return SpectrumSet(lambdas=seq, elements=elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripleRep:
     """Unordered triple of spectrum elements, stored sorted."""
 
@@ -152,7 +155,7 @@ class TripleRep:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassifiedPoint:
     """One attainable triple sum with its complete representation list.
 
@@ -192,9 +195,8 @@ def _classify_one(
     point: int, reps: tuple[TripleRep, ...], spectrum: SpectrumSet
 ) -> ClassifiedPoint:
     safe = abs(point) <= spectrum.top
-    trivial = [r for r in reps if r.is_trivial_form(point)]
     nontrivial = [r for r in reps if not r.is_trivial_form(point)]
-    if trivial and nontrivial:
+    if 0 < len(nontrivial) < len(reps):
         raise StructureViolation(
             f"point {point} mixes a cancellation-padded form with "
             f"{len(nontrivial)} other representation(s)"

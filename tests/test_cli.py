@@ -2,14 +2,23 @@
 
 import collections
 import csv
+import gc
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lacuna
+from lacuna import cli
 from lacuna.cli import main
+from lacuna.errors import EvaluationError
 
 
 def run(capsys, *argv):
@@ -225,6 +234,16 @@ def test_certify_b_window_violation(capsys):
     assert payload["trials_run"] == []
 
 
+def test_certify_bad_coefficient_file_exits_2_whatever_b(tmp_path, capsys):
+    # the file is read before the b window is judged: usage error, no report
+    missing = str(tmp_path / "missing.csv")
+    for extra in ((), ("--b", "1.5")):
+        code, out, err = run(
+            capsys, "certify", "--lambdas", "0,1,4,13,40,121,364", "--coeff", missing, *extra
+        )
+        assert code == 2 and out == "" and "cannot read coefficient file" in err
+
+
 def test_certify_random_trials_hold(capsys):
     code, out, _ = run(
         capsys, "certify", "--base", "5", "--depth", "4", "--trials", "4", "--seed", "7"
@@ -412,6 +431,60 @@ def test_thread_count_validation(capsys):
     assert code == 2 and "threads" in err
 
 
+def test_main_restores_the_callers_gc_state(monkeypatch, capsys):
+    def broken(args):
+        raise EvaluationError("lost accuracy")
+
+    assert gc.isenabled()
+    assert run(capsys, "bessel", "eval", "-n", "0", "-x", "1")[0] == 0
+    assert gc.isenabled()
+    assert run(capsys, "bessel", "eval", "-n", "0", "-x", "1", "--threads", "0")[0] == 2
+    assert gc.isenabled()
+    monkeypatch.setattr(cli, "cmd_bessel_eval", broken)
+    assert run(capsys, "bessel", "eval", "-n", "0", "-x", "1")[0] == 1
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert run(capsys, "bessel", "eval", "-n", "0", "-x", "1", "--threads", "0")[0] == 2
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+# a fresh interpreter runs the command and reports whether scipy got loaded
+_PROBE = (
+    "import sys\n"
+    "import lacuna.cli\n"
+    "code = lacuna.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "sys.stderr.write(f'scipy loaded: {\"scipy\" in sys.modules}')\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loads_scipy",
+    [
+        ((), False),
+        (("spectrum", "classify", "--base", "5", "--depth", "3"), False),
+        (("integrals", "tilde", "1", "0", "0", "--order-cap", "8", "--no-cache"), False),
+        (("integrals", "direct", "1", "1", "0", "0", "1", "1"), True),
+    ],
+    ids=["import", "classify", "tilde", "direct"],
+)
+def test_only_the_direct_route_imports_scipy(tmp_path, argv, loads_scipy):
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(lacuna.__file__).resolve().parents[1]),
+        "LACUNA_CACHE_DIR": str(tmp_path),
+    }
+    command = [sys.executable, "-c", _PROBE]
+    if argv:
+        command += [*argv, "--output", str(tmp_path / "report")]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"scipy loaded: {loads_scipy}"
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "lacuna.cli", "bessel", "eval", "-n", "1", "-x", "1"],
@@ -473,9 +546,60 @@ def test_every_command_renders_every_format(capsys, argv, header, expected_code,
     assert code == expected_code
     if fmt == "json":
         assert json.loads(out)["schema"] == "lacuna-verify/1"
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == header and len(rows) > 1
         assert all(len(row) == len(header) for row in rows)
     else:
         assert out.strip() and out.endswith("\n") and not out.endswith("\n\n")
+
+
+# ---------------------------------------------------------------------------
+# the json writer
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"), float("-inf")]),
+)
+_JSON_STRINGS = st.one_of(st.text(), st.sampled_from(["", "\x00\x1f\"\\/\t", "é€😀\u2028"]))
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200),
+    _JSON_FLOATS,
+    _JSON_FLOATS.map(np.float64),  # a float subclass, as numpy results are
+    _JSON_STRINGS,
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_JSON_STRINGS, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_json_writer_is_json_dumps(tree):
+    assert cli._json(tree) == _dumps(tree)
+
+
+def test_json_writer_rejects_what_json_rejects():
+    for bad in (object(), np.int64(1), {"a": {1, 2}}, [1j], {(1, 2): 0}):
+        with pytest.raises(TypeError):
+            _dumps(bad)
+        with pytest.raises(TypeError):
+            cli._json(bad)
+    # report keys are str; json would stringify a number key, the writer refuses it
+    with pytest.raises(TypeError):
+        cli._json({1: 0})
