@@ -278,7 +278,7 @@ def _mcmahon_j1(r: np.ndarray) -> np.ndarray:
     return beta - 0.375 / beta + (3.0 / 128.0) / (beta * b2) - 0.23025 / (beta * b2 * b2)
 
 
-def j1_zeros(count: int, tol: float = ZERO_TOL) -> ZeroSequence:
+def j1_zeros(count: int) -> ZeroSequence:
     """First ``count`` zeros of J1, counting sigma_0 = 0 as the zeroth.
 
     Newton iteration (J1' = J0 - J1/x) from the large-root expansion,
@@ -311,7 +311,7 @@ def j1_zeros(count: int, tol: float = ZERO_TOL) -> ZeroSequence:
         if not r.size:
             break
         j0, j1 = _j0_j1(x)
-        done = np.abs(j1) <= tol
+        done = np.abs(j1) <= ZERO_TOL
         zeros[r[done]] = x[done]
         live = ~done
         r, a, b, fa, x, j0, j1 = (v[live] for v in (r, a, b, fa, x, j0, j1))
@@ -327,8 +327,8 @@ def j1_zeros(count: int, tol: float = ZERO_TOL) -> ZeroSequence:
         inside = (deriv != 0.0) & (a < newton) & (newton < b)
         x = np.where(inside, newton, x_next)
     if r.size:
-        raise ZeroFindingError(f"zero {r[0]} did not refine to |J1| <= {tol}")
-    return ZeroSequence(zeros=zeros, tol=tol)
+        raise ZeroFindingError(f"zero {r[0]} did not refine to |J1| <= {ZERO_TOL}")
+    return ZeroSequence(zeros=zeros)
 
 
 def sign_change_certificate(seq: ZeroSequence, delta: float = 1.0e-8) -> bool:

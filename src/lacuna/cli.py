@@ -238,7 +238,7 @@ def cmd_integrals_tilde(args: argparse.Namespace) -> Report:
     if args.order_cap < 1:
         raise RangeError(f"order_cap must be >= 1, got {args.order_cap}")
     cap = max(args.order_cap, abs(k), abs(m), abs(n))
-    table = ig.build_table(cap, cache=not args.no_cache)
+    table = ig.build_table(cap)
     return _triple_report("integrals.tilde", k, m, n, ig.i_tilde(abs(k), abs(m), abs(n), table))
 
 
@@ -653,7 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=_FORMATS, default=None)
     common.add_argument("--output", default=None, help="write the report to this path")
-    common.add_argument("--no-cache", action="store_true", help="bypass on-disk caches")
     common.add_argument(
         "--threads", type=int, default=1, help="accepted (>= 1); runs are single-threaded"
     )
@@ -692,6 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = int_subs.add_parser("sweep", parents=[common])
     p_sweep.add_argument("--suite", required=True)
     p_sweep.add_argument("--n-max", type=int, default=40)
+    p_sweep.add_argument("--no-cache", action="store_true", help="bypass the on-disk sweep cache")
     p_sweep.set_defaults(func=cmd_integrals_sweep)
     for sub in (p_f, p_copt, p_direct):  # the table route takes neither
         sub.add_argument("--r-max", dest="r_max", type=float, default=ig.DEFAULT_R_MAX)

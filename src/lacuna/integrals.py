@@ -36,8 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bessel
-from .bessel import MAX_ORDER, ZERO_TOL, ZeroSequence, besselj, besselj_batch, j1_zeros
+from .bessel import MAX_ORDER, besselj, besselj_batch, j1_zeros
 from .errors import QuadratureError, RangeError
 
 GL_ORDER = 10
@@ -50,7 +49,6 @@ DEFAULT_R_MAX = 4000.0
 DEFAULT_TOL = 1.0e-6                 # ceiling on the proven quadrature bound
 MIN_R_MAX = 100.0
 NODE_COUNT = 1001
-TABLE_VERSION = 2                    # bump when table bits move
 SWEEP_VERSION = 5                    # bump when sweep bits move
 BESSEL_BLOCK = 4096                  # nodes per pass of the grid kernels
 ELLIPSE_RHO = 20.0                   # Bernstein ellipse of the discretisation bound
@@ -64,7 +62,7 @@ _METHODS = ("quadrature_lemma8", "direct_truncated")
 
 
 def cache_dir() -> Path:
-    """Directory for persisted tables; honours LACUNA_CACHE_DIR."""
+    """Directory for persisted sweeps; honours LACUNA_CACHE_DIR."""
     root = os.environ.get("LACUNA_CACHE_DIR")
     return Path(root) if root else Path.home() / ".cache" / "lacuna-verify"
 
@@ -108,7 +106,6 @@ class QuadratureTable:
     Immutable and safe to share.
     """
 
-    zeros: ZeroSequence
     nodes: np.ndarray
     weights: np.ndarray
     bessel_cache: np.ndarray
@@ -137,54 +134,27 @@ def _save_cached(path: Path, **arrays: np.ndarray) -> None:
         pass
 
 
-def _table_path(order_cap: int) -> Path:
-    # the Miller start moves the table's bits, so it is part of the key
-    return cache_dir() / (
-        f"table_v{TABLE_VERSION}_start{bessel.START_SLOPE!r}x+{bessel.START_OFFSET}"
-        f"_{NODE_COUNT}_{order_cap}.npz"
-    )
+def build_table(order_cap: int) -> QuadratureTable:
+    """Build the quadrature table for orders 0..order_cap.
 
-
-def _assemble_table(order_cap: int) -> QuadratureTable:
-    zeros = j1_zeros(NODE_COUNT)
-    j0_at = besselj(0, zeros.zeros)
-    if np.any(np.abs(j0_at) <= 1.0e-3):
-        raise QuadratureError("J0 nearly vanishes at a J1 zero; weights unusable")
-    weights = (2.0 / 9.0) / (j0_at * j0_at)
-    nodes = zeros.zeros / 3.0
-    cache = besselj_batch(order_cap, nodes)
-    for arr in (nodes, weights, cache):
-        arr.setflags(write=False)
-    return QuadratureTable(zeros, nodes, weights, cache, order_cap)
-
-
-def build_table(order_cap: int, *, cache: bool = True) -> QuadratureTable:
-    """Build (or reload) the quadrature table for orders 0..order_cap."""
+    Built in memory on every call, a few tenths of a second, and never
+    written to disk; the sweep is the only cached result.
+    """
     if not isinstance(order_cap, (int, np.integer)) or isinstance(order_cap, bool):
         raise RangeError(f"order_cap must be an integer, got {order_cap!r}")
     order_cap = int(order_cap)
     if not 0 <= order_cap <= MAX_ORDER:
         raise RangeError(f"order_cap {order_cap} outside [0, {MAX_ORDER}]")
-    path = _table_path(order_cap)
-    loaded = _load_cached(path, "zeros", "nodes", "weights", "bessel_cache") if cache else None
-    if loaded is not None:
-        zeros_arr, nodes, weights, mat = loaded
-        if zeros_arr.shape == (NODE_COUNT,) and mat.shape == (NODE_COUNT, order_cap + 1):
-            for arr in (nodes, weights, mat):
-                arr.setflags(write=False)
-            return QuadratureTable(
-                ZeroSequence(zeros=zeros_arr, tol=ZERO_TOL), nodes, weights, mat, order_cap
-            )
-    table = _assemble_table(order_cap)
-    if cache:
-        _save_cached(
-            path,
-            zeros=table.zeros.zeros,
-            nodes=table.nodes,
-            weights=table.weights,
-            bessel_cache=table.bessel_cache,
-        )
-    return table
+    zeros = j1_zeros(NODE_COUNT).zeros
+    j0_at = besselj(0, zeros)
+    if np.any(np.abs(j0_at) <= 1.0e-3):
+        raise QuadratureError("J0 nearly vanishes at a J1 zero; weights unusable")
+    weights = (2.0 / 9.0) / (j0_at * j0_at)
+    nodes = zeros / 3.0
+    rows = besselj_batch(order_cap, nodes)
+    for arr in (nodes, weights, rows):
+        arr.setflags(write=False)
+    return QuadratureTable(nodes, weights, rows, order_cap)
 
 
 def _check_order(n: object, cap: int, what: str) -> int:

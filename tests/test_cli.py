@@ -192,6 +192,22 @@ def test_spectrum_classify_cross_check(capsys):
     assert payload["summary"]["unique_pair_sums"] is True
 
 
+def test_spectrum_past_the_element_cap_exits_2_at_once(capsys, monkeypatch):
+    from lacuna import spectrum as sp
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cap must stop the run before any triple is formed")
+
+    # depth 69 (139 elements) peaks at 665 MB; depth 70 is the cap plus one
+    assert len(sp.make_spectrum(base=5, depth=69).elements) == 139
+    monkeypatch.setattr(sp, "triples_by_sum", forbidden)
+    code, out, err = run(
+        capsys, "spectrum", "classify", "--base", "5", "--depth", "70", "--cross-check"
+    )
+    assert code == 2 and out == ""
+    assert "141 elements exceed the supported 140" in err
+
+
 def test_spectrum_classify_no_exceptions(capsys):
     code, out, _ = run(capsys, "spectrum", "classify", "--lambdas", "0,1,10,100")
     payload = json.loads(out)
@@ -354,10 +370,7 @@ def test_certify_support_past_the_literal_cap(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ("integrals", "tilde", "1", "0", "0", "--order-cap", "5"),
-        ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "2"),
-    ],
+    [("integrals", "sweep", "--suite", "bounds-f", "--n-max", "2")],
 )
 def test_unusable_cache_dir_only_skips_caching(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setenv("LACUNA_CACHE_DIR", str(tmp_path / "cache"))
@@ -369,6 +382,15 @@ def test_unusable_cache_dir_only_skips_caching(tmp_path, monkeypatch, capsys, ar
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == good
+
+
+def test_table_route_writes_no_cache(tmp_path, monkeypatch, capsys):
+    # the table is rebuilt on every run; only the sweep is stored
+    monkeypatch.setenv("LACUNA_CACHE_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "integrals", "tilde", "1", "0", "0", "--order-cap", "5")
+    assert code == 0
+    assert out == "k,m,n,value,error,method\n1,0,0,0.06734252275225694,0.01,quadrature_lemma8\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_certify_coefficient_file(tmp_path, capsys):
@@ -466,7 +488,7 @@ _PROBE = (
     [
         ((), False),
         (("spectrum", "classify", "--base", "5", "--depth", "3"), False),
-        (("integrals", "tilde", "1", "0", "0", "--order-cap", "8", "--no-cache"), False),
+        (("integrals", "tilde", "1", "0", "0", "--order-cap", "8"), False),
         (("integrals", "direct", "1", "1", "0", "0", "1", "1"), True),
     ],
     ids=["import", "classify", "tilde", "direct"],
@@ -535,11 +557,13 @@ _LEAVES = [
 ]
 
 
+def _leaf_id(argv: tuple[str, ...]) -> str:
+    return " ".join(w for w in argv[:2] if not w.startswith("-"))
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize(
-    "argv, header, expected_code",
-    _LEAVES,
-    ids=[" ".join(w for w in a[:2] if not w.startswith("-")) for a, _, _ in _LEAVES],
+    "argv, header, expected_code", _LEAVES, ids=[_leaf_id(a) for a, _, _ in _LEAVES]
 )
 def test_every_command_renders_every_format(capsys, argv, header, expected_code, fmt):
     code, out, _ = run(capsys, *argv, "--format", fmt)
@@ -553,6 +577,18 @@ def test_every_command_renders_every_format(capsys, argv, header, expected_code,
         assert all(len(row) == len(header) for row in rows)
     else:
         assert out.strip() and out.endswith("\n") and not out.endswith("\n\n")
+
+
+# only the sweep reads or writes a cache file, so only it takes --no-cache
+_CACHELESS = [argv for argv, _, _ in _LEAVES if argv[:2] != ("integrals", "sweep")]
+
+
+@pytest.mark.parametrize("argv", _CACHELESS, ids=[_leaf_id(a) for a in _CACHELESS])
+def test_no_cache_belongs_to_the_sweep_alone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-cache"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

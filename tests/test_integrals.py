@@ -33,7 +33,7 @@ F_100 = 4.999999992181918
 
 @pytest.fixture(scope="module")
 def table12():
-    return ig.build_table(12, cache=False)
+    return ig.build_table(12)
 
 
 def test_weight_at_origin_is_exact(table12):
@@ -45,33 +45,13 @@ def test_weight_at_origin_is_exact(table12):
 
 
 def test_table_rebuild_is_bitwise_identical():
-    a = ig.build_table(6, cache=False)
-    b = ig.build_table(6, cache=False)
+    a = ig.build_table(6)
+    b = ig.build_table(6)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bessel_cache, b.bessel_cache)
     assert a.order_cap == b.order_cap == 6
     assert a.bessel_cache.shape == (1001, 7)
-
-
-def test_table_disk_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("LACUNA_CACHE_DIR", str(tmp_path))
-    built = ig.build_table(5, cache=True)
-    files = list(tmp_path.glob("table_*_1001_5.npz"))
-    assert len(files) == 1
-    loaded = ig.build_table(5, cache=True)
-    assert np.array_equal(built.bessel_cache, loaded.bessel_cache)
-    assert np.array_equal(built.weights, loaded.weights)
-
-
-def test_table_corrupt_cache_is_rebuilt(tmp_path, monkeypatch):
-    monkeypatch.setenv("LACUNA_CACHE_DIR", str(tmp_path))
-    path = ig._table_path(5)
-    path.write_bytes(b"garbage")
-    table = ig.build_table(5, cache=True)
-    assert table.bessel_cache.shape == (1001, 6)
-    with np.load(path) as data:  # the rebuild replaced the bad file
-        assert np.array_equal(data["bessel_cache"], table.bessel_cache)
 
 
 def test_tilde_reference_value(table12):
@@ -97,7 +77,7 @@ def test_tilde_input_validation(table12):
 
 
 def test_tilde_past_guarantee_cap_is_flagged():
-    tab = ig.build_table(533, cache=False)
+    tab = ig.build_table(533)
     inside = ig.i_tilde(532, 0, 0, tab)
     assert inside.guaranteed
     assert inside.value > 0.0 and math.isfinite(inside.value)
@@ -483,22 +463,14 @@ def test_f_ratio_reuses_direct_values(monkeypatch):
 
 
 def test_cache_file_versions_are_separate(monkeypatch):
-    table = ig._table_path(5)
     sweep = ig._sweep_path(3, 1000.0)
-    assert table.name.startswith(f"table_v{ig.TABLE_VERSION}_")
     assert sweep.name.startswith(f"sweep_v{ig.SWEEP_VERSION}_")
     monkeypatch.setattr(ig, "SWEEP_VERSION", ig.SWEEP_VERSION + 1)
     bumped = ig._sweep_path(3, 1000.0)
-    assert ig._table_path(5) == table and bumped != sweep
+    assert bumped != sweep
     # the panel width changes every sweep value, so it is part of the key
     monkeypatch.setattr(ig, "PANEL_WIDTH", ig.PANEL_WIDTH / 2)
     assert ig._sweep_path(3, 1000.0) != bumped
-    # so does the start of the table's Miller recurrence
-    monkeypatch.setattr(lacuna.bessel, "START_OFFSET", lacuna.bessel.START_OFFSET + 1)
-    shifted = ig._table_path(5)
-    assert shifted != table
-    monkeypatch.setattr(lacuna.bessel, "START_SLOPE", lacuna.bessel.START_SLOPE + 0.1)
-    assert ig._table_path(5) not in (table, shifted)
 
 
 def test_table_uses_array_passes(monkeypatch):
@@ -508,7 +480,7 @@ def test_table_uses_array_passes(monkeypatch):
         raise AssertionError("the table must not run the one-x recurrence")
 
     monkeypatch.setattr(lacuna.bessel, "_miller", forbidden)
-    table = ig.build_table(40, cache=False)
+    table = ig.build_table(40)
     assert table.bessel_cache.shape == (1001, 41)
 
 

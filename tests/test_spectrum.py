@@ -57,11 +57,11 @@ def test_membership_helpers():
 
 def test_enumerate_smallest_sets():
     only_zero = sp.make_spectrum([0])
-    reps = sp.enumerate_reps(only_zero)
+    reps = sp.triples_by_sum(only_zero.elements)
     assert set(reps) == {0}
-    assert reps[0] == (sp.TripleRep((0, 0, 0)),)
+    assert reps[0] == [sp.TripleRep((0, 0, 0))]
     a5_small = sp.make_spectrum([0, 1, 5])
-    grouped = sp.enumerate_reps(a5_small)
+    grouped = sp.triples_by_sum(a5_small.elements)
     assert {r.entries for r in grouped[3]} == {(1, 1, 1), (-1, -1, 5)}
     total = sum(len(v) for v in grouped.values())
     m = len(a5_small.elements)
@@ -193,9 +193,9 @@ def test_pair_sum_uniqueness():
 
 
 def test_element_cap():
-    many = sp.SpectrumSet(lambdas=(0,), elements=tuple(range(2001)))
+    many = sp.SpectrumSet(lambdas=(0,), elements=tuple(range(sp.MAX_ELEMENTS + 1)))
     with pytest.raises(RangeError):
-        sp.enumerate_reps(many)
+        sp.classify_brute_force(many)
 
 
 @st.composite
