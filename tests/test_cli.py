@@ -370,7 +370,10 @@ def test_certify_support_past_the_literal_cap(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("integrals", "sweep", "--suite", "bounds-f", "--n-max", "2")],
+    [
+        ("integrals", "tilde", "1", "0", "0", "--order-cap", "5"),
+        ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "2"),
+    ],
 )
 def test_unusable_cache_dir_only_skips_caching(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setenv("LACUNA_CACHE_DIR", str(tmp_path / "cache"))
