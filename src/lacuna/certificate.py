@@ -152,17 +152,18 @@ def _classified_map(spectrum: SpectrumSet) -> dict[int, ClassifiedPoint]:
 def check_basic_inequality(r: float, s: float, b: float) -> bool:
     """r^3 s <= b/(2b-2) r^4 + 1/(2b-2) s^4 + (b-3)/(2b-2) r^2 s^2.
 
-    Evaluated in exact rational arithmetic (floats are dyadic), so the
-    verdict is immune to cancellation near the r = s equality line.
+    Evaluated exactly in integers (floats are dyadic), so the verdict is
+    immune to cancellation near the r = s equality line: with
+    r : s = x : y and b = p/q, both sides times 2(b - 1) > 0 and q are
+    homogeneous of degree 4 in (x, y).
     """
     if not b > 1:
         raise RangeError(f"weight b must exceed 1, got {b}")
     if r < 0 or s < 0:
         raise RangeError("r and s must be non-negative")
-    rq, sq, bq = Fraction(r), Fraction(s), Fraction(b)
-    lhs = rq**3 * sq
-    rhs = (bq * rq**4 + sq**4 + (bq - 3) * rq**2 * sq**2) / (2 * bq - 2)
-    return lhs <= rhs
+    (rn, rd), (sn, sd), (p, q) = (float(v).as_integer_ratio() for v in (r, s, b))
+    x, y = rn * sd, sn * rd
+    return 2 * (p - q) * x**3 * y <= p * x**4 + q * y**4 + (p - 3 * q) * x * x * y * y
 
 
 @dataclass(frozen=True)

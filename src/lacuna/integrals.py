@@ -15,12 +15,15 @@ routes:
   triple at once): one pass of 10-node Gauss-Legendre panels of width
   <= pi/4 on [0, R], for orders <= N < R. Its bound is proven before
   the pass: disc(R) + eval(R, N) + tail(R, N), see ``quad_bound`` and
-  ``tail_bound``. Bessel factors come from scipy: ``scipy.special.jv``
-  on nodes r <= n, and J0, J1 from scipy carried up by the forward
-  recurrence on nodes r > n, where it is stable. On the r_max = 4000
-  grid the two agree to 7.1e-14 absolute for every order 0..532.
-  ``scipy.special`` is imported on the first direct-route call, not with
-  this module, so the table route and the classifier never load scipy.
+  ``tail_bound``. Bessel factors come from a numpy kernel in this
+  module (``_bessel_rows``): the trapezoid rule on Bessel's integral on
+  nodes r <= max(n, X0), and J0, J1 from Hankel's expansion carried up
+  by the forward recurrence on nodes r > max(n, X0), where it is
+  stable. They agree with ``scipy.special.jv`` to 7.0e-14 absolute on
+  the r_max = 4000 grid for every order 0..532, and with mpmath to
+  7.5e-16 at x near n for n up to 532; the tests check the per-factor
+  assumption BESSEL_FACTOR_ERR = 1e-12 against both, and against
+  lacuna.bessel up to order 1200. The run needs numpy alone.
 
 The two routes share no Bessel code, so their agreement is a genuine
 cross-check rather than a reproducibility statement.
@@ -49,14 +52,18 @@ DEFAULT_R_MAX = 4000.0
 DEFAULT_TOL = 1.0e-6                 # ceiling on the proven quadrature bound
 MIN_R_MAX = 100.0
 NODE_COUNT = 1001
-SWEEP_VERSION = 5                    # bump when sweep bits move
+SWEEP_VERSION = 6                    # bump when sweep bits move
 BESSEL_BLOCK = 4096                  # nodes per pass of the grid kernels
 ELLIPSE_RHO = 20.0                   # Bernstein ellipse of the discretisation bound
 LANDAU_C = 0.7857468705              # |J_n(x)| <= c x^(-1/3), n >= 0 (Landau 2000)
-BESSEL_FACTOR_ERR = 1.0e-12          # assumed: |computed - true| of one direct-route factor
+BESSEL_FACTOR_ERR = 1.0e-12          # assumed, and tested: |computed - true| of one factor
+X0 = 25.0                            # direct-route J0, J1: Bessel's integral below, Hankel above
+ALIAS_TOL = 1.0e-17                  # size of a term either direct-route kernel drops
+TEMP_DOUBLES = 1 << 17               # 1 MB: largest temporary of the trapezoid kernel
 UNIT_ROUNDOFF = 2.0**-53
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
+_LOG_ALIAS_TOL = math.log(ALIAS_TOL)
 
 _METHODS = ("quadrature_lemma8", "direct_truncated")
 
@@ -195,28 +202,148 @@ def _panel_grid(r_max: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, rw
 
 
+def _kapteyn_log(nu, x):
+    """log of Kapteyn's bound on |J_nu(x)|, 0 < x <= nu (DLMF 10.14.5).
+
+    (x/nu)^nu e^w / (1 + w/nu)^nu with w = sqrt(nu^2 - x^2) is
+    exp(w - nu arccosh(nu/x)); it grows with x and falls with nu.
+    """
+    return np.sqrt(nu * nu - x * x) - nu * np.arccosh(nu / x)
+
+
+@functools.lru_cache(maxsize=4096)
+def _alias_free_order(x: int) -> int:
+    """Least order nu > x whose J_nu stays below ALIAS_TOL on (0, x]."""
+    nu = x + 1
+    while _kapteyn_log(nu, x) > _LOG_ALIAS_TOL:
+        nu += 1
+    return nu
+
+
+def _trapezoid_rows(orders: list[int], x: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = J_{orders[i]}(x) by the trapezoid rule on Bessel's integral.
+
+    The M = 4q-point rule on J_n(x) = (1/2pi) int_{-pi}^{pi} cos(n t - x sin t) dt
+    folds, by the integrand's symmetries, onto q + 1 points t_j = j pi/(2q):
+    J_n = (1/q) sum'' cos(n t_j) cos(x sin t_j) for even n and
+    sin(n t_j) sin(x sin t_j) for odd n, halving the end terms. It returns
+    J_n plus the aliases J_{kM-n} and J_{kM+n}, k >= 1 (Trefethen and
+    Weideman, SIAM Review 56, 2014), so q is chosen per block of nodes to
+    put M - max(orders) at _alias_free_order of the block's largest node.
+    A block's trigonometric matrix holds at most TEMP_DOUBLES values.
+    """
+    top = max(orders)
+    even = [i for i, n in enumerate(orders) if n % 2 == 0]
+    odd = [i for i, n in enumerate(orders) if n % 2]
+    parities = [(rows, trig) for rows, trig in ((even, np.cos), (odd, np.sin)) if rows]
+
+    def quarter(last: float) -> int:  # least q with 4q - top >= the alias-free order
+        return -(-(top + _alias_free_order(max(1, math.ceil(last)))) // 4)
+
+    step = max(1, TEMP_DOUBLES // (quarter(x[-1]) + 1))
+    for lo in range(0, x.size, step):
+        block = x[lo:lo + step]
+        q = quarter(block[-1])
+        j = np.arange(q + 1)
+        rule = np.full(q + 1, 1.0 / q)
+        rule[0] = rule[-1] = 0.5 / q
+        arg = np.multiply.outer(block, np.sin((math.pi / (2 * q)) * j))
+        for rows, trig in parities:
+            # n t_j reduced exactly: cos and sin see angles below 2 pi
+            turns = np.multiply.outer([orders[i] for i in rows], j) % (4 * q)
+            weights = trig((math.pi / (2 * q)) * turns) * rule
+            out[rows, lo:lo + block.size] = weights @ trig(arg).T
+
+
+def _hankel_coefficients() -> np.ndarray:
+    """(-1)^(k//2) a_k(nu) of Hankel's expansion (DLMF 10.17.1), rows nu = 0, 1.
+
+    a_k(nu) = prod_{j <= k} (4 nu^2 - (2j - 1)^2) / (8j). The columns run,
+    to an even count, past the first k with both |a_k| X0^-k <= ALIAS_TOL.
+    """
+    cols, k = [(1.0, 1.0)], 0
+    while max(map(abs, cols[-1])) > ALIAS_TOL * X0**k or len(cols) % 2:
+        k += 1
+        cols.append(tuple(
+            a * (4 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k) for nu, a in enumerate(cols[-1])
+        ))
+    return np.array(cols).T * (-1.0) ** (np.arange(len(cols)) // 2)
+
+
+_HANKEL = _hankel_coefficients()
+
+
+def _hankel_j0_j1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J0 and J1 on ascending x > X0 from Hankel's expansion (DLMF 10.17.3).
+
+    J_nu = sqrt(2/(pi x)) (P_nu cos w - Q_nu sin w), w = x - nu pi/2 - pi/4,
+    P_nu = sum_k (-1)^k a_2k x^-2k and Q_nu = sum_k (-1)^k a_2k+1 x^-2k-1,
+    both cut past the first k with |a_k| x^-k <= ALIAS_TOL at the block's
+    smallest x; for nu <= 1 each remainder is below its first dropped
+    term (DLMF 10.17(iii)). cos w and sin w of both orders come from one
+    cos x and one sin x.
+    """
+    dropped = np.abs(_HANKEL).max(axis=0) <= ALIAS_TOL * float(x[0]) ** np.arange(_HANKEL.shape[1])
+    half = (int(np.argmax(dropped)) + 1) // 2
+    # rows P0, Q0, P1, Q1, each in powers of x^-2
+    coeffs = np.stack([row[parity:2 * half:2] for row in _HANKEL for parity in (0, 1)])
+    y = 1.0 / (x * x)
+    pq = np.empty((4, x.size))
+    pq[:] = coeffs[:, -1:]
+    for k in range(half - 2, -1, -1):
+        pq *= y
+        pq += coeffs[:, k:k + 1]
+    pq[1::2] /= x
+    cos_x, sin_x = np.cos(x), np.sin(x)
+    plus = cos_x + sin_x      # sqrt 2 cos w_0 = -sqrt 2 sin w_1
+    minus = sin_x - cos_x     # sqrt 2 sin w_0 = sqrt 2 cos w_1
+    scale = np.sqrt(1.0 / (math.pi * x))
+    j0 = pq[0] * plus
+    j0 -= pq[1] * minus
+    j0 *= scale
+    j1 = pq[2] * minus
+    j1 += pq[3] * plus
+    j1 *= scale
+    return j0, j1
+
+
 def _bessel_rows(orders: list[int], nodes: np.ndarray) -> np.ndarray:
     """J_n(nodes) for each of the distinct non-negative orders, one row each.
 
-    ``nodes`` ascend. Nodes up to max(orders) take ``scipy.special.jv``;
-    past it every requested order sits below r, where the forward
-    recurrence J_{k+1} = (2k/r) J_k - J_{k-1} from scipy's J0 and J1 is
-    stable (Gautschi, SIAM Review 9, 1967). The recurrence runs over
-    BESSEL_BLOCK nodes at a time, so its work arrays stay small.
-    """
-    import scipy.special  # here, not at module top: only the direct route needs scipy
+    ``nodes`` ascend. Nodes up to max(max(orders), X0) take the trapezoid
+    rule on Bessel's integral (``_trapezoid_rows``), except those where
+    Kapteyn's bound puts every requested order below ALIAS_TOL, which
+    are 0. Past that point every requested order sits below r, where the
+    forward recurrence J_{k+1} = (2k/r) J_k - J_{k-1} is stable (Gautschi,
+    SIAM Review 9, 1967); it starts from J0 and J1 of Hankel's expansion
+    (``_hankel_j0_j1``) and runs over BESSEL_BLOCK nodes at a time, so its
+    work arrays stay small. Neither kernel calls lacuna.bessel.
 
-    top = max(orders)
+    Measured, max absolute difference: 7.0e-14 from scipy.special.jv on
+    the r_max = 4000 grid for every order 0..532 and 1.8e-14 on a sample
+    of the r_max = 40000 grid for orders 0..40; 7.0e-15 from
+    lacuna.bessel on nodes up to 1e4 for orders up to 1200; 7.5e-16 from
+    mpmath at x in {n - 3.3, n, n + 2.7}, n <= 532. The tests hold each
+    to BESSEL_FACTOR_ERR or tighter.
+    """
+    top, low = max(orders), min(orders)
     row_of = {n: i for i, n in enumerate(orders)}
     out = np.empty((len(orders), nodes.size))
-    split = int(np.searchsorted(nodes, top, "right"))
-    for i, n in enumerate(orders):
-        out[i, :split] = scipy.special.jv(n, nodes[:split])
+    split = int(np.searchsorted(nodes, max(top, X0), "right"))
+    start = 0
+    if low > 0:
+        below = nodes[:np.searchsorted(nodes, low)]
+        with np.errstate(divide="ignore"):
+            start = int(np.count_nonzero(_kapteyn_log(low, below) <= _LOG_ALIAS_TOL))
+        out[:, :start] = 0.0
+    if start < split:
+        _trapezoid_rows(orders, nodes[start:split], out[:, start:split])
     for lo in range(split, nodes.size, BESSEL_BLOCK):
         x = nodes[lo:lo + BESSEL_BLOCK]
         cols = slice(lo, lo + x.size)
         two_over_x = 2.0 / x
-        prev, cur, nxt = scipy.special.j0(x), scipy.special.j1(x), np.empty_like(x)
+        prev, cur = _hankel_j0_j1(x)
+        nxt = np.empty_like(x)
         for k in range(top + 1):  # prev holds J_k, cur J_{k+1}
             if k in row_of:
                 out[row_of[k], cols] = prev
@@ -252,6 +379,19 @@ def tail_bound(r_max: float, top: int) -> float:
     return TAIL_COEFF / math.sqrt(r_max * r_max - top * top)
 
 
+def _i0(z: float) -> float:
+    """I_0(z) from its positive power series sum (z^2/4)^k / (k!)^2 (DLMF 10.25.2).
+
+    Past k = z each term is at most a quarter of the last, so the terms
+    dropped after one below u^2 sum to less than u^2 / 3 of I_0 >= 1.
+    """
+    quarter, terms = 0.25 * z * z, [1.0]
+    while len(terms) <= z or terms[-1] > UNIT_ROUNDOFF**2:
+        k = len(terms)
+        terms.append(terms[-1] * quarter / (k * k))
+    return math.fsum(terms)
+
+
 @functools.lru_cache(maxsize=16)
 def _disc_bound(r_max: float) -> float:
     """Gauss-Legendre error of the pass against the integral over [0, r_max].
@@ -263,13 +403,11 @@ def _disc_bound(r_max: float) -> float:
     most (64/15) M rho^(2-2m) / (rho^2 - 1) (Trefethen, ATAP Thm 19.3),
     times h per panel; the panel centres average r_max / 2.
     """
-    import scipy.special  # here, not at module top: only the direct route needs scipy
-
     n_panels = math.ceil(r_max / PANEL_WIDTH)
     h, rho = 0.5 * r_max / n_panels, ELLIPSE_RHO
     a, b = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
     rule = (64.0 / 15.0) * rho ** (2 - 2 * GL_ORDER) / (rho * rho - 1.0)
-    return n_panels * h * (0.5 * r_max + h * a) * rule * float(scipy.special.i0(h * b)) ** 6
+    return n_panels * h * (0.5 * r_max + h * a) * rule * _i0(h * b) ** 6
 
 
 @functools.lru_cache(maxsize=4)
@@ -343,7 +481,8 @@ def i_direct(
     One pass of Gauss-Legendre panels of width <= pi/4 on [0, r_max] > N,
     the largest order. Its bound, quad_bound + tail_bound, is proven before
     the pass; ``tol`` is only a ceiling on quad_bound. Bessel factors come
-    from scipy (see ``_bessel_rows``). Values are memoised on the sorted
+    from this module's numpy kernel (see ``_bessel_rows``), within 7.0e-14
+    of scipy's jv on the default grid. Values are memoised on the sorted
     moduli (``i_direct_moduli``), so a repeated sextet, in any order and
     with any signs, costs one lookup.
     """

@@ -1,0 +1,18 @@
+"""Session fixtures shared by every test module."""
+import pytest
+
+from lacuna import integrals as ig
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _private_cache_dir(tmp_path_factory):
+    # sweeps cached by the tests land in a temporary directory, never ~/.cache
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("LACUNA_CACHE_DIR", str(tmp_path_factory.mktemp("lacuna-cache")))
+        yield
+
+
+@pytest.fixture(scope="session")
+def sweep40():
+    """The 40-order diagonal sweep at r_max 40000: computed once per run."""
+    return ig.sweep_diagonal(40, r_max=40000.0, tol=2.0e-6)

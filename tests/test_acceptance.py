@@ -23,11 +23,6 @@ SEED = 20260819
 
 
 @pytest.fixture(scope="module")
-def sweep40():
-    return ig.sweep_diagonal(40, r_max=40000.0, tol=2.0e-6)
-
-
-@pytest.fixture(scope="module")
 def a4():
     return sp.make_spectrum(base=4, depth=5)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
@@ -113,6 +113,29 @@ def test_basic_inequality_random_sweep():
 )
 def test_basic_inequality_property(r, s, b):
     assert ct.check_basic_inequality(r, s, b)
+
+
+_DYADIC = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _DYADIC,
+    _DYADIC,
+    st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    st.booleans(),
+)
+@example(1.0, 1.0, 5.0, True)
+@example(5e-324, 5e-324, 1.0000000000000002, True)
+@example(1.7976931348623157e308, 1.7976931348623157e308, 1.7976931348623157e308, True)
+@example(5e-324, 1.7976931348623157e308, 1.0000000000000002, False)
+@example(1.7976931348623157e308, 5e-324, 3.0, False)
+def test_basic_inequality_matches_fraction_formula(r, s, b, same):
+    # r = s is the equality line: there the verdict rests on exact equality
+    s = r if same else s
+    rq, sq, bq = Fraction(r), Fraction(s), Fraction(b)
+    rhs = (bq * rq**4 + sq**4 + (bq - 3) * rq**2 * sq**2) / (2 * bq - 2)
+    assert ct.check_basic_inequality(r, s, b) == (rq**3 * sq <= rhs)
 
 
 def test_basic_inequality_validation():

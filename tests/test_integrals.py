@@ -4,8 +4,9 @@ The direct truncated quadrature is the designated oracle, so its
 reference values below were recorded from this module itself and are
 regression anchors; their correctness is cross-checked against the
 table route through the gap window tests, and the table route is built
-on the in-house Bessel backend while the direct route uses scipy, so
-the two share no evaluation code.
+on the in-house Bessel backend while the direct route has its own numpy
+kernel, so the two share no evaluation code. scipy and mpmath values
+check that kernel; the mpmath ones are literals, so mpmath is not needed.
 """
 import math
 
@@ -354,9 +355,9 @@ def test_sweep_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, junk):
         assert np.array_equal(data["direct"], sw.direct)
 
 
-def test_threshold_window_from_sweep():
+def test_threshold_window_from_sweep(sweep40):
     # shared 40-order sweep: the certificate's working precision
-    sw = ig.sweep_diagonal(40, r_max=40000.0, tol=2.0e-6, cache=True)
+    sw = sweep40
     assert sw.error_bound < 1.0e-5
     # ratio families on their stated windows, worst-margin rows included
     for n in range(1, 21):
@@ -381,10 +382,10 @@ def test_threshold_window_from_sweep():
         assert sw.ratio_lo(n, 0, 0) > 5.0, n
 
 
-def test_excluded_rows_really_sit_below():
+def test_excluded_rows_really_sit_below(sweep40):
     # the two window exclusions are genuine: both ratios fall short of
     # their family thresholds, matching the equal-integral coincidence
-    sw = ig.sweep_diagonal(40, r_max=40000.0, tol=2.0e-6, cache=True)
+    sw = sweep40
     assert sw.ratio_lo(1, 1, 2) < 10.0
     assert sw.ratio_lo(3, 2, 0) < 18.0
     d110 = ig.i_direct((1, 1, 1, 1, 0, 0))
@@ -403,12 +404,11 @@ def test_bessel_rows_match_jv_on_direct_grids():
     rows = ig._bessel_rows(orders, nodes)
     ref = _jv_rows(orders, nodes)
     assert rows.shape == (len(orders), nodes.size)
-    # the per-factor error that the evaluation bound assumes
+    # the per-factor error that the evaluation bound assumes, on both
+    # sides of the split between Bessel's integral and the recurrence
     assert np.max(np.abs(rows - ref)) <= ig.BESSEL_FACTOR_ERR == 1.0e-12
-    # at and below the split every value is scipy's jv itself
     split = np.searchsorted(nodes, max(orders), "right")
     assert 0 < split < nodes.size
-    assert np.array_equal(rows[:, :split], ref[:, :split])
 
 
 def test_bessel_rows_match_jv_on_sweep_grid():
@@ -422,12 +422,61 @@ def test_bessel_rows_match_jv_on_sweep_grid():
 
 
 def test_bessel_rows_empty_regions():
-    # every node of the r_max = 100 grid lies below order 532: all jv
+    # every node of the r_max = 100 grid lies below order 532: no recurrence
     nodes = ig._panel_grid(100.0)[0]
     assert nodes[-1] < 532
-    assert np.array_equal(ig._bessel_rows([532], nodes), _jv_rows([532], nodes))
-    # order 0 alone: no node lies at or below it, J0 comes straight from scipy
-    assert np.array_equal(ig._bessel_rows([0], nodes)[0], scipy.special.j0(nodes))
+    rows = ig._bessel_rows([532], nodes)
+    assert np.max(np.abs(rows - _jv_rows([532], nodes))) <= ig.BESSEL_FACTOR_ERR
+    # order 0 alone: every node past X0 starts from Hankel's J0
+    assert nodes[0] < ig.X0 < nodes[-1]
+    row = ig._bessel_rows([0], nodes)[0]
+    assert np.max(np.abs(row - scipy.special.j0(nodes))) <= ig.BESSEL_FACTOR_ERR
+
+
+# (n, x, J_n(x) from mpmath besselj at 30 digits): x in {n - 3.3, n, n + 2.7}
+# where positive, both sides of X0, and far out on the r_max = 40000 grid
+BESSEL_ROWS_FROZEN = [
+    (0, 0.0, 1.0),
+    (0, 2.7, -1.424493700460119002645e-1),
+    (1, 1.0, 4.400505857449335159597e-1),
+    (1, 3.7, 5.383398774546179051315e-2),
+    (121, 117.7, 4.126892403896321234683e-2),
+    (121, 121.0, 9.043458708576722655073e-2),
+    (121, 123.7, 1.289632144680910824532e-1),
+    (364, 360.7, 3.769643933949904099462e-2),
+    (364, 364.0, 6.264744093282996821627e-2),
+    (364, 366.7, 8.292427331585906472304e-2),
+    (532, 528.7, 3.557979913533228308247e-2),
+    (532, 532.0, 5.520360811338662798682e-2),
+    (532, 534.7, 7.122192207931600778456e-2),
+    (0, 24.75, 6.209579173200768982039e-2),
+    (0, 25.25, 1.241420860363390926333e-1),
+    (1, 24.75, -1.466304272818479901621e-1),
+    (1, 25.25, -9.653920971948138607861e-2),
+    (2, 24.75, -7.39447151487226789244e-2),
+    (2, 25.25, -1.317887561131296974712e-1),
+    (7, 24.75, 2.890899353577510460281e-2),
+    (7, 25.25, -4.827588255561526961685e-2),
+    (0, 39999.9, 3.737985220525808717009e-3),
+    (1, 39999.9, 1.393962284862284662444e-3),
+    (40, 39999.9, 3.709362047210090834459e-3),
+]
+
+
+@pytest.mark.parametrize("n,x,expected", BESSEL_ROWS_FROZEN)
+def test_bessel_rows_frozen_anchor(n, x, expected):
+    assert abs(ig._bessel_rows([n], np.array([x]))[0, 0] - expected) <= 1.0e-13
+
+
+def test_bessel_rows_match_package_bessel_to_order_1200():
+    # the table route's Miller recurrence, an independent second route:
+    # grid nodes up to MAX_ARG, denser where x is near the orders
+    nodes = ig._panel_grid(lacuna.bessel.MAX_ARG)[0]
+    sample = np.concatenate((nodes[:16000:41], nodes[16000::397]))
+    orders = list(range(0, lacuna.bessel.MAX_ORDER + 1, 7)) + [lacuna.bessel.MAX_ORDER]
+    rows = ig._bessel_rows(orders, sample)
+    ref = lacuna.bessel.besselj_batch(lacuna.bessel.MAX_ORDER, sample)[:, orders].T
+    assert np.max(np.abs(rows - ref)) <= 1.0e-12
 
 
 def test_direct_route_uses_no_package_bessel(monkeypatch):
