@@ -267,12 +267,10 @@ def compute_norm6(f: CoefficientVector) -> NormSixth:
 
 @dataclass(frozen=True)
 class SextetSum:
-    """The interaction sum with its error bound and its two-part split."""
+    """S or its grouped upper bound, with the propagated quadrature error."""
 
     value: float
     error_bound: float
-    p3_part: float
-    exceptional_part: float
 
 
 def _fprod(f: CoefficientVector, rep: TripleRep) -> complex:
@@ -280,11 +278,6 @@ def _fprod(f: CoefficientVector, rep: TripleRep) -> complex:
     for n in rep.entries:
         z *= f.amp(n)
     return z
-
-
-def _is_exception(classified: Mapping[int, ClassifiedPoint], d: int) -> bool:
-    point = classified.get(d)
-    return point is not None and point.kind is PointKind.EXCEPTION
 
 
 def _check_real(total: complex) -> None:
@@ -305,22 +298,17 @@ def compute_S_exact(
     (R1, R2) with equal sums contributes p(R1) p(R2) fhat(R1)
     conj(fhat(R2)) I(R1 join R2). Diagonal pairs reduce to the squared
     triple integral; mixed pairs hit the direct quadrature, cached on
-    sorted moduli. The split tallies D by its classification in the
-    ambient spectrum.
+    sorted moduli. S reads only the support: which sums are exceptions
+    matters to the grouped bound and the systems, not to S.
     """
     supp = f.support
     if len(supp) > MAX_SUPPORT:
         raise RangeError(f"support size {len(supp)} exceeds cap {MAX_SUPPORT}")
-    classified = _classified_map(f.spectrum)
     by_d = triples_by_sum(supp)
 
     total = 0.0 + 0.0j
-    part_p3 = 0.0 + 0.0j
-    part_e = 0.0 + 0.0j
     err = 0.0
-    for d in sorted(by_d):
-        bucket = 0.0 + 0.0j
-        reps = by_d[d]
+    for _, reps in sorted(by_d.items()):
         for r1 in reps:
             z1 = _fprod(f, r1)
             if z1 == 0:
@@ -332,20 +320,10 @@ def compute_S_exact(
                 weight = float(r1.perm_count * r2.perm_count)
                 ival = i_direct_signed(r1.entries + r2.entries, r_max)
                 term = weight * z1 * z2.conjugate()
-                bucket += term * ival.value
+                total += term * ival.value
                 err += abs(term) * ival.error_bound
-        total += bucket
-        if _is_exception(classified, d):
-            part_e += bucket
-        else:
-            part_p3 += bucket
     _check_real(total)
-    return SextetSum(
-        value=total.real,
-        error_bound=err,
-        p3_part=part_p3.real,
-        exceptional_part=part_e.real,
-    )
+    return SextetSum(value=total.real, error_bound=err)
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +369,6 @@ class CertificateParams:
             return self._eps_map[d]
         except KeyError:
             raise CertificateError(f"no eps assigned for exception point {d}") from None
-
-
-@dataclass(frozen=True)
-class BoundValue:
-    """A one-sided bound together with its propagated quadrature error."""
-
-    value: float
-    error_bound: float
 
 
 BoundTerm = tuple[float, tuple[int, int, int], IntegralValue]
@@ -501,7 +471,7 @@ def compute_S_upper_bound(
     params: CertificateParams,
     *,
     r_max: float = DEFAULT_R_MAX,
-) -> BoundValue:
+) -> SextetSum:
     """The eleven grouped sums dominating S, summed literally on f's support.
 
     The propagated error adds |coefficient| times each integral's bound.
@@ -514,7 +484,7 @@ def compute_S_upper_bound(
         monomial = x[n1] * x[n2] * x[n3]
         total += coeff * monomial * ival.value
         err += abs(coeff) * monomial * ival.error_bound
-    return BoundValue(value=total, error_bound=err)
+    return SextetSum(value=total, error_bound=err)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +498,7 @@ class AssembledForms:
     Column k of an amplitude array holds fhat(support[k]). Triple t is
     ``triples[t]`` (column indices) with weight ``weights[t]`` = p(R); the
     ordered same-D triple pairs (i, j) are the columns of ``pairs``, with
-    I(R_i join R_j) in ``pair_value`` (column 0 when D is a P3 point,
-    column 1 when it is an exception) and its error in ``pair_error``.
+    I(R_i join R_j) in ``pair_value`` and its error in ``pair_error``.
     The grouped bound is sum over (a, b, c) of T[a, b, c] x_a x_b x_c with
     T = ``bound_value``, and its error the same sum over ``bound_error``.
     """
@@ -538,7 +507,7 @@ class AssembledForms:
     triples: np.ndarray        # (T, 3) column indices
     weights: np.ndarray        # (T,)
     pairs: np.ndarray          # (2, P) triple indices
-    pair_value: np.ndarray     # (P, 2)
+    pair_value: np.ndarray     # (P,)
     pair_error: np.ndarray     # (P,)
     bound_value: np.ndarray    # (n, n, n)
     bound_error: np.ndarray    # (n, n, n)
@@ -559,20 +528,18 @@ def assemble_forms(
     """
     supp = tuple(sorted(support))
     col = {n: k for k, n in enumerate(supp)}
-    classified = _classified_map(spectrum)
     reps: list[TripleRep] = []
     pairs: list[tuple[int, int]] = []
-    values: list[tuple[float, float]] = []
+    values: list[float] = []
     errors: list[float] = []
-    for d, group in sorted(triples_by_sum(supp).items()):
+    for _, group in sorted(triples_by_sum(supp).items()):
         first = len(reps)
         reps.extend(group)
-        exceptional = _is_exception(classified, d)
         for i, r1 in enumerate(group, first):
             for j, r2 in enumerate(group, first):
                 ival = i_direct_signed(r1.entries + r2.entries, r_max)
                 pairs.append((i, j))
-                values.append((0.0, ival.value) if exceptional else (ival.value, 0.0))
+                values.append(ival.value)
                 errors.append(ival.error_bound)
 
     n = len(supp)
@@ -588,7 +555,7 @@ def assemble_forms(
         triples=np.array(triples, dtype=np.intp).reshape(-1, 3),
         weights=np.array([float(r.perm_count) for r in reps]),
         pairs=np.array(pairs, dtype=np.intp).reshape(-1, 2).T,
-        pair_value=np.array(values).reshape(-1, 2),
+        pair_value=np.array(values),
         pair_error=np.array(errors),
         bound_value=bound_value,
         bound_error=bound_error,
@@ -597,7 +564,7 @@ def assemble_forms(
 
 def evaluate_forms(
     forms: AssembledForms, vectors: Sequence[CoefficientVector]
-) -> list[tuple[SextetSum, BoundValue]]:
+) -> list[tuple[SextetSum, SextetSum]]:
     """S and the grouped bound of each vector, as ``compute_S_exact`` and
     ``compute_S_upper_bound`` give them up to summation order.
 
@@ -608,7 +575,7 @@ def evaluate_forms(
     n = len(forms.support)
     t1, t2, t3 = forms.triples.T
     i, j = forms.pairs
-    out: list[tuple[SextetSum, BoundValue]] = []
+    out: list[tuple[SextetSum, SextetSum]] = []
     for lo in range(0, len(vectors), FORM_BLOCK):
         block = vectors[lo:lo + FORM_BLOCK]
         amp = np.zeros((len(block), n), dtype=complex)
@@ -620,7 +587,7 @@ def evaluate_forms(
         prod = w[:, j]
         np.conjugate(prod, out=prod)
         prod *= w[:, i]
-        parts = np.einsum("vp,pk->vk", prod, forms.pair_value)
+        s = np.einsum("vp,p->v", prod, forms.pair_value)
         del prod
         aw = np.abs(w)
         prod_abs = aw[:, i]
@@ -629,11 +596,9 @@ def evaluate_forms(
         x = np.abs(amp) ** 2
         ub = np.einsum("va,vb,vc,abc->v", x, x, x, forms.bound_value)
         ub_err = np.einsum("va,vb,vc,abc->v", x, x, x, forms.bound_error)
-        columns = (parts[:, 0], parts[:, 1], s_err, ub, ub_err)
-        for p3, e, se, u, ue in zip(*(c.tolist() for c in columns)):
-            total = p3 + e
+        for total, se, u, ue in zip(*(c.tolist() for c in (s, s_err, ub, ub_err))):
             _check_real(total)
-            out.append((SextetSum(total.real, se, p3.real, e.real), BoundValue(u, ue)))
+            out.append((SextetSum(total.real, se), SextetSum(u, ue)))
     return out
 
 
@@ -644,24 +609,18 @@ def evaluate_forms(
 class FLowerBounds:
     """Best available lower bounds for F on modulus triples.
 
-    Merges the recorded analytic floors with the direct quadrature ratio
-    interval, skipped above the order cap; the larger wins. Pass
-    ``numeric=False`` for floors only.
+    ``floor`` is the recorded analytic floor alone; ``lower`` merges it
+    with the direct quadrature ratio interval, skipped above the order
+    cap, and the larger wins.
     """
 
-    def __init__(
-        self,
-        spectrum: SpectrumSet,
-        *,
-        numeric: bool = True,
-        r_max: float = DEFAULT_R_MAX,
-    ) -> None:
+    def __init__(self, spectrum: SpectrumSet, *, r_max: float = DEFAULT_R_MAX) -> None:
         self._moduli = frozenset(abs(v) for v in spectrum.lambdas)
-        self._numeric = numeric
         self._r_max = r_max
-        self._cache: dict[tuple[int, int, int], float] = {}
 
-    def _floor(self, n: int, m: int, k: int) -> float | None:
+    def floor(self, m1: int, m2: int, m3: int) -> float | None:
+        """The analytic floor of F on these moduli, or None where none is recorded."""
+        n, m, k = sorted((abs(m1), abs(m2), abs(m3)), reverse=True)
         members = {n, m, k} <= self._moduli
         if n == 0:
             return 1.0
@@ -682,17 +641,13 @@ class FLowerBounds:
 
     def lower(self, m1: int, m2: int, m3: int) -> float:
         n, m, k = sorted((abs(m1), abs(m2), abs(m3)), reverse=True)
-        key = (n, m, k)
-        if key in self._cache:
-            return self._cache[key]
-        best = self._floor(n, m, k)
-        if self._numeric and n <= MAX_SEXTET_ORDER:
+        best = self.floor(n, m, k)
+        if n <= MAX_SEXTET_ORDER:
             num = f_ratio(n, m, k, r_max=self._r_max).lo
             if best is None or num > best:
                 best = num
         if best is None:
-            raise CertificateError(f"no lower bound available for F{key}")
-        self._cache[key] = best
+            raise CertificateError(f"no lower bound available for F{(n, m, k)}")
         return best
 
 
@@ -896,7 +851,6 @@ def check_systems(
     A: SpectrumSet,
     b: float = DEFAULT_B,
     *,
-    f_lower: FLowerBounds | None = None,
     r_max: float = DEFAULT_R_MAX,
 ) -> list[SystemReport]:
     """Check the global rows once and one system per exception point.
@@ -909,7 +863,7 @@ def check_systems(
     """
     if not b > 1:
         raise RangeError(f"weight b must exceed 1, got {b}")
-    flb = f_lower if f_lower is not None else FLowerBounds(A, r_max=r_max)
+    flb = FLowerBounds(A, r_max=r_max)
     instances: dict[str, list[SystemInstance]] = {
         "trivial": [], "S2": [], "S3": [], "S4": [], "S5": []
     }
@@ -932,11 +886,10 @@ def derive_params(
     A: SpectrumSet,
     b: float = DEFAULT_B,
     *,
-    f_lower: FLowerBounds | None = None,
     r_max: float = DEFAULT_R_MAX,
 ) -> tuple[CertificateParams, tuple[SystemReport, ...]]:
     """Solve the systems and take each eps at its window midpoint."""
-    reports = check_systems(A, b, f_lower=f_lower, r_max=r_max)
+    reports = check_systems(A, b, r_max=r_max)
     return params_from_reports(b, reports), tuple(reports)
 
 

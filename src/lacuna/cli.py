@@ -258,6 +258,8 @@ def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
     if args.suite != "bounds-f":
         raise RangeError(f"unknown suite {args.suite!r}; available: bounds-f")
     n_max = args.n_max
+    if n_max < 1:
+        raise RangeError(f"n_max must be >= 1, got {n_max}: no family would be checked")
     sweep = ig.sweep_diagonal(n_max, r_max=args.r_max, tol=args.tol, cache=not args.no_cache)
     rows: list[dict] = []
 
@@ -281,19 +283,18 @@ def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
 
     single = ct.F_FLOOR_SINGLE
     family("single (n,0,0) > {:g}, 2 <= n", [(n, 0, 0) for n in range(2, n_max + 1)], single)
-    if n_max >= 1:
-        f100 = sweep.value(0, 0, 0) / sweep.value(1, 0, 0)
-        dev = abs(f100 - single)
-        rows.append(
-            {
-                "family": f"single (1,0,0) within 2e-2 of {single:g}",
-                "threshold": 2e-2,
-                "worst_point": [1, 0, 0],
-                "worst_lo": f100,
-                "margin": 2e-2 - dev,
-                "status": "pass" if dev <= 2e-2 else "fail",
-            }
-        )
+    f100 = sweep.value(0, 0, 0) / sweep.value(1, 0, 0)
+    dev = abs(f100 - single)
+    rows.append(
+        {
+            "family": f"single (1,0,0) within 2e-2 of {single:g}",
+            "threshold": 2e-2,
+            "worst_point": [1, 0, 0],
+            "worst_lo": f100,
+            "margin": 2e-2 - dev,
+            "status": "pass" if dev <= 2e-2 else "fail",
+        }
+    )
     family(
         "pair-zero (n,n,0) > {:g}",
         [(n, n, 0) for n in range(1, min(20, n_max) + 1)],
@@ -501,7 +502,7 @@ def _trial_dict(
     label: str,
     vec: ct.CoefficientVector,
     s: ct.SextetSum,
-    ub: ct.BoundValue,
+    ub: ct.SextetSum,
     r_max: float,
 ) -> dict:
     verdict = ct.verdict_of(s, vec, r_max=r_max)
@@ -690,14 +691,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_direct.set_defaults(func=cmd_integrals_direct)
     p_sweep = int_subs.add_parser("sweep", parents=[common])
     p_sweep.add_argument("--suite", required=True)
-    p_sweep.add_argument("--n-max", type=int, default=40)
+    p_sweep.add_argument("--n-max", type=int, default=ig.SWEEP_N_MAX)
     p_sweep.add_argument("--no-cache", action="store_true", help="bypass the on-disk sweep cache")
     p_sweep.set_defaults(func=cmd_integrals_sweep)
     for sub in (p_f, p_copt, p_direct):  # the table route takes neither
         sub.add_argument("--r-max", dest="r_max", type=float, default=ig.DEFAULT_R_MAX)
         sub.add_argument("--tol", type=float, default=ig.DEFAULT_TOL)
-    p_sweep.add_argument("--r-max", dest="r_max", type=float, default=40000.0)
-    p_sweep.add_argument("--tol", type=float, default=2.0e-6)
+    p_sweep.add_argument("--r-max", dest="r_max", type=float, default=ig.SWEEP_R_MAX)
+    p_sweep.add_argument("--tol", type=float, default=ig.SWEEP_TOL)
 
     p_spec = subs.add_parser("spectrum", help="triple-sum classification")
     p_spec.set_defaults(default_fmt="json")

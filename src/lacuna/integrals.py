@@ -50,6 +50,9 @@ TABLE_GAP = 1.0e-2                   # one-sided gap bound of the table route
 MAX_SEXTET_ORDER = 532
 DEFAULT_R_MAX = 4000.0
 DEFAULT_TOL = 1.0e-6                 # ceiling on the proven quadrature bound
+SWEEP_N_MAX = 40                     # the diagonal sweep's default grid
+SWEEP_R_MAX = 40000.0
+SWEEP_TOL = 2.0e-6
 MIN_R_MAX = 100.0
 NODE_COUNT = 1001
 SWEEP_VERSION = 6                    # bump when sweep bits move
@@ -76,17 +79,11 @@ def cache_dir() -> Path:
 
 @dataclass(frozen=True)
 class IntegralValue:
-    """An integral estimate with a two-sided absolute error bound.
-
-    ``guaranteed`` is False only for table-route evaluations past the
-    certified order range; the nominal bound is then reported unchanged
-    but nothing backs it.
-    """
+    """An integral estimate with a two-sided absolute error bound."""
 
     value: float
     error_bound: float
     method: str
-    guaranteed: bool = True
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
@@ -176,18 +173,20 @@ def _check_order(n: object, cap: int, what: str) -> int:
 def i_tilde(k: int, m: int, n: int, table: QuadratureTable) -> IntegralValue:
     """Discrete 1001-node estimate of the diagonal integral from below.
 
-    The sum undershoots I(k,k,m,m,n,n) by an amount in (0, 1e-2) whenever
-    max(k,m,n) <= 532; past that range the same nominal bound is reported
-    but flagged as not guaranteed.
+    The sum undershoots I(k,k,m,m,n,n) by an amount in (0, 1e-2), a gap
+    certified only for max(k,m,n) <= ORDER_GUARANTEE_CAP; larger orders
+    are a ``RangeError``.
     """
     ks = sorted(_check_order(v, table.order_cap, "order") for v in (k, m, n))
     if ks[0] < 0:
         raise RangeError(f"orders must be non-negative, got {(k, m, n)}")
+    if ks[2] > ORDER_GUARANTEE_CAP:
+        raise RangeError(
+            f"order {ks[2]} exceeds {ORDER_GUARANTEE_CAP}, the table route's certified range"
+        )
     a, b, c = (table.bessel_cache[:, v] for v in ks)
     terms = table.weights * (a * a) * (b * b) * (c * c)
-    value = math.fsum(terms)
-    guaranteed = ks[2] <= ORDER_GUARANTEE_CAP
-    return IntegralValue(value, TABLE_GAP, "quadrature_lemma8", guaranteed=guaranteed)
+    return IntegralValue(math.fsum(terms), TABLE_GAP, "quadrature_lemma8")
 
 
 @functools.lru_cache(maxsize=16)
@@ -641,10 +640,10 @@ def _sweep_path(n_max: int, r_max: float) -> Path:
 
 
 def sweep_diagonal(
-    n_max: int = 40,
+    n_max: int = SWEEP_N_MAX,
     *,
-    r_max: float = 40000.0,
-    tol: float = 2.0e-6,
+    r_max: float = SWEEP_R_MAX,
+    tol: float = SWEEP_TOL,
     cache: bool = True,
 ) -> DiagonalSweep:
     """Direct-route quadrature of all diagonal triples with orders <= n_max.

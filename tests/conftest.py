@@ -14,5 +14,5 @@ def _private_cache_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def sweep40():
-    """The 40-order diagonal sweep at r_max 40000: computed once per run."""
-    return ig.sweep_diagonal(40, r_max=40000.0, tol=2.0e-6)
+    """The diagonal sweep on its default grid: computed once per run."""
+    return ig.sweep_diagonal(ig.SWEEP_N_MAX, r_max=ig.SWEEP_R_MAX, tol=ig.SWEEP_TOL)

@@ -176,19 +176,25 @@ def test_s_exact_zero_support_chain():
     s0 = ct.compute_S_exact(f0)
     direct = ig.i_direct((0,) * 6)
     assert s0.value == pytest.approx(direct.value, rel=1e-15)
-    assert s0.exceptional_part == 0.0
     # (2pi)^7 S / ((2pi)^3 norm6) equals the conjectured constant
     chain = (2 * math.pi) ** 7 * s0.value / ((2 * math.pi) ** 3 * ct.compute_norm6(f0).value)
     assert chain == pytest.approx(ig.c_opt().value, rel=1e-12)
 
 
-def test_s_exact_split_consistency():
+def test_s_exact_reads_no_classification(monkeypatch):
+    # S is defined on any finite support: the spectrum's classification
+    # enters the grouped bound and the systems, never S
     rng = random.Random(11)
-    for _ in range(10):
-        f = ct.random_vector(A5, rng, size=7)
-        s = ct.compute_S_exact(f)
-        assert abs(s.value - (s.p3_part + s.exceptional_part)) <= 1e-12 * abs(s.value)
-        assert s.error_bound > 0
+    vectors = [ct.random_vector(A5, rng, size=7) for _ in range(3)]
+    expected = [ct.compute_S_exact(f) for f in vectors]
+
+    def refuse(spectrum):
+        raise AssertionError("S consulted the classification")
+
+    monkeypatch.setattr(ct, "_classified_map", refuse)
+    for f, want in zip(vectors, expected, strict=True):
+        got = ct.compute_S_exact(f)
+        assert got.value == want.value and got.error_bound == want.error_bound > 0
 
 
 def test_s_exact_support_cap():
@@ -308,8 +314,6 @@ def test_forms_match_literal_sums():
             lit_s = ct.compute_S_exact(f)
             lit_ub = ct.compute_S_upper_bound(f, params)
             assert _close(s.value, lit_s.value) and _close(s.error_bound, lit_s.error_bound)
-            assert _close(s.p3_part, lit_s.p3_part), (A.lambdas, f.support)
-            assert _close(s.exceptional_part, lit_s.exceptional_part), (A.lambdas, f.support)
             assert _close(ub.value, lit_ub.value) and _close(ub.error_bound, lit_ub.error_bound)
 
 
@@ -356,20 +360,17 @@ def test_f_lower_bounds_merge():
     assert flb.lower(5, 5, 0) > 10.8                     # quadrature beats floor
     assert flb.lower(1, 0, 0) == 5.0
     assert flb.lower(5, 1, 1) >= 13.2
-    floors_only = ct.FLowerBounds(A5, numeric=False)
-    assert floors_only.lower(1, 1, 0) == 7.94
-    assert floors_only.lower(125, 5, 1) == 21.0          # member distinct row
-    assert floors_only.lower(3, 1, 1) == 10.0            # 3 not an element here
-    with pytest.raises(CertificateError, match="no lower bound"):
-        floors_only.lower(2, 1, 1)                       # excluded pair pattern
+    assert flb.floor(1, 1, 0) == 7.94
+    assert flb.floor(125, 5, 1) == 21.0                  # member distinct row
+    assert flb.floor(3, 1, 1) == 10.0                    # 3 not an element here
+    assert flb.floor(-1, 0, 1) == 7.94                   # signs and order do not matter
+    assert flb.floor(2, 1, 1) is None                    # excluded pair pattern
 
 
 def test_f_lower_bounds_excluded_distinct():
-    floors_only = ct.FLowerBounds(A5, numeric=False)
-    with pytest.raises(CertificateError):
-        floors_only.lower(3, 2, 0)
-    flb = ct.FLowerBounds(A5)                            # quadrature rescues it
-    assert 13.0 < flb.lower(3, 2, 0) < 14.0
+    flb = ct.FLowerBounds(A5)
+    assert flb.floor(3, 2, 0) is None
+    assert 13.0 < flb.lower(3, 2, 0) < 14.0              # quadrature rescues it
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +441,7 @@ def test_systems_global_row_equality_case():
 def test_dispatch_rejects_unknown_shape():
     from lacuna.spectrum import ClassifiedPoint, ExceptionKind
 
-    flb = ct.FLowerBounds(A5, numeric=False)
+    flb = ct.FLowerBounds(A5)
     bogus = ClassifiedPoint(
         point=9,
         reps=(TripleRep((1, 3, 5)), TripleRep((0, 4, 5))),

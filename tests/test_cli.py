@@ -108,6 +108,13 @@ def test_integrals_tilde_table_route(capsys):
     assert "order_cap must be >= 1" in err and "r_max" not in err
 
 
+def test_integrals_tilde_past_certified_range_exits_2(capsys):
+    # past order 532 the table's gap is not certified: no value is printed
+    code, out, err = run(capsys, "integrals", "tilde", "533", "0", "0")
+    assert code == 2 and out == ""
+    assert "order 533 exceeds 532" in err
+
+
 def test_integrals_direct_csv(capsys):
     code, out, _ = run(capsys, "integrals", "direct", "--", "1", "-1", "0", "0", "1", "-1")
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -172,6 +179,13 @@ def test_tol_below_proven_bound_exits_2(capsys, argv):
 def test_integrals_sweep_unknown_suite(capsys):
     code, _, err = run(capsys, "integrals", "sweep", "--suite", "nope")
     assert code == 2 and "unknown suite" in err
+
+
+def test_integrals_sweep_needs_an_order(capsys):
+    # n_max 0 leaves every family empty: a pass would check nothing
+    code, out, err = run(capsys, "integrals", "sweep", "--suite", "bounds-f", "--n-max", "0")
+    assert code == 2 and out == ""
+    assert "n_max must be >= 1" in err
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ def test_tilde_reference_value(table12):
     got = ig.i_tilde(0, 0, 0, table12)
     assert got.value == pytest.approx(TILDE_000, rel=1.0e-12)
     assert got.error_bound == 0.01
-    assert got.guaranteed
     assert got.method == "quadrature_lemma8"
     assert got.lo < got.value < got.hi
 
@@ -77,15 +76,14 @@ def test_tilde_input_validation(table12):
         ig.i_tilde(13, 0, 0, table12)  # beyond this table's rows
 
 
-def test_tilde_past_guarantee_cap_is_flagged():
+def test_tilde_past_guarantee_cap_is_refused():
     tab = ig.build_table(533)
     inside = ig.i_tilde(532, 0, 0, tab)
-    assert inside.guaranteed
     assert inside.value > 0.0 and math.isfinite(inside.value)
-    outside = ig.i_tilde(533, 0, 0, tab)
-    assert not outside.guaranteed
-    assert outside.value > 0.0 and math.isfinite(outside.value)
-    assert math.isfinite(outside.error_bound)
+    with pytest.raises(RangeError, match="certified range"):
+        ig.i_tilde(533, 0, 0, tab)
+    with pytest.raises(RangeError, match="certified range"):
+        ig.i_tilde(0, 533, 1, tab)
 
 
 def test_direct_reference_values():
