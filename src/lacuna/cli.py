@@ -237,8 +237,12 @@ def cmd_integrals_tilde(args: argparse.Namespace) -> Report:
     k, m, n = args.orders
     if args.order_cap < 1:
         raise RangeError(f"order_cap must be >= 1, got {args.order_cap}")
-    cap = max(args.order_cap, abs(k), abs(m), abs(n))
-    table = ig.build_table(cap)
+    top = max(abs(k), abs(m), abs(n))
+    if top > ig.ORDER_GUARANTEE_CAP:
+        raise RangeError(
+            f"order {top} exceeds {ig.ORDER_GUARANTEE_CAP}, the table route's certified range"
+        )
+    table = ig.build_table(max(args.order_cap, top))
     return _triple_report("integrals.tilde", k, m, n, ig.i_tilde(abs(k), abs(m), abs(n), table))
 
 
@@ -260,7 +264,7 @@ def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
     n_max = args.n_max
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}: no family would be checked")
-    sweep = ig.sweep_diagonal(n_max, r_max=args.r_max, tol=args.tol, cache=not args.no_cache)
+    sweep = ig.sweep_diagonal(n_max, r_max=args.r_max, tol=args.tol)
     rows: list[dict] = []
 
     def family(label: str, points: list[tuple[int, int, int]], threshold: float) -> None:
@@ -692,7 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = int_subs.add_parser("sweep", parents=[common])
     p_sweep.add_argument("--suite", required=True)
     p_sweep.add_argument("--n-max", type=int, default=ig.SWEEP_N_MAX)
-    p_sweep.add_argument("--no-cache", action="store_true", help="bypass the on-disk sweep cache")
     p_sweep.set_defaults(func=cmd_integrals_sweep)
     for sub in (p_f, p_copt, p_direct):  # the table route takes neither
         sub.add_argument("--r-max", dest="r_max", type=float, default=ig.DEFAULT_R_MAX)

@@ -32,14 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .bessel import MAX_ORDER, besselj, besselj_batch, j1_zeros
+from .bessel import besselj, besselj_batch, j1_zeros
 from .errors import QuadratureError, RangeError
 
 GL_ORDER = 10
@@ -55,7 +52,6 @@ SWEEP_R_MAX = 40000.0
 SWEEP_TOL = 2.0e-6
 MIN_R_MAX = 100.0
 NODE_COUNT = 1001
-SWEEP_VERSION = 6                    # bump when sweep bits move
 BESSEL_BLOCK = 4096                  # nodes per pass of the grid kernels
 ELLIPSE_RHO = 20.0                   # Bernstein ellipse of the discretisation bound
 LANDAU_C = 0.7857468705              # |J_n(x)| <= c x^(-1/3), n >= 0 (Landau 2000)
@@ -69,12 +65,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 _LOG_ALIAS_TOL = math.log(ALIAS_TOL)
 
 _METHODS = ("quadrature_lemma8", "direct_truncated")
-
-
-def cache_dir() -> Path:
-    """Directory for persisted sweeps; honours LACUNA_CACHE_DIR."""
-    root = os.environ.get("LACUNA_CACHE_DIR")
-    return Path(root) if root else Path.home() / ".cache" / "lacuna-verify"
 
 
 @dataclass(frozen=True)
@@ -116,39 +106,18 @@ class QuadratureTable:
     order_cap: int
 
 
-def _load_cached(path: Path, *keys: str) -> list[np.ndarray] | None:
-    """The named arrays of a cache file, or None when it is absent or unreadable."""
-    try:
-        with np.load(path) as data:
-            return [data[k] for k in keys]
-    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
-        # missing, empty, truncated, pickled, a bare .npy, or lacking a key
-        return None
-
-
-def _save_cached(path: Path, **arrays: np.ndarray) -> None:
-    # write beside the target, then rename, so readers never see a partial file
-    tmp = path.with_suffix(".tmp.npz")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(tmp, **arrays)
-        os.replace(tmp, path)
-    except OSError:
-        # an unusable cache directory (a file, read-only, full) means "not cached"
-        pass
-
-
 def build_table(order_cap: int) -> QuadratureTable:
-    """Build the quadrature table for orders 0..order_cap.
+    """Build the quadrature table for orders 0..order_cap <= ORDER_GUARANTEE_CAP.
 
     Built in memory on every call, a few tenths of a second, and never
-    written to disk; the sweep is the only cached result.
+    written to disk. Rows past ORDER_GUARANTEE_CAP would carry no
+    certified gap, so ``i_tilde`` could not read them; they are refused.
     """
     if not isinstance(order_cap, (int, np.integer)) or isinstance(order_cap, bool):
         raise RangeError(f"order_cap must be an integer, got {order_cap!r}")
     order_cap = int(order_cap)
-    if not 0 <= order_cap <= MAX_ORDER:
-        raise RangeError(f"order_cap {order_cap} outside [0, {MAX_ORDER}]")
+    if not 0 <= order_cap <= ORDER_GUARANTEE_CAP:
+        raise RangeError(f"order_cap {order_cap} outside [0, {ORDER_GUARANTEE_CAP}]")
     zeros = j1_zeros(NODE_COUNT).zeros
     j0_at = besselj(0, zeros)
     if np.any(np.abs(j0_at) <= 1.0e-3):
@@ -174,16 +143,13 @@ def i_tilde(k: int, m: int, n: int, table: QuadratureTable) -> IntegralValue:
     """Discrete 1001-node estimate of the diagonal integral from below.
 
     The sum undershoots I(k,k,m,m,n,n) by an amount in (0, 1e-2), a gap
-    certified only for max(k,m,n) <= ORDER_GUARANTEE_CAP; larger orders
-    are a ``RangeError``.
+    certified only for max(k,m,n) <= ORDER_GUARANTEE_CAP, past which
+    ``build_table`` holds no rows; orders past the table's rows are a
+    ``RangeError``.
     """
     ks = sorted(_check_order(v, table.order_cap, "order") for v in (k, m, n))
     if ks[0] < 0:
         raise RangeError(f"orders must be non-negative, got {(k, m, n)}")
-    if ks[2] > ORDER_GUARANTEE_CAP:
-        raise RangeError(
-            f"order {ks[2]} exceeds {ORDER_GUARANTEE_CAP}, the table route's certified range"
-        )
     a, b, c = (table.bessel_cache[:, v] for v in ks)
     terms = table.weights * (a * a) * (b * b) * (c * c)
     return IntegralValue(math.fsum(terms), TABLE_GAP, "quadrature_lemma8")
@@ -633,37 +599,26 @@ def _diagonal_stack(n_max: int, r_max: float) -> np.ndarray:
     return out
 
 
-def _sweep_path(n_max: int, r_max: float) -> Path:
-    return cache_dir() / (
-        f"sweep_v{SWEEP_VERSION}_{n_max}_{r_max:g}_{GL_ORDER}_{PANEL_WIDTH:.17g}.npz"
-    )
-
-
 def sweep_diagonal(
     n_max: int = SWEEP_N_MAX,
     *,
     r_max: float = SWEEP_R_MAX,
     tol: float = SWEEP_TOL,
-    cache: bool = True,
 ) -> DiagonalSweep:
     """Direct-route quadrature of all diagonal triples with orders <= n_max.
 
     One pi/4 pass, bounded and checked against ``tol`` as in i_direct,
     with one matrix product of the sorted order pairs per block of nodes
-    in place of ~n_max^3/6 independent quadratures.
+    in place of ~n_max^3/6 independent quadratures. Computed on every
+    call and never stored: the result depends on the arguments alone.
     """
     if not isinstance(n_max, (int, np.integer)) or not 0 <= int(n_max) <= MAX_SEXTET_ORDER:
         raise RangeError(f"n_max must be an integer in [0, {MAX_SEXTET_ORDER}]")
     n_max = int(n_max)
     validate_quad_params(r_max, tol, n_max)
-    path = _sweep_path(n_max, r_max)
-    loaded = _load_cached(path, "direct") if cache else None
-    if loaded is None or loaded[0].shape != (n_max + 1,) * 3:
-        stack = _diagonal_stack(n_max, r_max)
-        # exact permutation symmetry: every entry takes its sorted triple's value
-        a, b, c = np.sort(np.indices(stack.shape).reshape(3, -1), axis=0)
-        loaded = [stack[a, b, c].reshape(stack.shape)]
-        if cache:
-            _save_cached(path, direct=loaded[0])
-    loaded[0].setflags(write=False)
-    return DiagonalSweep(n_max, loaded[0], quad_bound(r_max, n_max), r_max)
+    stack = _diagonal_stack(n_max, r_max)
+    # exact permutation symmetry: every entry takes its sorted triple's value
+    a, b, c = np.sort(np.indices(stack.shape).reshape(3, -1), axis=0)
+    direct = stack[a, b, c].reshape(stack.shape)
+    direct.setflags(write=False)
+    return DiagonalSweep(n_max, direct, quad_bound(r_max, n_max), r_max)

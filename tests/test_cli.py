@@ -108,11 +108,22 @@ def test_integrals_tilde_table_route(capsys):
     assert "order_cap must be >= 1" in err and "r_max" not in err
 
 
-def test_integrals_tilde_past_certified_range_exits_2(capsys):
-    # past order 532 the table's gap is not certified: no value is printed
-    code, out, err = run(capsys, "integrals", "tilde", "533", "0", "0")
+def test_integrals_tilde_past_certified_range_exits_2(capsys, monkeypatch):
+    # past order 532 the table's gap is not certified: no value is printed,
+    # and no table is built to find that out
+    from lacuna import integrals as ig
+
+    def forbidden(order_cap):
+        raise AssertionError(f"built a table to order {order_cap}")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ig, "build_table", forbidden)
+        code, out, err = run(capsys, "integrals", "tilde", "533", "0", "0")
     assert code == 2 and out == ""
     assert "order 533 exceeds 532" in err
+    # the table itself holds no row past the certified range
+    code, out, err = run(capsys, "integrals", "tilde", "1", "0", "0", "--order-cap", "533")
+    assert code == 2 and out == "" and "order_cap 533 outside" in err
 
 
 def test_integrals_direct_csv(capsys):
@@ -129,7 +140,7 @@ def test_integrals_sweep_low_precision_fails_honestly(capsys):
         capsys,
         "integrals", "sweep", "--suite", "bounds-f",
         "--n-max", "4", "--r-max", "4000", "--tol", "1e-5",
-        "--no-cache", "--format", "json",
+        "--format", "json",
     )
     payload = json.loads(out)
     assert code == 1 and payload["passed"] is False
@@ -142,7 +153,7 @@ def test_integrals_sweep_csv_plain_floats(capsys):
     # numpy reprs, and each one reads back as the json report's value
     args = (
         "integrals", "sweep", "--suite", "bounds-f",
-        "--n-max", "4", "--r-max", "4000", "--tol", "1e-5", "--no-cache",
+        "--n-max", "4", "--r-max", "4000", "--tol", "1e-5",
     )
     code_csv, out_csv, _ = run(capsys, *args)
     code_json, out_json, _ = run(capsys, *args, "--format", "json")
@@ -168,7 +179,7 @@ def test_integrals_direct_r_max_below_order_exits_2(capsys):
     "argv",
     [
         ("certify", "--base", "4", "--depth", "3", "--trials", "1"),
-        ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "2", "--no-cache"),
+        ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "2"),
     ],
 )
 def test_tol_below_proven_bound_exits_2(capsys, argv):
@@ -382,34 +393,6 @@ def test_certify_support_past_the_literal_cap(capsys):
     assert trial["margin"] > trial["error_budget"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("integrals", "tilde", "1", "0", "0", "--order-cap", "5"),
-        ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "2"),
-    ],
-)
-def test_unusable_cache_dir_only_skips_caching(tmp_path, monkeypatch, capsys, argv):
-    monkeypatch.setenv("LACUNA_CACHE_DIR", str(tmp_path / "cache"))
-    code, good, _ = run(capsys, *argv)
-    assert code == 0
-    not_a_dir = tmp_path / "file"
-    not_a_dir.write_text("")
-    monkeypatch.setenv("LACUNA_CACHE_DIR", str(not_a_dir))
-    code, out, err = run(capsys, *argv)
-    assert code == 0 and err == ""
-    assert out == good
-
-
-def test_table_route_writes_no_cache(tmp_path, monkeypatch, capsys):
-    # the table is rebuilt on every run; only the sweep is stored
-    monkeypatch.setenv("LACUNA_CACHE_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "integrals", "tilde", "1", "0", "0", "--order-cap", "5")
-    assert code == 0
-    assert out == "k,m,n,value,error,method\n1,0,0,0.06734252275225694,0.01,quadrature_lemma8\n"
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_certify_coefficient_file(tmp_path, capsys):
     path = tmp_path / "coeff.csv"
     path.write_text("n,re,im\n1,1.0,0.0\n-1,1.0,0.0\n")
@@ -507,7 +490,7 @@ _PROBE = (
         ("spectrum", "classify", "--base", "5", "--depth", "3"),
         ("integrals", "tilde", "1", "0", "0", "--order-cap", "8"),
         ("integrals", "direct", "1", "1", "0", "0", "1", "1"),
-        ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "2", "--no-cache"),
+        ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "2"),
         ("certify", "--base", "4", "--depth", "3", "--trials", "2"),
     ],
     ids=["import", "classify", "tilde", "direct", "sweep", "certify"],
@@ -516,7 +499,6 @@ def test_no_command_imports_scipy(tmp_path, argv):
     env = {
         **os.environ,
         "PYTHONPATH": str(Path(lacuna.__file__).resolve().parents[1]),
-        "LACUNA_CACHE_DIR": str(tmp_path),
     }
     command = [sys.executable, "-c", _PROBE]
     if argv:
@@ -555,7 +537,7 @@ _LEAVES = [
         # at r_max 4000 the pair-zero family fails, so the suite exits 1
         (
             "integrals", "sweep", "--suite", "bounds-f",
-            "--n-max", "2", "--r-max", "4000", "--tol", "1e-5", "--no-cache",
+            "--n-max", "2", "--r-max", "4000", "--tol", "1e-5",
         ),
         ["family", "threshold", "worst_point", "worst_lo", "margin", "status"],
         1,
@@ -598,16 +580,59 @@ def test_every_command_renders_every_format(capsys, argv, header, expected_code,
         assert out.strip() and out.endswith("\n") and not out.endswith("\n\n")
 
 
-# only the sweep reads or writes a cache file, so only it takes --no-cache
-_CACHELESS = [argv for argv, _, _ in _LEAVES if argv[:2] != ("integrals", "sweep")]
-
-
-@pytest.mark.parametrize("argv", _CACHELESS, ids=[_leaf_id(a) for a in _CACHELESS])
-def test_no_cache_belongs_to_the_sweep_alone(capsys, argv):
+# no command keeps state between runs, so none takes --no-cache
+@pytest.mark.parametrize(
+    "argv", [a for a, _, _ in _LEAVES], ids=[_leaf_id(a) for a, _, _ in _LEAVES]
+)
+def test_no_cache_is_refused_by_every_command(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--no-cache"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+# one fresh interpreter runs each [argv, report path] job given as json, printing the exit codes
+_RUN_ALL = (
+    "import json, sys\n"
+    "import lacuna.cli\n"
+    "jobs = json.loads(sys.argv[1])\n"
+    "print(json.dumps([lacuna.cli.main([*argv, '--output', out]) for argv, out in jobs]))\n"
+)
+_SWEEP8 = ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "8", "--format", "json")
+
+
+def test_nothing_is_written_outside_output(tmp_path):
+    home, cache, reports = (tmp_path / name for name in ("home", "cache", "reports"))
+    for d in (home, cache, reports):
+        d.mkdir()
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(lacuna.__file__).resolve().parents[1]),
+        "HOME": str(home),
+        "LACUNA_CACHE_DIR": str(cache),
+    }
+
+    def run_all(*argvs):
+        jobs = [[list(argv), str(reports / f"{i}.out")] for i, argv in enumerate(argvs)]
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_ALL, json.dumps(jobs)],
+            capture_output=True, text=True, env=env, cwd=reports,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout), [Path(out).read_bytes() for _, out in jobs]
+
+    tilde5 = ("integrals", "tilde", "1", "0", "0", "--order-cap", "5")
+    codes, outputs = run_all(*(argv for argv, _, _ in _LEAVES), tilde5, _SWEEP8)
+    assert codes == [code for _, _, code in _LEAVES] + [0, 0]
+    assert list(home.iterdir()) == [] and list(cache.iterdir()) == []
+    assert outputs[-2] == (
+        b"k,m,n,value,error,method\n1,0,0,0.06734252275225694,0.01,quadrature_lemma8\n"
+    )
+    # wrong values where earlier versions kept this sweep between runs
+    junk = np.full((9, 9, 9), 1.0e3)
+    np.savez(cache / "sweep_v6_8_40000_10_0.78539816339744828.npz", direct=junk)
+    _, [again] = run_all(_SWEEP8)
+    assert again == outputs[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -77,12 +77,15 @@ def test_tilde_input_validation(table12):
 
 
 def test_tilde_past_guarantee_cap_is_refused():
-    tab = ig.build_table(533)
+    # the table holds no row past the certified range, so none can be read
+    with pytest.raises(RangeError, match="order_cap 533 outside"):
+        ig.build_table(533)
+    tab = ig.build_table(532)
     inside = ig.i_tilde(532, 0, 0, tab)
     assert inside.value > 0.0 and math.isfinite(inside.value)
-    with pytest.raises(RangeError, match="certified range"):
+    with pytest.raises(RangeError, match="order 533 outside"):
         ig.i_tilde(533, 0, 0, tab)
-    with pytest.raises(RangeError, match="certified range"):
+    with pytest.raises(RangeError, match="order 533 outside"):
         ig.i_tilde(0, 533, 1, tab)
 
 
@@ -153,7 +156,7 @@ def test_direct_rejects_r_max_at_or_below_order():
     with pytest.raises(RangeError):
         ig.i_direct_moduli((0, 0, 0, 0, 200, 200), 200.0)
     with pytest.raises(RangeError, match="order 200"):
-        ig.sweep_diagonal(200, r_max=150.0, cache=False)
+        ig.sweep_diagonal(200, r_max=150.0)
 
 
 def test_proven_bound_within_default_tol_plus_plain_tail():
@@ -238,7 +241,7 @@ def test_one_quadrature_pass_per_value(monkeypatch):
     # an r_max no other test uses, so the memo misses
     ig.i_direct((1, 1, 2, 2, 3, 5), r_max=1357.0)
     assert counts["_product_on_grid"] == 1
-    ig.sweep_diagonal(3, r_max=1357.0, cache=False)
+    ig.sweep_diagonal(3, r_max=1357.0)
     assert counts["_diagonal_stack"] == 1
 
 
@@ -322,7 +325,7 @@ def test_copt_values_and_consistency():
 
 
 def test_sweep_matches_direct_quadrature():
-    sw = ig.sweep_diagonal(6, r_max=4000.0, tol=1.0e-5, cache=False)
+    sw = ig.sweep_diagonal(6, r_max=4000.0, tol=1.0e-5)
     assert sw.quad_diff <= 1.0e-5
     for trip in [(0, 0, 0), (1, 1, 0), (2, 4, 6), (6, 6, 6), (0, 3, 5)]:
         a, b, c = trip
@@ -333,24 +336,6 @@ def test_sweep_matches_direct_quadrature():
     assert sw.value(5, 0, 3) == sw.value(0, 3, 5)
     with pytest.raises(RangeError):
         sw.value(7, 0, 0)
-
-
-def test_sweep_disk_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("LACUNA_CACHE_DIR", str(tmp_path))
-    first = ig.sweep_diagonal(3, r_max=1000.0, tol=1.0e-4, cache=True)
-    assert list(tmp_path.glob("sweep_*.npz"))
-    second = ig.sweep_diagonal(3, r_max=1000.0, tol=1.0e-4, cache=True)
-    assert np.array_equal(first.direct, second.direct)
-
-
-@pytest.mark.parametrize("junk", [b"garbage", b"", b"PK\x03\x04"])
-def test_sweep_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, junk):
-    monkeypatch.setenv("LACUNA_CACHE_DIR", str(tmp_path))
-    path = ig._sweep_path(3, 1000.0)
-    path.write_bytes(junk)
-    sw = ig.sweep_diagonal(3, r_max=1000.0, tol=1.0e-4, cache=True)
-    with np.load(path) as data:
-        assert np.array_equal(data["direct"], sw.direct)
 
 
 def test_threshold_window_from_sweep(sweep40):
@@ -487,7 +472,7 @@ def test_direct_route_uses_no_package_bessel(monkeypatch):
     # parameters no other test uses, so nothing comes from a memo
     got = ig.i_direct((1, 1, 2, 2, 3, 3), r_max=1234.0)
     assert got.value > 0.0
-    sw = ig.sweep_diagonal(3, r_max=1234.0, tol=1.0e-4, cache=False)
+    sw = ig.sweep_diagonal(3, r_max=1234.0, tol=1.0e-4)
     assert sw.value(1, 2, 3) == pytest.approx(got.value, abs=5.0e-11)
 
 
@@ -507,17 +492,6 @@ def test_f_ratio_reuses_direct_values(monkeypatch):
     signed = ig.f_ratio(0, -1, 2, r_max=1500.0)
     assert len(calls) == seen
     assert again == first and signed.value == first.value
-
-
-def test_cache_file_versions_are_separate(monkeypatch):
-    sweep = ig._sweep_path(3, 1000.0)
-    assert sweep.name.startswith(f"sweep_v{ig.SWEEP_VERSION}_")
-    monkeypatch.setattr(ig, "SWEEP_VERSION", ig.SWEEP_VERSION + 1)
-    bumped = ig._sweep_path(3, 1000.0)
-    assert bumped != sweep
-    # the panel width changes every sweep value, so it is part of the key
-    monkeypatch.setattr(ig, "PANEL_WIDTH", ig.PANEL_WIDTH / 2)
-    assert ig._sweep_path(3, 1000.0) != bumped
 
 
 def test_table_uses_array_passes(monkeypatch):
