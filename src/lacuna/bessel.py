@@ -257,18 +257,13 @@ class ZeroSequence:
     """Zeros of J1 in increasing order, with sigma_0 = 0 included.
 
     ``zeros[r]`` is the r-th zero; every positive entry satisfies
-    |J1(zero)| <= ``tol``.
+    |J1(zero)| <= ZERO_TOL.
     """
 
     zeros: np.ndarray
-    tol: float = ZERO_TOL
 
     def __post_init__(self) -> None:
         self.zeros.setflags(write=False)
-
-    @property
-    def count(self) -> int:
-        return len(self.zeros)
 
 
 def _mcmahon_j1(r: np.ndarray) -> np.ndarray:

@@ -218,7 +218,7 @@ def _triple_report(command: str, k: int, m: int, n: int, iv: ig.IntegralValue) -
 
 def cmd_integrals_f(args: argparse.Namespace) -> Report:
     k, m, n = args.orders
-    rv = ig.f_ratio(k, m, n, r_max=args.r_max, tol=args.tol)
+    rv = ig.f_ratio(k, m, n, r_max=args.r_max)
     err = max(rv.value - rv.lo, rv.hi - rv.value)
     return Report(
         {"command": "integrals.F", "k": k, "m": m, "n": n,
@@ -230,7 +230,7 @@ def cmd_integrals_f(args: argparse.Namespace) -> Report:
 
 
 def cmd_integrals_copt(args: argparse.Namespace) -> Report:
-    return _triple_report("integrals.copt", 0, 0, 0, ig.c_opt(r_max=args.r_max, tol=args.tol))
+    return _triple_report("integrals.copt", 0, 0, 0, ig.c_opt(r_max=args.r_max))
 
 
 def cmd_integrals_tilde(args: argparse.Namespace) -> Report:
@@ -248,7 +248,7 @@ def cmd_integrals_tilde(args: argparse.Namespace) -> Report:
 
 def cmd_integrals_direct(args: argparse.Namespace) -> Report:
     orders = list(args.orders)
-    iv = ig.i_direct(tuple(orders), r_max=args.r_max, tol=args.tol)
+    iv = ig.i_direct(tuple(orders), r_max=args.r_max)
     return Report(
         {"command": "integrals.direct", "orders": orders,
          "value": iv.value, "error": iv.error_bound, "method": iv.method},
@@ -264,7 +264,7 @@ def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
     n_max = args.n_max
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}: no family would be checked")
-    sweep = ig.sweep_diagonal(n_max, r_max=args.r_max, tol=args.tol)
+    sweep = ig.sweep_diagonal(n_max, r_max=args.r_max)
     rows: list[dict] = []
 
     def family(label: str, points: list[tuple[int, int, int]], threshold: float) -> None:
@@ -356,7 +356,6 @@ def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
             "config": {
                 "n_max": n_max,
                 "r_max": args.r_max,
-                "tol": args.tol,
                 "quad_diff": sweep.quad_diff,
             },
             "rows": rows,
@@ -545,7 +544,7 @@ def cmd_certify(args: argparse.Namespace) -> Report:
     if not math.isfinite(args.b):
         raise RangeError(f"b must be finite, got {args.b}")
     spectrum = _spectrum_from_args(args)
-    ig.validate_quad_params(args.r_max, args.tol, spectrum.top)
+    ig.quad_bound(args.r_max, spectrum.top)  # refuses a bad r_max before any grid
     # the vectors come first: a bad --coeff file is a usage error whatever b is
     jobs: list[tuple[int, str, ct.CoefficientVector]] = []
     if args.coeff == "const":
@@ -568,7 +567,6 @@ def cmd_certify(args: argparse.Namespace) -> Report:
             "trials": args.trials,
             "seed": args.seed,
             "r_max": args.r_max,
-            "tol": args.tol,
             "coeff": args.coeff,
         },
         "b_interval": {
@@ -697,11 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--suite", required=True)
     p_sweep.add_argument("--n-max", type=int, default=ig.SWEEP_N_MAX)
     p_sweep.set_defaults(func=cmd_integrals_sweep)
-    for sub in (p_f, p_copt, p_direct):  # the table route takes neither
+    for sub in (p_f, p_copt, p_direct):  # the table route takes no --r-max
         sub.add_argument("--r-max", dest="r_max", type=float, default=ig.DEFAULT_R_MAX)
-        sub.add_argument("--tol", type=float, default=ig.DEFAULT_TOL)
     p_sweep.add_argument("--r-max", dest="r_max", type=float, default=ig.SWEEP_R_MAX)
-    p_sweep.add_argument("--tol", type=float, default=ig.SWEEP_TOL)
 
     p_spec = subs.add_parser("spectrum", help="triple-sum classification")
     p_spec.set_defaults(default_fmt="json")
@@ -726,7 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="coefficient CSV (header n,re,im) or the literal 'const'",
     )
     p_cert.add_argument("--r-max", dest="r_max", type=float, default=ig.DEFAULT_R_MAX)
-    p_cert.add_argument("--tol", type=float, default=ig.DEFAULT_TOL)
     p_cert.set_defaults(func=cmd_certify, default_fmt="json")
     return parser
 

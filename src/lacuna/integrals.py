@@ -13,8 +13,9 @@ routes:
   Bessel factors come from this package's own evaluator (lacuna.bessel).
 * direct route (``i_direct``, and ``sweep_diagonal`` for every diagonal
   triple at once): one pass of 10-node Gauss-Legendre panels of width
-  <= pi/4 on [0, R], for orders <= N < R. Its bound is proven before
-  the pass: disc(R) + eval(R, N) + tail(R, N), see ``quad_bound`` and
+  <= pi/4 on [0, R], for orders <= N < R and 100 <= R <= 40000. Its
+  bound is proven before the pass and is the only accuracy setting:
+  disc(R) + eval(R, N) + tail(R, N), see ``quad_bound`` and
   ``tail_bound``. Bessel factors come from a numpy kernel in this
   module (``_bessel_rows``): the trapezoid rule on Bessel's integral on
   nodes r <= max(n, X0), and J0, J1 from Hankel's expansion carried up
@@ -46,11 +47,11 @@ ORDER_GUARANTEE_CAP = 532            # table gap bound certified up to here
 TABLE_GAP = 1.0e-2                   # one-sided gap bound of the table route
 MAX_SEXTET_ORDER = 532
 DEFAULT_R_MAX = 4000.0
-DEFAULT_TOL = 1.0e-6                 # ceiling on the proven quadrature bound
 SWEEP_N_MAX = 40                     # the diagonal sweep's default grid
 SWEEP_R_MAX = 40000.0
-SWEEP_TOL = 2.0e-6
 MIN_R_MAX = 100.0
+# the largest grid on which the tests pin the direct route's Bessel factors
+MAX_R_MAX = 40000.0
 NODE_COUNT = 1001
 BESSEL_BLOCK = 4096                  # nodes per pass of the grid kernels
 ELLIPSE_RHO = 20.0                   # Bernstein ellipse of the discretisation bound
@@ -422,44 +423,41 @@ def _eval_bound(r_max: float, top: int) -> float:
 
 
 def quad_bound(r_max: float, top: int) -> float:
-    """Proven error of the one pass on [0, r_max] for orders <= top: disc + eval."""
+    """Proven error of the one pass on [0, r_max] for orders <= top: disc + eval.
+
+    It refuses an r_max outside [MIN_R_MAX, MAX_R_MAX] or at or below top
+    before it, or any caller, builds a grid.
+    """
     if not (MIN_R_MAX <= r_max < math.inf and r_max > top):
         raise RangeError(f"r_max must be finite, >= {MIN_R_MAX} and > order {top}, got {r_max!r}")
+    if r_max > MAX_R_MAX:
+        raise RangeError(f"r_max {r_max!r} exceeds {MAX_R_MAX}, the largest supported grid")
     return _disc_bound(r_max) + _eval_bound(r_max, top)
-
-
-def validate_quad_params(r_max: float, tol: float, top: int) -> None:
-    """Check r_max, and tol as a ceiling on the proven quadrature bound."""
-    bound = quad_bound(r_max, top)
-    if not bound <= tol < math.inf:
-        raise RangeError(f"tol={tol!r} must be finite and >= the proven quad bound {bound:.3e}")
 
 
 def i_direct(
     index: tuple[int, int, int, int, int, int],
     *,
     r_max: float = DEFAULT_R_MAX,
-    tol: float = DEFAULT_TOL,
 ) -> IntegralValue:
     """Direct quadrature of the sextet integral, the table route's oracle.
 
     One pass of Gauss-Legendre panels of width <= pi/4 on [0, r_max] > N,
     the largest order. Its bound, quad_bound + tail_bound, is proven before
-    the pass; ``tol`` is only a ceiling on quad_bound. Bessel factors come
-    from this module's numpy kernel (see ``_bessel_rows``), within 7.0e-14
-    of scipy's jv on the default grid. Values are memoised on the sorted
-    moduli (``i_direct_moduli``), so a repeated sextet, in any order and
-    with any signs, costs one lookup.
+    the pass; quad_bound, run on every memo miss, refuses a bad r_max.
+    Bessel factors come from this module's numpy kernel (see
+    ``_bessel_rows``), within 7.0e-14 of scipy's jv on the default grid.
+    Values are memoised on the sorted moduli (``i_direct_moduli``), so a
+    repeated sextet, in any order and with any signs, costs one lookup.
     """
     if len(index) != 6:
         raise RangeError(f"need exactly six orders, got {len(index)}")
     orders = tuple(_check_order(n, MAX_SEXTET_ORDER, "order") for n in index)
-    validate_quad_params(r_max, tol, max(abs(n) for n in orders))
     return i_direct_signed(orders, r_max)
 
 
 def i_direct_signed(sextet: tuple[int, ...], r_max: float) -> IntegralValue:
-    """i_direct without its per-call checks, for callers that made them."""
+    """i_direct without its order checks, for callers that made them."""
     base = i_direct_moduli(tuple(sorted(abs(n) for n in sextet)), r_max)
     # J_{-n} = (-1)^n J_n turns signs into one global parity factor
     if sum(abs(n) for n in sextet if n < 0) % 2:
@@ -504,17 +502,18 @@ def f_ratio(
     n3: int,
     *,
     r_max: float = DEFAULT_R_MAX,
-    tol: float = DEFAULT_TOL,
 ) -> RatioValue:
     """Interaction-strength ratio F; direct route on both operands.
 
     The table route's 1e-2 gap is far too coarse for the threshold
     comparisons downstream (it would wash out margins of order 1e-1), so
-    both numerator and denominator use the direct quadrature.
+    both numerator and denominator use the direct quadrature. The
+    denominator, with the larger orders, comes first, so an r_max at or
+    below them is refused before any grid is built.
     """
-    num = i_direct((0, 0, 0, 0, 0, 0), r_max=r_max, tol=tol)
     a, b, c = sorted(abs(_check_order(v, MAX_SEXTET_ORDER, "order")) for v in (n1, n2, n3))
-    den = i_direct((a, a, b, b, c, c), r_max=r_max, tol=tol)
+    den = i_direct((a, a, b, b, c, c), r_max=r_max)
+    num = i_direct((0, 0, 0, 0, 0, 0), r_max=r_max)
     if den.lo <= 0.0:
         raise QuadratureError(
             f"denominator interval [{den.lo}, {den.hi}] touches zero; "
@@ -529,9 +528,9 @@ def f_ratio(
     )
 
 
-def c_opt(*, r_max: float = DEFAULT_R_MAX, tol: float = DEFAULT_TOL) -> IntegralValue:
+def c_opt(*, r_max: float = DEFAULT_R_MAX) -> IntegralValue:
     """The sharp-constant candidate (2 pi)^4 * I(0,...,0)."""
-    base = i_direct((0, 0, 0, 0, 0, 0), r_max=r_max, tol=tol)
+    base = i_direct((0, 0, 0, 0, 0, 0), r_max=r_max)
     scale = (2.0 * math.pi) ** 4
     return IntegralValue(scale * base.value, scale * base.error_bound, "direct_truncated")
 
@@ -603,11 +602,10 @@ def sweep_diagonal(
     n_max: int = SWEEP_N_MAX,
     *,
     r_max: float = SWEEP_R_MAX,
-    tol: float = SWEEP_TOL,
 ) -> DiagonalSweep:
     """Direct-route quadrature of all diagonal triples with orders <= n_max.
 
-    One pi/4 pass, bounded and checked against ``tol`` as in i_direct,
+    One pi/4 pass, bounded as in i_direct before any grid is built,
     with one matrix product of the sorted order pairs per block of nodes
     in place of ~n_max^3/6 independent quadratures. Computed on every
     call and never stored: the result depends on the arguments alone.
@@ -615,10 +613,10 @@ def sweep_diagonal(
     if not isinstance(n_max, (int, np.integer)) or not 0 <= int(n_max) <= MAX_SEXTET_ORDER:
         raise RangeError(f"n_max must be an integer in [0, {MAX_SEXTET_ORDER}]")
     n_max = int(n_max)
-    validate_quad_params(r_max, tol, n_max)
+    quad = quad_bound(r_max, n_max)
     stack = _diagonal_stack(n_max, r_max)
     # exact permutation symmetry: every entry takes its sorted triple's value
     a, b, c = np.sort(np.indices(stack.shape).reshape(3, -1), axis=0)
     direct = stack[a, b, c].reshape(stack.shape)
     direct.setflags(write=False)
-    return DiagonalSweep(n_max, direct, quad_bound(r_max, n_max), r_max)
+    return DiagonalSweep(n_max, direct, quad, r_max)

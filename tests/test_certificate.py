@@ -20,7 +20,7 @@ A5 = make_spectrum(base=5, depth=4)      # {0, +-1, +-5, +-25, +-125}
 A4 = make_spectrum(base=4, depth=5)      # {0, +-1, +-4, ..., +-256}
 NO_EXC = make_spectrum(lambdas=[0, 1, 10, 100])
 
-# frozen regression anchors (defaults r_max=4000, tol=1e-6)
+# frozen regression anchors (default r_max=4000)
 S_PAIR_ONES = 2.096621516760595          # S for f(1) = f(-1) = 1 on A5
 MARGIN_PAIR_ONES = 0.5978409167803687
 

@@ -98,7 +98,7 @@ def test_integrals_tilde_table_route(capsys):
 
     direct = ig.i_direct((1, 1, 0, 0, 0, 0))
     assert abs(payload["value"] - direct.value) <= payload["error"] + direct.error_bound
-    # the table route reads neither --r-max nor --tol, so it takes neither
+    # the table route reads no --r-max, and no command takes --tol
     with pytest.raises(SystemExit) as exc:
         main(["integrals", "tilde", "1", "0", "0", "--tol", "0"])
     assert exc.value.code == 2
@@ -139,7 +139,7 @@ def test_integrals_sweep_low_precision_fails_honestly(capsys):
     code, out, _ = run(
         capsys,
         "integrals", "sweep", "--suite", "bounds-f",
-        "--n-max", "4", "--r-max", "4000", "--tol", "1e-5",
+        "--n-max", "4", "--r-max", "4000",
         "--format", "json",
     )
     payload = json.loads(out)
@@ -153,7 +153,7 @@ def test_integrals_sweep_csv_plain_floats(capsys):
     # numpy reprs, and each one reads back as the json report's value
     args = (
         "integrals", "sweep", "--suite", "bounds-f",
-        "--n-max", "4", "--r-max", "4000", "--tol", "1e-5",
+        "--n-max", "4", "--r-max", "4000",
     )
     code_csv, out_csv, _ = run(capsys, *args)
     code_json, out_json, _ = run(capsys, *args, "--format", "json")
@@ -167,24 +167,32 @@ def test_integrals_sweep_csv_plain_floats(capsys):
         assert float(got["margin"]) == want["margin"]
 
 
-def test_integrals_direct_r_max_below_order_exits_2(capsys):
-    # the tail envelope needs r_max above the largest order
-    code, out, err = run(
-        capsys, "integrals", "direct", "200", "0", "0", "0", "0", "0", "--r-max", "150"
-    )
-    assert code == 2 and out == "" and "order 200" in err
+# every command on the direct route, with its largest order (None: 0, below any r_max)
+_DIRECT_ROUTE = [
+    (("integrals", "direct", "200", "0", "0", "0", "0", "0"), 200),
+    (("integrals", "F", "200", "0", "0"), 200),
+    (("integrals", "copt"), None),
+    (("integrals", "sweep", "--suite", "bounds-f", "--n-max", "200"), 200),
+    (("certify", "--lambdas", "0,1,4,13,40,121,364", "--trials", "1"), 364),
+]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("certify", "--base", "4", "--depth", "3", "--trials", "1"),
-        ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "2"),
-    ],
-)
-def test_tol_below_proven_bound_exits_2(capsys, argv):
-    code, out, err = run(capsys, *argv, "--tol", "1e-13")
-    assert code == 2 and out == "" and "proven quad bound" in err
+@pytest.mark.parametrize("argv, top", _DIRECT_ROUTE, ids=["direct", "F", "copt", "sweep", "certify"])
+def test_integrals_direct_r_max_below_order_exits_2(capsys, monkeypatch, argv, top):
+    # the tail envelope needs r_max above the largest order, and no grid
+    # past MAX_R_MAX is supported: both are refused before a grid is built
+    from lacuna import integrals as ig
+
+    def forbidden(r_max):
+        raise AssertionError(f"built a grid to r_max {r_max}")
+
+    monkeypatch.setattr(ig, "_panel_grid", forbidden)
+    if top is not None:
+        code, out, err = run(capsys, *argv, "--r-max", "150")
+        assert code == 2 and out == "" and f"order {top}" in err
+    for r_max in ("40001", "1e300"):
+        code, out, err = run(capsys, *argv, "--r-max", r_max)
+        assert code == 2 and out == "" and "exceeds 40000" in err, r_max
 
 
 def test_integrals_sweep_unknown_suite(capsys):
@@ -326,9 +334,8 @@ def test_certify_rejects_negative_trials(capsys):
         ("--b", "nan"),
         ("--b", "inf"),
         # the b check would fail before any integral validates r_max
-        ("--b", "7.5", "--r-max", "inf", "--tol", "inf"),
+        ("--b", "7.5", "--r-max", "inf"),
         ("--r-max", "nan"),
-        ("--tol", "inf"),
     ],
 )
 def test_certify_rejects_non_finite_numbers(capsys, extra):
@@ -537,7 +544,7 @@ _LEAVES = [
         # at r_max 4000 the pair-zero family fails, so the suite exits 1
         (
             "integrals", "sweep", "--suite", "bounds-f",
-            "--n-max", "2", "--r-max", "4000", "--tol", "1e-5",
+            "--n-max", "2", "--r-max", "4000",
         ),
         ["family", "threshold", "worst_point", "worst_lo", "margin", "status"],
         1,
@@ -585,8 +592,20 @@ def test_every_command_renders_every_format(capsys, argv, header, expected_code,
     "argv", [a for a, _, _ in _LEAVES], ids=[_leaf_id(a) for a, _, _ in _LEAVES]
 )
 def test_no_cache_is_refused_by_every_command(capsys, argv):
+    _assert_refused(capsys, argv, "--no-cache")
+
+
+# the proven error bound is the only accuracy setting, so no command takes --tol
+@pytest.mark.parametrize(
+    "argv", [a for a, _, _ in _LEAVES], ids=[_leaf_id(a) for a, _, _ in _LEAVES]
+)
+def test_tol_is_refused_by_every_command(capsys, argv):
+    _assert_refused(capsys, argv, "--tol", "1e-6")
+
+
+def _assert_refused(capsys, argv, *flag):
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--no-cache"])
+        main([*argv, *flag])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
 

@@ -20,8 +20,8 @@ import lacuna.bessel
 from lacuna import integrals as ig
 from lacuna.errors import RangeError
 
-# i_direct((0,)*6) at the default r_max=4000/tol=1e-6 and at the tighter
-# r_max=40000/tol=2e-6 settings; mutually consistent within error bounds
+# i_direct((0,)*6) at the default r_max=4000 and at the sweep's r_max=40000;
+# mutually consistent within error bounds
 REF_000_COARSE = 0.33680780419262046
 REF_000_FINE = 0.3368259460831131
 REF_000_FINE_ERR = 6.450366230456916e-06
@@ -94,7 +94,7 @@ def test_direct_reference_values():
     assert coarse.value == pytest.approx(REF_000_COARSE, rel=1.0e-11)
     assert coarse.error_bound == pytest.approx(ig.quad_bound(4000.0, 0) + ig.TAIL_COEFF / 4000.0)
     assert coarse.method == "direct_truncated"
-    fine = ig.i_direct((0,) * 6, r_max=40000.0, tol=2.0e-6)
+    fine = ig.i_direct((0,) * 6, r_max=40000.0)
     assert fine.value == pytest.approx(REF_000_FINE, rel=1.0e-11)
     assert fine.error_bound == pytest.approx(REF_000_FINE_ERR)
     assert fine.error_bound < 1.0e-5
@@ -137,19 +137,14 @@ def test_direct_input_validation():
         ig.i_direct((533, 0, 0, 0, 0, 0))
     with pytest.raises(RangeError):
         ig.i_direct((0,) * 6, r_max=50.0)
-    with pytest.raises(RangeError):
-        ig.i_direct((0,) * 6, tol=0.0)
     bad_keys = [(1, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 533), (0, 0),
                 (0, 0, 0, 0, 0.5, 1)]
     for moduli in bad_keys:
         with pytest.raises(RangeError):
             ig.i_direct_moduli(moduli, 4000.0)
-    # tol is a ceiling: one below the proven quadrature bound is refused
-    with pytest.raises(RangeError, match="proven quad bound"):
-        ig.i_direct((0,) * 6, tol=1.0e-13)
 
 
-def test_direct_rejects_r_max_at_or_below_order():
+def test_direct_rejects_r_max_at_or_below_order(monkeypatch):
     # the tail envelope needs r > N for the largest order N
     with pytest.raises(RangeError, match="order 532"):
         ig.i_direct((532,) * 6, r_max=100.0)
@@ -157,6 +152,16 @@ def test_direct_rejects_r_max_at_or_below_order():
         ig.i_direct_moduli((0, 0, 0, 0, 200, 200), 200.0)
     with pytest.raises(RangeError, match="order 200"):
         ig.sweep_diagonal(200, r_max=150.0)
+    # past MAX_R_MAX no grid is built to find out
+    def forbidden(r_max):
+        raise AssertionError(f"built a grid to r_max {r_max}")
+
+    monkeypatch.setattr(ig, "_panel_grid", forbidden)
+    for r_max in (40001.0, 1.0e300):
+        with pytest.raises(RangeError, match="exceeds 40000"):
+            ig.i_direct((0,) * 6, r_max=r_max)
+        with pytest.raises(RangeError, match="exceeds 40000"):
+            ig.sweep_diagonal(2, r_max=r_max)
 
 
 def test_proven_bound_within_default_tol_plus_plain_tail():
@@ -317,7 +322,7 @@ def test_copt_values_and_consistency():
     bound = ig.quad_bound(4000.0, 0) + ig.TAIL_COEFF / 4000.0
     assert c.error_bound == pytest.approx(scale * bound)
     assert c.value > 0.0
-    fine = ig.c_opt(r_max=40000.0, tol=2.0e-6)
+    fine = ig.c_opt(r_max=40000.0)
     assert fine.value == pytest.approx(COPT_FINE, rel=1.0e-11)
     # doubling the truncation radius moves the value by less than the bound
     doubled = ig.c_opt(r_max=8000.0)
@@ -325,7 +330,7 @@ def test_copt_values_and_consistency():
 
 
 def test_sweep_matches_direct_quadrature():
-    sw = ig.sweep_diagonal(6, r_max=4000.0, tol=1.0e-5)
+    sw = ig.sweep_diagonal(6, r_max=4000.0)
     assert sw.quad_diff <= 1.0e-5
     for trip in [(0, 0, 0), (1, 1, 0), (2, 4, 6), (6, 6, 6), (0, 3, 5)]:
         a, b, c = trip
@@ -472,7 +477,7 @@ def test_direct_route_uses_no_package_bessel(monkeypatch):
     # parameters no other test uses, so nothing comes from a memo
     got = ig.i_direct((1, 1, 2, 2, 3, 3), r_max=1234.0)
     assert got.value > 0.0
-    sw = ig.sweep_diagonal(3, r_max=1234.0, tol=1.0e-4)
+    sw = ig.sweep_diagonal(3, r_max=1234.0)
     assert sw.value(1, 2, 3) == pytest.approx(got.value, abs=5.0e-11)
 
 
