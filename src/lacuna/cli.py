@@ -7,6 +7,7 @@ contract: 0 success, 1 verification failure, 2 usage or range error.
 Reports carry no timestamps, paths, or machine identity, so identical
 configuration and seed give byte-identical bytes; json is written as
 ``json.dumps(payload, sort_keys=True, indent=2)`` would write it.
+Classify's points are written a batch at a time, never as one string.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import bessel
 from . import certificate as ct
@@ -45,7 +46,8 @@ _FORMATS = ("json", "csv", "text")
 class Report:
     """One command's result, ready for any of the three formats.
 
-    ``payload`` is the json body (``schema`` is added on rendering).
+    ``payload`` is the json body (``schema`` is added on rendering); a
+    value of its top level may be an :class:`EncodedList`.
     ``rows`` and ``text`` are called only when csv or text is asked
     for, so a large json report never pays for its other forms.
     """
@@ -55,6 +57,24 @@ class Report:
     rows: Callable[[], Iterable[Iterable]]
     text: Callable[[], str]
     code: int = EXIT_OK
+
+
+@dataclass(frozen=True)
+class EncodedList:
+    """A top-level json list whose items ``encode`` writes, a batch at a time.
+
+    ``encode(item)`` returns the item's text as ``_json`` would write it
+    as an element of a list that is a value of the report object: no
+    leading indent, inner lines indented for that depth. The items are
+    encoded when the report is written, and the list text is never held
+    whole.
+    """
+
+    items: Sequence
+    encode: Callable[[object], str]
+
+
+_BATCH = 1024  # items per write of an EncodedList
 
 
 def _table(header: list[str], records: list[dict]) -> Callable[[], Iterable[list]]:
@@ -115,25 +135,56 @@ def _json(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _json_parts(payload: dict) -> Iterator[str]:
+    """``_json(payload)`` in parts: one part, or an ``EncodedList`` a batch at a time."""
+    if not any(isinstance(v, EncodedList) for v in payload.values()):
+        yield _json(payload)
+        return
+    sep = "{\n  "
+    for key, value in sorted(payload.items()):
+        head = f"{sep}{encode_basestring_ascii(key)}: "
+        sep = ",\n  "
+        if not isinstance(value, EncodedList):
+            yield head + _json(value, "\n  ")
+            continue
+        if not value.items:
+            yield head + "[]"
+            continue
+        lead = head + "[\n    "
+        for i in range(0, len(value.items), _BATCH):
+            yield lead + ",\n    ".join(map(value.encode, value.items[i : i + _BATCH]))
+            lead = ",\n    "
+        yield "\n  ]"
+    yield "\n}"
+
+
+def _write(out: TextIO, parts: Iterable[str]) -> None:
+    """Write ``parts`` in order, then a newline unless the last part ends in one."""
+    last = ""
+    for last in parts:
+        out.write(last)
+    if not last.endswith("\n"):
+        out.write("\n")
+
+
 def _render(report: Report, fmt: str, output: str | None) -> int:
     """Write ``report`` as ``fmt`` to ``output`` or stdout; return its exit code."""
     if fmt == "json":
-        body = _json({"schema": SCHEMA, **report.payload})
+        parts: Iterable[str] = _json_parts({"schema": SCHEMA, **report.payload})
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(report.header)
         writer.writerows([_cell(v) for v in row] for row in report.rows())
-        body = buf.getvalue()
+        parts = [buf.getvalue()]
     else:
-        body = report.text()
-    if not body.endswith("\n"):
-        body += "\n"
+        parts = [report.text()]
     if not output:
-        sys.stdout.write(body)
+        _write(sys.stdout, parts)
         return report.code
     try:
-        Path(output).write_text(body, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as out:
+            _write(out, parts)
     except OSError as exc:
         raise RangeError(f"cannot write report: {exc}") from None
     return report.code
@@ -372,31 +423,52 @@ def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
 # spectrum
 
 
+# the json text of each enum value; a point without a subtype has null
+_KIND_JSON = {k: f'"{k.name.lower()}"' for k in sp.PointKind}
+_SUBTYPE_JSON = {None: "null", **{k: f'"{k.name.lower()}"' for k in sp.ExceptionKind}}
+_REP_JSON = "[\n          %d,\n          %d,\n          %d\n        ]"
+
+
+def _point_json(p: sp.ClassifiedPoint) -> str:
+    """One point as ``_json`` writes it in the classify report's ``points`` list.
+
+    The shape is fixed: six keys in sorted order, ``families`` a sorted
+    list of ints, ``reps`` a list of int triples (a point has at least one).
+    """
+    reps = p.reps  # most points have one
+    reps_json = (
+        _REP_JSON % reps[0].entries
+        if len(reps) == 1
+        else ",\n        ".join([_REP_JSON % r.entries for r in reps])
+    )
+    families = (
+        "[\n        " + ",\n        ".join(map(str, sorted(p.family_tags))) + "\n      ]"
+        if p.family_tags
+        else "[]"
+    )
+    return (
+        f'{{\n      "D": {p.point},'
+        f'\n      "boundary_safe": {"true" if p.boundary_safe else "false"},'
+        f'\n      "class": {_KIND_JSON[p.kind]},'
+        f'\n      "families": {families},'
+        f'\n      "reps": [\n        {reps_json}\n      ],'
+        f'\n      "subtype": {_SUBTYPE_JSON[p.subtype]}\n    }}'
+    )
+
+
 def cmd_spectrum(args: argparse.Namespace) -> Report:
     spectrum = _spectrum_from_args(args)
     points = sp.classify_brute_force(spectrum)
-    entries = []
-    counts = {"unique": 0, "trivial": 0, "exception": 0}
-    for p in points:
-        cls = p.kind.name.lower()
-        counts[cls] += 1
-        entries.append(
-            {
-                "D": p.point,
-                "class": cls,
-                "subtype": p.subtype.name.lower() if p.subtype else None,
-                "families": sorted(p.family_tags),
-                "reps": [list(r.entries) for r in p.reps],
-                "boundary_safe": p.boundary_safe,
-            }
-        )
+    kinds = [p.kind for p in points]
+    counts = {k.name.lower(): kinds.count(k) for k in sp.PointKind}
+    exceptions = [p for p in points if p.kind is sp.PointKind.EXCEPTION]
     unique_sums, witness = sp.has_unique_pair_sums(spectrum)
     cross = None
     if args.cross_check:
         brute = {
             (p.point, tuple(r.entries for r in p.reps), p.subtype)
-            for p in points
-            if p.kind is sp.PointKind.EXCEPTION and p.boundary_safe
+            for p in exceptions
+            if p.boundary_safe
         }
         equations = {
             (p.point, tuple(r.entries for r in p.reps), p.subtype)
@@ -405,17 +477,24 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
         }
         cross = "ok" if brute == equations else "mismatch"
 
+    def rows() -> Iterator[list]:
+        for p in points:
+            yield [
+                p.point,
+                p.kind.name.lower(),
+                p.subtype.name.lower() if p.subtype else None,
+                sorted(p.family_tags),
+                [list(r.entries) for r in p.reps],
+                p.boundary_safe,
+            ]
+
     def text() -> str:
         lines = [
             f"spectrum: {list(spectrum.lambdas)} ({len(spectrum.elements)} elements)"
         ]
-        for e in entries:
-            if e["class"] != "exception":
-                continue
-            reps = " = ".join(
-                "+".join(str(v) for v in rep) for rep in e["reps"]
-            )
-            lines.append(f"exception D={e['D']} [{e['subtype']}]: {reps}")
+        for p in exceptions:
+            reps = " = ".join("+".join(map(str, r.entries)) for r in p.reps)
+            lines.append(f"exception D={p.point} [{p.subtype.name.lower()}]: {reps}")
         lines.append(
             "counts: "
             + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
@@ -424,26 +503,21 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
             lines.append(f"cross-check: {cross}")
         return "\n".join(lines)
 
-    header = ["D", "class", "subtype", "families", "reps", "boundary_safe"]
     return Report(
         {
             "command": "spectrum.classify",
             "spectrum": _spectrum_desc(spectrum),
-            "points": entries,
+            "points": EncodedList(points, _point_json),
             "summary": {
                 **counts,
-                "total": len(entries),
-                "boundary_safe_exceptions": sum(
-                    1
-                    for e in entries
-                    if e["class"] == "exception" and e["boundary_safe"]
-                ),
+                "total": len(points),
+                "boundary_safe_exceptions": sum(1 for p in exceptions if p.boundary_safe),
                 "unique_pair_sums": unique_sums,
             },
             "cross_check": cross,
         },
-        header,
-        _table(header, entries),
+        ["D", "class", "subtype", "families", "reps", "boundary_safe"],
+        rows,
         text,
         EXIT_OK if cross in (None, "ok") else EXIT_FAIL,
     )
@@ -729,8 +803,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A report is millions of acyclic containers; each cyclic GC pass would
-    # rescan them all and free nothing, so the collector pauses until it is out.
+    # A deep classification is hundreds of thousands of acyclic records; each
+    # cyclic GC pass would rescan them all and free nothing, so the collector
+    # pauses until the report is out.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -33,7 +33,7 @@ from typing import Iterable
 from .errors import RangeError, SpectrumError, StructureViolation
 
 # Brute force holds every triple in memory: at 139 elements (depth 69)
-# `spectrum classify --cross-check` peaks at 665 MB with its json report.
+# `spectrum classify --cross-check` peaks at 323 MB, streaming a 142 MB json report.
 MAX_ELEMENTS = 140
 MIN_GENERATOR_BASE = 4  # smallest integer ratio that stays strictly above 3
 

@@ -3,6 +3,7 @@
 import collections
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 
 import lacuna
 from lacuna import cli
+from lacuna import spectrum as sp
 from lacuna.cli import main
-from lacuna.errors import EvaluationError
+from lacuna.errors import EvaluationError, StructureViolation
 
 
 def run(capsys, *argv):
@@ -231,7 +233,7 @@ def test_spectrum_past_the_element_cap_exits_2_at_once(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the cap must stop the run before any triple is formed")
 
-    # depth 69 (139 elements) peaks at 665 MB; depth 70 is the cap plus one
+    # depth 69 (139 elements) peaks at 323 MB; depth 70 is the cap plus one
     assert len(sp.make_spectrum(base=5, depth=69).elements) == 139
     monkeypatch.setattr(sp, "triples_by_sum", forbidden)
     code, out, err = run(
@@ -239,6 +241,111 @@ def test_spectrum_past_the_element_cap_exits_2_at_once(capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert "141 elements exceed the supported 140" in err
+
+
+_CLASSIFY20 = ("spectrum", "classify", "--base", "5", "--depth", "20", "--cross-check")
+
+
+class _Writes:
+    """A stand-in stdout that keeps every write apart."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+
+def test_spectrum_classify_streams_its_json(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    assert main([*_CLASSIFY20, "--output", str(target)]) == 0
+    writes = _Writes()
+    monkeypatch.setattr(sys, "stdout", writes)
+    assert main(list(_CLASSIFY20)) == 0
+    out = "".join(writes.parts)
+    assert out.encode() == target.read_bytes()
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    # the points go out a batch at a time, never as one report-sized string
+    assert len(writes.parts) > 8
+    assert max(map(len, writes.parts)) < len(out) / 8
+
+
+def test_spectrum_classify_writes_nothing_before_the_last_point(monkeypatch):
+    def broken(spectrum):
+        raise StructureViolation("point 3 has two repeat-free representations")
+
+    monkeypatch.setattr(sp, "exceptions_from_equations", broken)
+    writes = _Writes()
+    monkeypatch.setattr(sys, "stdout", writes)
+    assert main(list(_CLASSIFY20)) == 1
+    assert writes.parts == []
+
+
+# sha256 of the parent renderer's bytes, from the per-point dicts it built
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "63c73ff4ae238476ef72ec038a1afc3e809492fc7838c9743638d4c828f564e5"),
+        ("text", "76dcf03f5ebb29dd01c6b6462185956d875b44c12a41ebfab0c641b866e66227"),
+    ],
+)
+def test_spectrum_classify_csv_and_text_bytes(capsys, fmt, digest):
+    code, out, _ = run(
+        capsys,
+        "spectrum", "classify", "--base", "5", "--depth", "8", "--cross-check",
+        "--format", fmt,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _point_tree(p):
+    return {
+        "D": p.point,
+        "class": p.kind.name.lower(),
+        "subtype": p.subtype.name.lower() if p.subtype else None,
+        "families": sorted(p.family_tags),
+        "reps": [list(r.entries) for r in p.reps],
+        "boundary_safe": p.boundary_safe,
+    }
+
+
+def test_point_encoder_is_json_dumps():
+    spectra = [
+        sp.make_spectrum([0, 1, 4, 13, 40, 121, 364]),
+        sp.make_spectrum(base=4, depth=6, scale=3),
+        sp.make_spectrum(base=5, depth=5, scale=10**25),
+    ]
+    points = [
+        p
+        for spectrum in spectra
+        for route in (sp.classify_brute_force, sp.exceptions_from_equations)
+        for p in route(spectrum)
+    ]
+    # every shape the encoder meets: each subtype and none, tagged points,
+    # one representation or several, sums past 64 bits
+    assert {p.subtype for p in points} == {None, *sp.ExceptionKind}
+    assert {p.kind for p in points} == set(sp.PointKind)
+    assert any(p.family_tags for p in points)
+    assert {1, 2} < {len(p.reps) for p in points}
+    assert min(p.point for p in points) < -(2**63)
+    head, tail = '{\n  "points": [\n    ', "\n  ]\n}"
+    for p in points:
+        text = json.dumps({"points": [_point_tree(p)]}, sort_keys=True, indent=2)
+        assert text.startswith(head) and text.endswith(tail)
+        assert cli._point_json(p) == text[len(head) : -len(tail)]
+
+
+@pytest.mark.parametrize("count", [0, 1, cli._BATCH, 2 * cli._BATCH + 1])
+def test_encoded_list_is_written_as_json_dumps(count):
+    items = list(range(-count, count, 2))
+    parts = list(
+        cli._json_parts({"a": "x", "items": cli.EncodedList(items, str), "z": [None]})
+    )
+    assert "".join(parts) == _dumps({"a": "x", "items": items, "z": [None]})
+    # one part per plain key, per batch of items, and the closing brace
+    assert len(parts) == 4 + -(-len(items) // cli._BATCH)
 
 
 def test_spectrum_classify_no_exceptions(capsys):
