@@ -55,8 +55,9 @@ from .spectrum import (
     ExceptionKind,
     PointKind,
     SpectrumSet,
-    TripleRep,
+    Triple,
     classify_brute_force,
+    perm_count,
     triples_by_sum,
 )
 
@@ -273,9 +274,9 @@ class SextetSum:
     error_bound: float
 
 
-def _fprod(f: CoefficientVector, rep: TripleRep) -> complex:
+def _fprod(f: CoefficientVector, rep: Triple) -> complex:
     z = 1.0 + 0.0j
-    for n in rep.entries:
+    for n in rep:
         z *= f.amp(n)
     return z
 
@@ -317,8 +318,8 @@ def compute_S_exact(
                 z2 = _fprod(f, r2)
                 if z2 == 0:
                     continue
-                weight = float(r1.perm_count * r2.perm_count)
-                ival = i_direct_signed(r1.entries + r2.entries, r_max)
+                weight = float(perm_count(r1) * perm_count(r2))
+                ival = i_direct_signed(r1 + r2, r_max)
                 term = weight * z1 * z2.conjugate()
                 total += term * ival.value
                 err += abs(term) * ival.error_bound
@@ -393,8 +394,6 @@ def _bound_terms(
     supp = tuple(support)
     present = set(supp)
     b = params.b
-    if not b > 1:
-        raise RangeError(f"weight b must exceed 1, got {b}")
 
     def in_e(d: int, subtype: ExceptionKind) -> bool:
         c = classified.get(d)
@@ -528,7 +527,7 @@ def assemble_forms(
     """
     supp = tuple(sorted(support))
     col = {n: k for k, n in enumerate(supp)}
-    reps: list[TripleRep] = []
+    reps: list[Triple] = []
     pairs: list[tuple[int, int]] = []
     values: list[float] = []
     errors: list[float] = []
@@ -537,7 +536,7 @@ def assemble_forms(
         reps.extend(group)
         for i, r1 in enumerate(group, first):
             for j, r2 in enumerate(group, first):
-                ival = i_direct_signed(r1.entries + r2.entries, r_max)
+                ival = i_direct_signed(r1 + r2, r_max)
                 pairs.append((i, j))
                 values.append(ival.value)
                 errors.append(ival.error_bound)
@@ -549,11 +548,11 @@ def assemble_forms(
         k = tuple(col[m] for m in mono)
         bound_value[k] += coeff * ival.value
         bound_error[k] += abs(coeff) * ival.error_bound
-    triples = [[col[m] for m in r.entries] for r in reps]
+    triples = [[col[m] for m in r] for r in reps]
     return AssembledForms(
         support=supp,
         triples=np.array(triples, dtype=np.intp).reshape(-1, 3),
-        weights=np.array([float(r.perm_count) for r in reps]),
+        weights=np.array([float(perm_count(r)) for r in reps]),
         pairs=np.array(pairs, dtype=np.intp).reshape(-1, 2).T,
         pair_value=np.array(values),
         pair_error=np.array(errors),
@@ -681,15 +680,15 @@ class SystemReport:
     tightest_margin: float
 
 
-def _shape(rep: TripleRep) -> tuple:
-    a, b, c = rep.entries
+def _shape(rep: Triple) -> tuple:
+    a, b, c = rep
     if a == b == c:
         return ("triple", a)
     if a == b:
         return ("pair", a, c)
     if b == c:
         return ("pair", b, a)
-    return ("distinct", rep.entries)
+    return ("distinct", rep)
 
 
 def _free_instance(system_id: str, point: int | None, desc: str, slack: float) -> SystemInstance:
@@ -974,13 +973,14 @@ def verify_theorem(
 # randomized trial vectors
 
 
+@functools.lru_cache(maxsize=64)
 def exception_frequencies(spectrum: SpectrumSet) -> tuple[int, ...]:
     """Elements participating in some exception writing, sorted."""
     out: set[int] = set()
     for point in _classified_map(spectrum).values():
         if point.kind is PointKind.EXCEPTION:
             for rep in point.reps:
-                out.update(rep.entries)
+                out.update(rep)
     return tuple(sorted(out))
 
 
@@ -1002,10 +1002,10 @@ def random_vector(
     if not 1 <= size <= min(len(elements), MAX_SUPPORT):
         raise RangeError(f"support size {size} out of range")
     if adversarial:
-        preferred = [n for n in exception_frequencies(spectrum) if n in set(elements)]
-        rest = [n for n in elements if n not in set(preferred)]
-        pool = preferred + rest
-        support = pool[:size] if len(preferred) >= size else (
+        preferred = list(exception_frequencies(spectrum))  # a subset of the elements
+        hot = set(preferred)
+        rest = [n for n in elements if n not in hot]
+        support = preferred[:size] if len(preferred) >= size else (
             preferred + rng.sample(rest, size - len(preferred))
         )
     else:

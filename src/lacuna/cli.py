@@ -1,13 +1,14 @@
 """Command-line front end for evaluation, classification, certification.
 
 One report per invocation, to stdout or ``--output``, as json, csv, or
-text. Every command builds one :class:`Report` and :func:`_render` is
+text. Every command builds one :class:`Report` and :func:`_write` is
 the only code that knows the three formats. Exit codes are a stable
 contract: 0 success, 1 verification failure, 2 usage or range error.
 Reports carry no timestamps, paths, or machine identity, so identical
 configuration and seed give byte-identical bytes; json is written as
 ``json.dumps(payload, sort_keys=True, indent=2)`` would write it.
-Classify's points are written a batch at a time, never as one string.
+Classify's json points go out a batch at a time and csv rows one at a
+time, never as one report-sized string.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import argparse
 import csv
 import gc
 import io
+import json
 import math
 import random
 import sys
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -63,11 +64,11 @@ class Report:
 class EncodedList:
     """A top-level json list whose items ``encode`` writes, a batch at a time.
 
-    ``encode(item)`` returns the item's text as ``_json`` would write it
-    as an element of a list that is a value of the report object: no
-    leading indent, inner lines indented for that depth. The items are
-    encoded when the report is written, and the list text is never held
-    whole.
+    ``encode(item)`` returns the item's text as ``json.dumps(...,
+    sort_keys=True, indent=2)`` would write it as an element of a list
+    that is a value of the report object: no leading indent, inner lines
+    indented for that depth. The items are encoded when the report is
+    written, and the list text is never held whole.
     """
 
     items: Sequence
@@ -96,56 +97,19 @@ def _cell(value):
     return " ".join(map(str, value))
 
 
-def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, one ``str.join`` per container.
-
-    json's own indented encoder yields one chunk per token through Python
-    generators; a 24 MB report is millions of chunks. Object keys must be
-    str: any other key, like any other value type, raises TypeError.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ("," + inner).join([_json(v, inner) for v in value])
-        return f"[{inner}{items}{indent}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ("," + inner).join(
-            [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
-        )
-        return f"{{{inner}{items}{indent}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _json_parts(payload: dict) -> Iterator[str]:
-    """``_json(payload)`` in parts: one part, or an ``EncodedList`` a batch at a time."""
-    if not any(isinstance(v, EncodedList) for v in payload.values()):
-        yield _json(payload)
-        return
+    """``json.dumps(payload, sort_keys=True, indent=2)`` one top-level value at a time.
+
+    An ``EncodedList`` value is written a batch of items at a time. The
+    ascii encoder escapes every newline inside a string, so indenting a
+    value's lines by one level cannot touch its contents.
+    """
     sep = "{\n  "
     for key, value in sorted(payload.items()):
-        head = f"{sep}{encode_basestring_ascii(key)}: "
+        head = f"{sep}{json.dumps(key)}: "
         sep = ",\n  "
         if not isinstance(value, EncodedList):
-            yield head + _json(value, "\n  ")
+            yield head + json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
             continue
         if not value.items:
             yield head + "[]"
@@ -158,33 +122,29 @@ def _json_parts(payload: dict) -> Iterator[str]:
     yield "\n}"
 
 
-def _write(out: TextIO, parts: Iterable[str]) -> None:
-    """Write ``parts`` in order, then a newline unless the last part ends in one."""
-    last = ""
-    for last in parts:
-        out.write(last)
-    if not last.endswith("\n"):
-        out.write("\n")
+def _write(report: Report, fmt: str, out: TextIO) -> None:
+    """Write ``report`` as ``fmt`` to ``out`` as it is produced, ending in one newline."""
+    if fmt == "csv":  # every row, the header too, ends in the line terminator
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(report.header)
+        writer.writerows([_cell(v) for v in row] for row in report.rows())
+        return
+    if fmt == "json":
+        for part in _json_parts({"schema": SCHEMA, **report.payload}):
+            out.write(part)
+    else:
+        out.write(report.text())
+    out.write("\n")
 
 
 def _render(report: Report, fmt: str, output: str | None) -> int:
     """Write ``report`` as ``fmt`` to ``output`` or stdout; return its exit code."""
-    if fmt == "json":
-        parts: Iterable[str] = _json_parts({"schema": SCHEMA, **report.payload})
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(report.header)
-        writer.writerows([_cell(v) for v in row] for row in report.rows())
-        parts = [buf.getvalue()]
-    else:
-        parts = [report.text()]
     if not output:
-        _write(sys.stdout, parts)
+        _write(report, fmt, sys.stdout)
         return report.code
     try:
         with open(output, "w", encoding="utf-8") as out:
-            _write(out, parts)
+            _write(report, fmt, out)
     except OSError as exc:
         raise RangeError(f"cannot write report: {exc}") from None
     return report.code
@@ -430,16 +390,16 @@ _REP_JSON = "[\n          %d,\n          %d,\n          %d\n        ]"
 
 
 def _point_json(p: sp.ClassifiedPoint) -> str:
-    """One point as ``_json`` writes it in the classify report's ``points`` list.
+    """One point as ``json.dumps`` writes it in the classify report's ``points`` list.
 
     The shape is fixed: six keys in sorted order, ``families`` a sorted
     list of ints, ``reps`` a list of int triples (a point has at least one).
     """
     reps = p.reps  # most points have one
     reps_json = (
-        _REP_JSON % reps[0].entries
+        _REP_JSON % reps[0]
         if len(reps) == 1
-        else ",\n        ".join([_REP_JSON % r.entries for r in reps])
+        else ",\n        ".join([_REP_JSON % r for r in reps])
     )
     families = (
         "[\n        " + ",\n        ".join(map(str, sorted(p.family_tags))) + "\n      ]"
@@ -465,13 +425,9 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
     unique_sums, witness = sp.has_unique_pair_sums(spectrum)
     cross = None
     if args.cross_check:
-        brute = {
-            (p.point, tuple(r.entries for r in p.reps), p.subtype)
-            for p in exceptions
-            if p.boundary_safe
-        }
+        brute = {(p.point, p.reps, p.subtype) for p in exceptions if p.boundary_safe}
         equations = {
-            (p.point, tuple(r.entries for r in p.reps), p.subtype)
+            (p.point, p.reps, p.subtype)
             for p in sp.exceptions_from_equations(spectrum)
             if p.boundary_safe
         }
@@ -484,7 +440,7 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
                 p.kind.name.lower(),
                 p.subtype.name.lower() if p.subtype else None,
                 sorted(p.family_tags),
-                [list(r.entries) for r in p.reps],
+                [list(r) for r in p.reps],
                 p.boundary_safe,
             ]
 
@@ -493,7 +449,7 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
             f"spectrum: {list(spectrum.lambdas)} ({len(spectrum.elements)} elements)"
         ]
         for p in exceptions:
-            reps = " = ".join("+".join(map(str, r.entries)) for r in p.reps)
+            reps = " = ".join("+".join(map(str, r)) for r in p.reps)
             lines.append(f"exception D={p.point} [{p.subtype.name.lower()}]: {reps}")
         lines.append(
             "counts: "

@@ -18,9 +18,10 @@ the tests require them to agree on the boundary-safe range.
 
 Lambdas are plain Python integers, so arbitrarily large values are exact
 and no separate overflow checking is needed. The module imports only the
-standard library. Its records (``TripleRep``, ``ClassifiedPoint``) are
-frozen slotted dataclasses: a deep spectrum makes some 180k of them, and
-none carries a per-instance ``__dict__``.
+standard library. A triple is a plain sorted ``tuple[int, int, int]``,
+and ``ClassifiedPoint`` is a frozen slotted dataclass: depth 40 makes
+some 89k points over 92k triples, and no point carries a per-instance
+``__dict__``.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from typing import Iterable
 from .errors import RangeError, SpectrumError, StructureViolation
 
 # Brute force holds every triple in memory: at 139 elements (depth 69)
-# `spectrum classify --cross-check` peaks at 323 MB, streaming a 142 MB json report.
+# `spectrum classify --cross-check` peaks at 301 MB, streaming a 142 MB json report.
 MAX_ELEMENTS = 140
 MIN_GENERATOR_BASE = 4  # smallest integer ratio that stays strictly above 3
 
@@ -124,37 +125,27 @@ def make_spectrum(
     return SpectrumSet(lambdas=seq, elements=elements)
 
 
-@dataclass(frozen=True, slots=True)
-class TripleRep:
-    """Unordered triple of spectrum elements, stored sorted."""
+Triple = tuple[int, int, int]  # an unordered triple of elements, stored sorted
 
-    entries: tuple[int, int, int]
 
-    @staticmethod
-    def make(a: int, b: int, c: int) -> "TripleRep":
-        return TripleRep(tuple(sorted((a, b, c))))
+def perm_count(t: Triple) -> int:
+    """Number of distinct orderings of the triple: 1, 3 or 6."""
+    return {1: 1, 2: 3, 3: 6}[len(set(t))]
 
-    @property
-    def total(self) -> int:
-        return sum(self.entries)
 
-    @property
-    def perm_count(self) -> int:
-        distinct = len(set(self.entries))
-        return {1: 1, 2: 3, 3: 6}[distinct]
+def has_repeat(t: Triple) -> bool:
+    """True when some element appears more than once."""
+    return len(set(t)) < 3
 
-    @property
-    def has_repeat(self) -> bool:
-        return len(set(self.entries)) < 3
 
-    def is_trivial_form(self, point: int) -> bool:
-        """True when the triple is {point, m, -m} for some m."""
-        a, b, c = self.entries
-        return (
-            (a + b == 0 and c == point)
-            or (a + c == 0 and b == point)
-            or (b + c == 0 and a == point)
-        )
+def is_trivial_form(t: Triple, point: int) -> bool:
+    """True when the triple is {point, m, -m} for some m."""
+    a, b, c = t
+    return (
+        (a + b == 0 and c == point)
+        or (a + c == 0 and b == point)
+        or (b + c == 0 and a == point)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,29 +159,29 @@ class ClassifiedPoint:
     """
 
     point: int
-    reps: tuple[TripleRep, ...]
+    reps: tuple[Triple, ...]
     kind: PointKind
     subtype: ExceptionKind | None
     family_tags: frozenset[int]
     boundary_safe: bool
 
 
-def triples_by_sum(values: Iterable[int]) -> dict[int, list[TripleRep]]:
-    """Every unordered triple of ``values`` grouped by its sum.
+def triples_by_sum(values: Iterable[int]) -> dict[int, list[Triple]]:
+    """Every unordered triple of ``values``, sorted, grouped by its sum.
 
-    Each group lists its triples in ascending order of their entries.
+    Each group lists its triples in ascending order.
     """
-    grouped: dict[int, list[TripleRep]] = defaultdict(list)
+    grouped: dict[int, list[Triple]] = defaultdict(list)
     for combo in itertools.combinations_with_replacement(sorted(values), 3):
-        grouped[combo[0] + combo[1] + combo[2]].append(TripleRep(combo))
+        grouped[combo[0] + combo[1] + combo[2]].append(combo)
     return grouped
 
 
 def _classify_one(
-    point: int, reps: tuple[TripleRep, ...], spectrum: SpectrumSet
+    point: int, reps: tuple[Triple, ...], spectrum: SpectrumSet
 ) -> ClassifiedPoint:
     safe = abs(point) <= spectrum.top
-    nontrivial = [r for r in reps if not r.is_trivial_form(point)]
+    nontrivial = [r for r in reps if not is_trivial_form(r, point)]
     if 0 < len(nontrivial) < len(reps):
         raise StructureViolation(
             f"point {point} mixes a cancellation-padded form with "
@@ -204,7 +195,7 @@ def _classify_one(
         raise StructureViolation(
             f"point {point} has {len(reps)} essentially different representations"
         )
-    repeats = sum(1 for r in reps if r.has_repeat)
+    repeats = sum(1 for r in reps if has_repeat(r))
     if repeats == 0:
         raise StructureViolation(
             f"point {point} has two repeat-free representations"
@@ -279,17 +270,16 @@ def exceptions_from_equations(spectrum: SpectrumSet) -> tuple[ClassifiedPoint, .
         for n, lm, lk in solutions:
             for tag, raw1, raw2 in _family_patterns(lam[n + 1], lam[n], lm, lk, first):
                 for sign in (1, -1):
-                    rep1 = TripleRep.make(*(sign * v for v in raw1))
-                    rep2 = TripleRep.make(*(sign * v for v in raw2))
-                    if rep1.total != rep2.total:
+                    rep1 = tuple(sorted(sign * v for v in raw1))
+                    rep2 = tuple(sorted(sign * v for v in raw2))
+                    if sum(rep1) != sum(rep2):
                         raise StructureViolation(
                             f"pattern {tag} produced unequal sums "
-                            f"{rep1.total} != {rep2.total}"
+                            f"{sum(rep1)} != {sum(rep2)}"
                         )
-                    if rep1.entries == rep2.entries:
+                    if rep1 == rep2:
                         continue  # degenerate instance, not two different triples
-                    pair = tuple(sorted((rep1.entries, rep2.entries)))
-                    tagged[(rep1.total, pair)].add(tag)
+                    tagged[(sum(rep1), tuple(sorted((rep1, rep2))))].add(tag)
     by_point: dict[int, list[tuple]] = defaultdict(list)
     for (point, pair), tags in tagged.items():
         by_point[point].append((pair, tags))
@@ -300,9 +290,8 @@ def exceptions_from_equations(spectrum: SpectrumSet) -> tuple[ClassifiedPoint, .
             raise StructureViolation(
                 f"point {point} arises with {len(entries)} distinct triple pairs"
             )
-        pair, tags = entries[0]
-        reps = tuple(TripleRep(t) for t in pair)
-        repeats = sum(1 for r in reps if r.has_repeat)
+        reps, tags = entries[0]
+        repeats = sum(1 for r in reps if has_repeat(r))
         if repeats == 0:
             raise StructureViolation(f"point {point} lost its repeated element")
         subtype = ExceptionKind.BOTH_REPEAT if repeats == 2 else ExceptionKind.ONE_DISTINCT

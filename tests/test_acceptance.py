@@ -96,12 +96,12 @@ def test_criterion_4_exception_classification():
 
     def match(spectrum):
         brute = {
-            (p.point, tuple(r.entries for r in p.reps), p.subtype)
+            (p.point, p.reps, p.subtype)
             for p in sp.classify_brute_force(spectrum)
             if p.kind is sp.PointKind.EXCEPTION and p.boundary_safe
         }
         equations = {
-            (p.point, tuple(r.entries for r in p.reps), p.subtype)
+            (p.point, p.reps, p.subtype)
             for p in sp.exceptions_from_equations(spectrum)
             if p.boundary_safe
         }
@@ -109,7 +109,7 @@ def test_criterion_4_exception_classification():
         for p in sp.classify_brute_force(spectrum):
             if p.kind is sp.PointKind.EXCEPTION:
                 assert len(p.reps) == 2, (spectrum.lambdas, p.point)
-                assert any(r.has_repeat for r in p.reps), (spectrum.lambdas, p.point)
+                assert any(sp.has_repeat(r) for r in p.reps), (spectrum.lambdas, p.point)
         return len(brute)
 
     checked = 0

@@ -14,7 +14,7 @@ from scipy.special import jv
 from lacuna import certificate as ct
 from lacuna import integrals as ig
 from lacuna.errors import CertificateError, RangeError, StructureViolation
-from lacuna.spectrum import PointKind, TripleRep, classify_brute_force, make_spectrum
+from lacuna.spectrum import PointKind, classify_brute_force, make_spectrum
 
 A5 = make_spectrum(base=5, depth=4)      # {0, +-1, +-5, +-25, +-125}
 A4 = make_spectrum(base=4, depth=5)      # {0, +-1, +-4, ..., +-256}
@@ -444,7 +444,7 @@ def test_dispatch_rejects_unknown_shape():
     flb = ct.FLowerBounds(A5)
     bogus = ClassifiedPoint(
         point=9,
-        reps=(TripleRep((1, 3, 5)), TripleRep((0, 4, 5))),
+        reps=((1, 3, 5), (0, 4, 5)),
         kind=PointKind.EXCEPTION,
         subtype=ExceptionKind.ONE_DISTINCT,
         family_tags=frozenset(),

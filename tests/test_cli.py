@@ -233,7 +233,7 @@ def test_spectrum_past_the_element_cap_exits_2_at_once(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the cap must stop the run before any triple is formed")
 
-    # depth 69 (139 elements) peaks at 323 MB; depth 70 is the cap plus one
+    # depth 69 (139 elements) peaks at 301 MB; depth 70 is the cap plus one
     assert len(sp.make_spectrum(base=5, depth=69).elements) == 139
     monkeypatch.setattr(sp, "triples_by_sum", forbidden)
     code, out, err = run(
@@ -271,6 +271,20 @@ def test_spectrum_classify_streams_its_json(tmp_path, monkeypatch):
     assert max(map(len, writes.parts)) < len(out) / 8
 
 
+def test_spectrum_classify_streams_its_csv(tmp_path, monkeypatch):
+    argv = [*_CLASSIFY20, "--format", "csv"]
+    target = tmp_path / "report.csv"
+    assert main([*argv, "--output", str(target)]) == 0
+    writes = _Writes()
+    monkeypatch.setattr(sys, "stdout", writes)
+    assert main(argv) == 0
+    out = "".join(writes.parts)
+    assert out.encode() == target.read_bytes()
+    # the rows go straight to the destination, never joined into one string
+    assert len(writes.parts) > 1
+    assert max(map(len, writes.parts)) < len(out) / 8
+
+
 def test_spectrum_classify_writes_nothing_before_the_last_point(monkeypatch):
     def broken(spectrum):
         raise StructureViolation("point 3 has two repeat-free representations")
@@ -282,10 +296,11 @@ def test_spectrum_classify_writes_nothing_before_the_last_point(monkeypatch):
     assert writes.parts == []
 
 
-# sha256 of the parent renderer's bytes, from the per-point dicts it built
+# sha256 of the bytes an earlier renderer wrote from per-point dicts
 @pytest.mark.parametrize(
     "fmt, digest",
     [
+        ("json", "816182f378f2d16fafec14a853e93417504b55fe6dd3ff60f97c7479f7dbabe7"),
         ("csv", "63c73ff4ae238476ef72ec038a1afc3e809492fc7838c9743638d4c828f564e5"),
         ("text", "76dcf03f5ebb29dd01c6b6462185956d875b44c12a41ebfab0c641b866e66227"),
     ],
@@ -306,7 +321,7 @@ def _point_tree(p):
         "class": p.kind.name.lower(),
         "subtype": p.subtype.name.lower() if p.subtype else None,
         "families": sorted(p.family_tags),
-        "reps": [list(r.entries) for r in p.reps],
+        "reps": [list(r) for r in p.reps],
         "boundary_safe": p.boundary_safe,
     }
 
@@ -794,10 +809,15 @@ _JSON_TREES = st.recursive(
 )
 
 
+def _written(value) -> str:
+    # the value at depth 1, beside an EncodedList, as a report carries it
+    return "".join(cli._json_parts({"a": value, "items": cli.EncodedList([1, 2], str)}))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_JSON_TREES)
 def test_json_writer_is_json_dumps(tree):
-    assert cli._json(tree) == _dumps(tree)
+    assert _written(tree) == _dumps({"a": tree, "items": [1, 2]})
 
 
 def test_json_writer_rejects_what_json_rejects():
@@ -805,7 +825,4 @@ def test_json_writer_rejects_what_json_rejects():
         with pytest.raises(TypeError):
             _dumps(bad)
         with pytest.raises(TypeError):
-            cli._json(bad)
-    # report keys are str; json would stringify a number key, the writer refuses it
-    with pytest.raises(TypeError):
-        cli._json({1: 0})
+            _written(bad)

@@ -4,6 +4,7 @@ The brute-force classifier and the closed-form equation route are
 implemented independently; their agreement on every valid spectrum is
 the oracle check here.
 """
+import itertools
 import math
 import random
 
@@ -59,23 +60,52 @@ def test_enumerate_smallest_sets():
     only_zero = sp.make_spectrum([0])
     reps = sp.triples_by_sum(only_zero.elements)
     assert set(reps) == {0}
-    assert reps[0] == [sp.TripleRep((0, 0, 0))]
+    assert reps[0] == [(0, 0, 0)]
     a5_small = sp.make_spectrum([0, 1, 5])
     grouped = sp.triples_by_sum(a5_small.elements)
-    assert {r.entries for r in grouped[3]} == {(1, 1, 1), (-1, -1, 5)}
+    assert set(grouped[3]) == {(1, 1, 1), (-1, -1, 5)}
     total = sum(len(v) for v in grouped.values())
     m = len(a5_small.elements)
     assert total == math.comb(m + 2, 3)
 
 
-def test_triple_rep_properties():
-    assert sp.TripleRep((1, 1, 1)).perm_count == 1
-    assert sp.TripleRep((0, 1, 1)).perm_count == 3
-    assert sp.TripleRep((0, 1, 5)).perm_count == 6
-    assert sp.TripleRep((-1, 1, 5)).is_trivial_form(5)
-    assert not sp.TripleRep((-1, 1, 5)).is_trivial_form(1)
-    assert sp.TripleRep((0, 0, 0)).is_trivial_form(0)
-    assert sp.TripleRep.make(5, -1, 1).entries == (-1, 1, 5)
+# (sorted triple, perm_count, has_repeat, the point it is a trivial form of)
+_SHAPES = [
+    ((0, 0, 0), 1, True, 0),  # all three equal
+    ((5, 5, 5), 1, True, None),
+    ((1, 1, 5), 3, True, None),  # low pair equal
+    ((-1, -1, 1), 3, True, -1),
+    ((-5, 1, 1), 3, True, None),  # high pair equal
+    ((-1, 1, 1), 3, True, 1),
+    ((-1, 0, 4), 6, False, None),  # all distinct
+    ((-5, -1, 5), 6, False, -1),
+]
+
+
+def test_triple_functions_on_every_shape():
+    for triple, perms, repeat, trivial_at in _SHAPES:
+        # the sign mirror has the mirrored shape and the mirrored point
+        mirror = tuple(sorted(-v for v in triple))
+        mirror_at = None if trivial_at is None else -trivial_at
+        for t, point in ((triple, trivial_at), (mirror, mirror_at)):
+            assert sp.perm_count(t) == perms == len(set(itertools.permutations(t)))
+            assert sp.has_repeat(t) is repeat
+            # a triple is the trivial form of its own sum or of nothing
+            hits = [d for d in range(-16, 17) if sp.is_trivial_form(t, d)]
+            assert hits == ([] if point is None else [point]), t
+
+
+def test_both_routes_give_sorted_int_triples():
+    for spectrum in (sp.make_spectrum(base=4, depth=5), sp.make_spectrum([0, 1, 4, 13, 40, 121])):
+        for route in (sp.classify_brute_force, sp.exceptions_from_equations):
+            points = route(spectrum)
+            assert points
+            for p in points:
+                assert type(p.reps) is tuple and list(p.reps) == sorted(p.reps)
+                for r in p.reps:
+                    assert type(r) is tuple and len(r) == 3
+                    assert all(type(v) is int for v in r)
+                    assert list(r) == sorted(r) and sum(r) == p.point
 
 
 def test_classify_a5_truncation():
@@ -86,7 +116,7 @@ def test_classify_a5_truncation():
     for d in (3, 15, 75):
         assert pts[d].subtype is sp.ExceptionKind.BOTH_REPEAT
         assert pts[d].boundary_safe
-    assert {r.entries for r in pts[3].reps} == {(1, 1, 1), (-1, -1, 5)}
+    assert set(pts[3].reps) == {(1, 1, 1), (-1, -1, 5)}
     # members themselves only carry cancellation-padded forms
     for lam in (1, 5, 25, 125):
         assert pts[lam].kind is sp.PointKind.TRIVIAL
@@ -105,9 +135,9 @@ def test_classify_a4_truncation():
     exc = sorted(d for d, p in pts.items() if p.kind is sp.PointKind.EXCEPTION)
     assert exc == [-48, -32, -12, -8, -3, -2, 2, 3, 8, 12, 32, 48]
     assert pts[2].subtype is sp.ExceptionKind.BOTH_REPEAT
-    assert {r.entries for r in pts[2].reps} == {(-1, -1, 4), (0, 1, 1)}
+    assert set(pts[2].reps) == {(-1, -1, 4), (0, 1, 1)}
     assert pts[3].subtype is sp.ExceptionKind.ONE_DISTINCT
-    assert {r.entries for r in pts[3].reps} == {(-1, 0, 4), (1, 1, 1)}
+    assert set(pts[3].reps) == {(-1, 0, 4), (1, 1, 1)}
 
 
 def test_classify_tiny_sets():
@@ -148,12 +178,12 @@ def test_equations_route_empty_cases():
 
 def _assert_oracle_match(spectrum):
     brute = {
-        (p.point, tuple(r.entries for r in p.reps), p.subtype)
+        (p.point, p.reps, p.subtype)
         for p in sp.classify_brute_force(spectrum)
         if p.kind is sp.PointKind.EXCEPTION and p.boundary_safe
     }
     equations = {
-        (p.point, tuple(r.entries for r in p.reps), p.subtype)
+        (p.point, p.reps, p.subtype)
         for p in sp.exceptions_from_equations(spectrum)
         if p.boundary_safe
     }
@@ -176,7 +206,7 @@ def test_oracle_equivalence_random():
         _assert_oracle_match(spec)
         for p in sp.exceptions_from_equations(spec):
             assert len(p.reps) == 2
-            assert any(r.has_repeat for r in p.reps)
+            assert any(sp.has_repeat(r) for r in p.reps)
 
 
 def test_pair_sum_uniqueness():
@@ -218,9 +248,7 @@ def test_scaling_invariance(lams, scale):
         assert b.kind is a.kind
         assert b.subtype is a.subtype
         assert b.boundary_safe == a.boundary_safe
-        assert [r.entries for r in b.reps] == [
-            tuple(scale * e for e in r.entries) for r in a.reps
-        ]
+        assert list(b.reps) == [tuple(scale * e for e in r) for r in a.reps]
     tags_a = {p.point: p.family_tags for p in sp.exceptions_from_equations(sp.make_spectrum(lams))}
     tags_b = {
         p.point: p.family_tags
