@@ -29,7 +29,6 @@ are therefore bitwise consistent with their positive mirror.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,20 +251,6 @@ def besselj_batch(n_max: int, x: float | np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ZeroSequence:
-    """Zeros of J1 in increasing order, with sigma_0 = 0 included.
-
-    ``zeros[r]`` is the r-th zero; every positive entry satisfies
-    |J1(zero)| <= ZERO_TOL.
-    """
-
-    zeros: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.zeros.setflags(write=False)
-
-
 def _mcmahon_j1(r: np.ndarray) -> np.ndarray:
     # Large-root expansion for the r-th positive zero of J1.
     beta = (r + 0.25) * math.pi
@@ -273,8 +258,11 @@ def _mcmahon_j1(r: np.ndarray) -> np.ndarray:
     return beta - 0.375 / beta + (3.0 / 128.0) / (beta * b2) - 0.23025 / (beta * b2 * b2)
 
 
-def j1_zeros(count: int) -> ZeroSequence:
+def j1_zeros(count: int) -> np.ndarray:
     """First ``count`` zeros of J1, counting sigma_0 = 0 as the zeroth.
+
+    The result is a read-only array in increasing order: entry r is the
+    r-th zero, and every positive entry satisfies |J1(zero)| <= ZERO_TOL.
 
     Newton iteration (J1' = J0 - J1/x) from the large-root expansion,
     safeguarded by a sign-change bracket and bisection fallback.  Every
@@ -323,13 +311,14 @@ def j1_zeros(count: int) -> ZeroSequence:
         x = np.where(inside, newton, x_next)
     if r.size:
         raise ZeroFindingError(f"zero {r[0]} did not refine to |J1| <= {ZERO_TOL}")
-    return ZeroSequence(zeros=zeros)
+    zeros.setflags(write=False)
+    return zeros
 
 
-def sign_change_certificate(seq: ZeroSequence, delta: float = 1.0e-8) -> bool:
+def sign_change_certificate(zeros: np.ndarray, delta: float = 1.0e-8) -> bool:
     """Check J1 flips sign across [z - delta, z + delta] at every
-    positive zero in ``seq``.  Returns True when all flips hold."""
-    z = seq.zeros[1:]
+    positive zero in ``zeros``.  Returns True when all flips hold."""
+    z = zeros[1:]
     left = _j0_j1(z - delta)[1]
     right = _j0_j1(z + delta)[1]
     return bool(np.all(left * right < 0.0))

@@ -47,8 +47,7 @@ from .integrals import (
     MAX_SEXTET_ORDER,
     IntegralValue,
     f_ratio,
-    i_direct_moduli,
-    i_direct_signed,
+    i_direct,
 )
 from .spectrum import (
     ClassifiedPoint,
@@ -133,12 +132,8 @@ class CoefficientVector:
 
 
 # ---------------------------------------------------------------------------
-# interaction values, from the direct route's memo on sorted moduli
-
-
-def _diag(m1: int, m2: int, m3: int, r_max: float) -> IntegralValue:
-    a, b, c = sorted((abs(m1), abs(m2), abs(m3)))
-    return i_direct_moduli((a, a, b, b, c, c), r_max)
+# interaction values all come from ``i_direct``, which checks each sextet
+# and serves it from the direct route's one memo
 
 
 @functools.lru_cache(maxsize=64)
@@ -319,7 +314,7 @@ def compute_S_exact(
                 if z2 == 0:
                     continue
                 weight = float(perm_count(r1) * perm_count(r2))
-                ival = i_direct_signed(r1 + r2, r_max)
+                ival = i_direct(r1 + r2, r_max=r_max)
                 term = weight * z1 * z2.conjugate()
                 total += term * ival.value
                 err += abs(term) * ival.error_bound
@@ -402,8 +397,9 @@ def _bound_terms(
     terms: list[BoundTerm] = []
 
     def add(coeff: float, mono: tuple[int, int, int], moduli: tuple[int, int, int]) -> None:
+        # each modulus appears twice, so the sextet's sign is always +
         if present.issuperset(mono):
-            terms.append((coeff, mono, _diag(*moduli, r_max)))
+            terms.append((coeff, mono, i_direct(moduli + moduli, r_max=r_max)))
 
     # distinct-moduli triples: 15, plus 6/eps when the sum is a
     # one-distinct exception
@@ -536,7 +532,7 @@ def assemble_forms(
         reps.extend(group)
         for i, r1 in enumerate(group, first):
             for j, r2 in enumerate(group, first):
-                ival = i_direct_signed(r1 + r2, r_max)
+                ival = i_direct(r1 + r2, r_max=r_max)
                 pairs.append((i, j))
                 values.append(ival.value)
                 errors.append(ival.error_bound)
@@ -917,11 +913,8 @@ class TheoremVerdict:
     """Three-valued outcome of S <= I(0,0,0) * mass^3."""
 
     verdict: str            # "holds" | "fails" | "indeterminate"
-    margin: float           # rhs - s_exact
+    margin: float           # I(0,0,0) mass^3 - S
     error_budget: float
-    s_exact: float
-    s_error_bound: float    # the part of the budget that S itself carries
-    rhs: float
     equality_case: bool     # within budget of equality with support in {0}
 
 
@@ -937,11 +930,10 @@ def verdict_of(
     on {0} lands within roundoff of equality and is reported as the
     equality case rather than an indeterminate verdict.
     """
-    i000 = i_direct_moduli((0, 0, 0, 0, 0, 0), r_max)
+    i000 = i_direct((0,) * 6, r_max=r_max)
     mass3 = f.mass() ** 3
-    rhs = i000.value * mass3
     budget = s.error_bound + i000.error_bound * mass3
-    margin = rhs - s.value
+    margin = i000.value * mass3 - s.value
     on_zero = all(n == 0 for n in f.support)
     if margin > budget:
         verdict = "holds"
@@ -953,9 +945,6 @@ def verdict_of(
         verdict=verdict,
         margin=margin,
         error_budget=budget,
-        s_exact=s.value,
-        s_error_bound=s.error_bound,
-        rhs=rhs,
         equality_case=(verdict != "fails" and abs(margin) <= budget and on_zero),
     )
 

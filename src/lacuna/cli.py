@@ -49,8 +49,9 @@ class Report:
 
     ``payload`` is the json body (``schema`` is added on rendering); a
     value of its top level may be an :class:`EncodedList`.
-    ``rows`` and ``text`` are called only when csv or text is asked
-    for, so a large json report never pays for its other forms.
+    ``rows`` yields finished csv cells, one list per row, and it and
+    ``text`` are called only when csv or text is asked for, so a large
+    json report never pays for its other forms.
     """
 
     payload: dict
@@ -79,22 +80,17 @@ _BATCH = 1024  # items per write of an EncodedList
 
 
 def _table(header: list[str], records: list[dict]) -> Callable[[], Iterable[list]]:
-    """Csv rows that read each header name as a key of each record."""
-    return lambda: ([rec.get(name) for name in header] for rec in records)
+    """Csv rows that read each header name as a key of each record.
 
-
-def _cell(value):
-    """A csv cell: a flat list is space-joined, a list of lists ``a,b;c,d``.
-
-    Anything else goes to the csv writer as is, which writes None as an
-    empty cell and a float, numpy scalars included, as ``str``, the
-    shortest decimal that reads back as the same float.
+    A flat list value becomes one space-joined cell. Anything else goes
+    to the csv writer as is, which writes None as an empty cell and a
+    float, numpy scalars included, as ``str``, the shortest decimal that
+    reads back as the same float.
     """
-    if not isinstance(value, list):
-        return value
-    if value and isinstance(value[0], list):
-        return ";".join(",".join(map(str, part)) for part in value)
-    return " ".join(map(str, value))
+    return lambda: (
+        [" ".join(map(str, v)) if isinstance(v, list) else v for v in map(rec.get, header)]
+        for rec in records
+    )
 
 
 def _json_parts(payload: dict) -> Iterator[str]:
@@ -127,7 +123,7 @@ def _write(report: Report, fmt: str, out: TextIO) -> None:
     if fmt == "csv":  # every row, the header too, ends in the line terminator
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(report.header)
-        writer.writerows([_cell(v) for v in row] for row in report.rows())
+        writer.writerows(report.rows())
         return
     if fmt == "json":
         for part in _json_parts({"schema": SCHEMA, **report.payload}):
@@ -202,7 +198,7 @@ def cmd_bessel_eval(args: argparse.Namespace) -> Report:
 
 
 def cmd_bessel_zeros(args: argparse.Namespace) -> Report:
-    values = [float(z) for z in bessel.j1_zeros(args.count).zeros]
+    values = [float(z) for z in bessel.j1_zeros(args.count)]
     return Report(
         {"command": "bessel.zeros", "count": args.count, "zeros": values},
         ["r", "zero"],
@@ -439,8 +435,8 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
                 p.point,
                 p.kind.name.lower(),
                 p.subtype.name.lower() if p.subtype else None,
-                sorted(p.family_tags),
-                [list(r) for r in p.reps],
+                " ".join(map(str, sorted(p.family_tags))),
+                ";".join("%d,%d,%d" % r for r in p.reps),
                 p.boundary_safe,
             ]
 
@@ -539,7 +535,7 @@ def _trial_dict(
     r_max: float,
 ) -> dict:
     verdict = ct.verdict_of(s, vec, r_max=r_max)
-    grouped_ok = verdict.s_exact <= ub.value + ub.error_bound + verdict.s_error_bound
+    grouped_ok = s.value <= ub.value + ub.error_bound + s.error_bound
     passed = grouped_ok and (
         verdict.verdict == "holds"
         or (verdict.verdict == "indeterminate" and verdict.equality_case)
@@ -548,7 +544,7 @@ def _trial_dict(
         "index": index,
         "source": label,
         "support": list(vec.support),
-        "s_exact": verdict.s_exact,
+        "s_exact": s.value,
         "upper_bound": ub.value,
         "grouped_ok": grouped_ok,
         "verdict": verdict.verdict,

@@ -19,7 +19,9 @@ class ZeroFindingError(LacunaError, ArithmeticError):
 
 
 class QuadratureError(LacunaError, ArithmeticError):
-    """An integral did not converge to the requested tolerance."""
+    """A quadrature result is unusable: J0 nearly vanishes at a J1 zero,
+    so the table's weights blow up, or F's denominator interval touches
+    zero, so no finite ratio interval exists."""
 
 
 class SpectrumError(LacunaError, ValueError):

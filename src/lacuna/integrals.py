@@ -119,7 +119,7 @@ def build_table(order_cap: int) -> QuadratureTable:
     order_cap = int(order_cap)
     if not 0 <= order_cap <= ORDER_GUARANTEE_CAP:
         raise RangeError(f"order_cap {order_cap} outside [0, {ORDER_GUARANTEE_CAP}]")
-    zeros = j1_zeros(NODE_COUNT).zeros
+    zeros = j1_zeros(NODE_COUNT)
     j0_at = besselj(0, zeros)
     if np.any(np.abs(j0_at) <= 1.0e-3):
         raise QuadratureError("J0 nearly vanishes at a J1 zero; weights unusable")
@@ -442,41 +442,40 @@ def i_direct(
 ) -> IntegralValue:
     """Direct quadrature of the sextet integral, the table route's oracle.
 
-    One pass of Gauss-Legendre panels of width <= pi/4 on [0, r_max] > N,
-    the largest order. Its bound, quad_bound + tail_bound, is proven before
-    the pass; quad_bound, run on every memo miss, refuses a bad r_max.
-    Bessel factors come from this module's numpy kernel (see
-    ``_bessel_rows``), within 7.0e-14 of scipy's jv on the default grid.
-    Values are memoised on the sorted moduli (``i_direct_moduli``), so a
+    The one door to the direct route. It checks ``index`` in one pass:
+    six integer orders (not bools) whose largest modulus is at most
+    MAX_SEXTET_ORDER. J_{-n} = (-1)^n J_n turns the signs into one parity
+    factor, and the value of the sorted moduli comes from a memo, so a
     repeated sextet, in any order and with any signs, costs one lookup.
+    On a memo miss, one pass of Gauss-Legendre panels of width <= pi/4
+    on [0, r_max] > N, the largest order, computes it; its bound,
+    quad_bound + tail_bound, is proven before the pass, and quad_bound
+    refuses a bad r_max. Bessel factors come from this module's numpy
+    kernel (see ``_bessel_rows``), within 7.0e-14 of scipy's jv on the
+    default grid.
     """
     if len(index) != 6:
         raise RangeError(f"need exactly six orders, got {len(index)}")
-    orders = tuple(_check_order(n, MAX_SEXTET_ORDER, "order") for n in index)
-    return i_direct_signed(orders, r_max)
-
-
-def i_direct_signed(sextet: tuple[int, ...], r_max: float) -> IntegralValue:
-    """i_direct without its order checks, for callers that made them."""
-    base = i_direct_moduli(tuple(sorted(abs(n) for n in sextet)), r_max)
-    # J_{-n} = (-1)^n J_n turns signs into one global parity factor
-    if sum(abs(n) for n in sextet if n < 0) % 2:
+    moduli, odd = [], 0
+    for n in index:
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise RangeError(f"order must be an integer, got {n!r}")
+        m = abs(int(n))
+        moduli.append(m)
+        if n < 0:
+            odd ^= m & 1
+    moduli.sort()
+    if moduli[-1] > MAX_SEXTET_ORDER:
+        raise RangeError(f"order {moduli[-1]} outside [-{MAX_SEXTET_ORDER}, {MAX_SEXTET_ORDER}]")
+    base = _direct_memo(tuple(moduli), r_max)
+    if odd:
         return IntegralValue(-base.value, base.error_bound, base.method)
     return base
 
 
 @functools.lru_cache(maxsize=16384)
-def i_direct_moduli(moduli: tuple[int, ...], r_max: float) -> IntegralValue:
-    """i_direct of six ascending non-negative orders: the direct route's memo.
-
-    Callers that already hold sorted moduli (the certificate's inner
-    loops) look values up here without i_direct's per-call checks; the
-    checks below run only when a value is computed.
-    """
-    for n in moduli:
-        _check_order(n, MAX_SEXTET_ORDER, "order")
-    if len(moduli) != 6 or list(moduli) != sorted(moduli) or moduli[0] < 0:
-        raise RangeError(f"need six ascending non-negative orders, got {moduli}")
+def _direct_memo(moduli: tuple[int, ...], r_max: float) -> IntegralValue:
+    """The direct value of six ascending moduli that ``i_direct`` checked."""
     bound = quad_bound(r_max, moduli[-1]) + tail_bound(r_max, moduli[-1])
     return IntegralValue(_product_on_grid(moduli, r_max), bound, "direct_truncated")
 

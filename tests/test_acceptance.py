@@ -266,5 +266,5 @@ def test_criterion_9_bessel_invariants():
         assert b[0] ** 2 + 2.0 * np.sum(b[1:] ** 2) == pytest.approx(1.0, abs=1.0e-12)
     seq = bessel.j1_zeros(60)
     assert bessel.sign_change_certificate(seq)
-    assert np.all(np.abs([bessel.besselj(1, z) for z in seq.zeros[1:]]) <= bessel.ZERO_TOL)
+    assert np.all(np.abs([bessel.besselj(1, z) for z in seq[1:]]) <= bessel.ZERO_TOL)
     print("criterion 9 PASS: symmetry/recurrence on 1000 points; normalization; zeros certified")

@@ -18,7 +18,6 @@ from lacuna.bessel import (
     MAX_ZEROS,
     SERIES_SWITCH,
     ZERO_TOL,
-    ZeroSequence,
     besselj,
     besselj_batch,
     j1_zeros,
@@ -205,12 +204,12 @@ def zeros_1001():
 
 @pytest.mark.parametrize("r,expected", J1_ZEROS_FROZEN)
 def test_frozen_zeros(zeros_1001, r, expected):
-    assert zeros_1001.zeros[r] == pytest.approx(expected, abs=1.0e-11)
+    assert zeros_1001[r] == pytest.approx(expected, abs=1.0e-11)
 
 
 def test_zeros_match_scipy(zeros_1001):
     ref = scipy.special.jn_zeros(1, 1000)
-    assert np.max(np.abs(zeros_1001.zeros[1:] - ref)) <= 1.0e-11
+    assert np.max(np.abs(zeros_1001[1:] - ref)) <= 1.0e-11
 
 
 def _one_x_zero(r):
@@ -242,24 +241,24 @@ def _one_x_zero(r):
 
 def test_zeros_are_bitwise_one_x_steps(zeros_1001):
     for r in (*range(1, 30), 500, 999, 1000):
-        assert zeros_1001.zeros[r] == _one_x_zero(r)
+        assert zeros_1001[r] == _one_x_zero(r)
 
 
 def test_zeros_start_at_origin(zeros_1001):
-    assert zeros_1001.zeros[0] == 0.0
+    assert zeros_1001[0] == 0.0
 
 
 def test_zeros_residual_tolerance(zeros_1001):
-    vals = np.array([abs(besselj(1, float(z))) for z in zeros_1001.zeros[1:]])
+    vals = np.array([abs(besselj(1, float(z))) for z in zeros_1001[1:]])
     assert vals.max() <= ZERO_TOL
 
 
 def test_zeros_strictly_increasing(zeros_1001):
-    assert np.all(np.diff(zeros_1001.zeros) > 0.0)
+    assert np.all(np.diff(zeros_1001) > 0.0)
 
 
 def test_gaps_approach_pi(zeros_1001):
-    gaps = np.diff(zeros_1001.zeros[900:1001])
+    gaps = np.diff(zeros_1001[900:1001])
     assert np.max(np.abs(gaps - math.pi)) <= 1.0e-3
 
 
@@ -268,15 +267,14 @@ def test_sign_change_certificate(zeros_1001):
 
 
 def test_certificate_rejects_tampering(zeros_1001):
-    bad = zeros_1001.zeros.copy()
+    bad = zeros_1001.copy()
     bad[500] += 0.05  # no longer a zero
-    fake = ZeroSequence(zeros=bad)
-    assert not sign_change_certificate(fake)
+    assert not sign_change_certificate(bad)
 
 
 def test_zero_sequence_is_immutable(zeros_1001):
     with pytest.raises(ValueError):
-        zeros_1001.zeros[3] = 1.0
+        zeros_1001[3] = 1.0
 
 
 def test_zero_count_limits():
@@ -285,12 +283,12 @@ def test_zero_count_limits():
     with pytest.raises(RangeError):
         j1_zeros(MAX_ZEROS + 2)  # indices 0..MAX_ZEROS are supported
     seq = j1_zeros(3)
-    assert seq.zeros.size == 3
+    assert seq.size == 3
 
 
 def test_every_supported_zero_lies_in_the_box():
     # the 1e-12 contract covers x <= MAX_ARG; the next zero, 10000.47, does not
     seq = j1_zeros(MAX_ZEROS + 1)
-    assert seq.zeros[-1] <= MAX_ARG
-    assert seq.zeros[-1] + 3.0 > MAX_ARG  # the last zero in the box, not an earlier one
-    assert seq.zeros[-1] == pytest.approx(scipy.special.jn_zeros(1, MAX_ZEROS)[-1], abs=1e-9)
+    assert seq[-1] <= MAX_ARG
+    assert seq[-1] + 3.0 > MAX_ARG  # the last zero in the box, not an earlier one
+    assert seq[-1] == pytest.approx(scipy.special.jn_zeros(1, MAX_ZEROS)[-1], abs=1e-9)

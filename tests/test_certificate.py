@@ -1,9 +1,12 @@
 """Certificate layer tests: norm identity, exact vs grouped sums,
 system windows, and the final three-valued comparison."""
 
+import ast
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import jv
 
 from lacuna import certificate as ct
+from lacuna import cli
 from lacuna import integrals as ig
 from lacuna.errors import CertificateError, RangeError, StructureViolation
 from lacuna.spectrum import PointKind, classify_brute_force, make_spectrum
@@ -373,6 +377,33 @@ def test_f_lower_bounds_excluded_distinct():
     assert 13.0 < flb.lower(3, 2, 0) < 14.0              # quadrature rescues it
 
 
+def test_member_floors_from_sweep(sweep40):
+    # the two member floors hold on the shared 40-order sweep wherever
+    # every modulus can belong to one lambda sequence, lambda_{n+1} > 3 lambda_n
+    sw = sweep40
+    lo, point = min(
+        (sw.ratio_lo(p, p, q), (p, q))
+        for p in range(1, 41)
+        for q in range(1, 41)
+        if max(p, q) > 3 * min(p, q)
+    )
+    assert lo > ct.F_FLOOR_PAIR_MEMBER == 13.2, point
+    assert point == (4, 1)  # the tightest row, (4,4,1)
+    lo, point = min(
+        (sw.ratio_lo(n, m, k), (n, m, k))
+        for n in range(1, 41)
+        for m in range(1, n)
+        for k in range(0, m)
+        if n > 3 * m and (m > 3 * k or k == 0)
+    )
+    assert lo > ct.F_FLOOR_DISTINCT_MEMBER == 21.0, point
+    assert point == (7, 2, 0)
+    # the pair floor decides a row on every base-4 spectrum: at the
+    # default r_max the quadrature interval of F(4,4,1) sits below it
+    assert ig.f_ratio(4, 4, 1).lo < ct.F_FLOOR_PAIR_MEMBER
+    assert ct.FLowerBounds(A4).lower(4, 4, 1) == ct.F_FLOOR_PAIR_MEMBER
+
+
 # ---------------------------------------------------------------------------
 # systems
 
@@ -508,3 +539,54 @@ def test_random_vector_adversarial_targets_exceptions():
     f = ct.random_vector(A5, rng, size=4, adversarial=True)
     hot = set(ct.exception_frequencies(A5))
     assert set(f.support) <= hot
+
+
+# ---------------------------------------------------------------------------
+# the one door to the direct route
+
+
+def test_certificate_reaches_direct_values_through_i_direct_only():
+    # no side door to the memo: the only functions of lacuna.integrals
+    # bound in the certificate are i_direct and f_ratio
+    from_integrals = {
+        name
+        for name, value in vars(ct).items()
+        if callable(value) and not isinstance(value, type)
+        and getattr(value, "__module__", None) == ig.__name__
+    }
+    assert from_integrals == {"f_ratio", "i_direct"}
+    assert not hasattr(ct, "_diag")
+    tree = ast.parse(Path(ct.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "integrals"
+        for alias in node.names
+    ]
+    assert "i_direct" in imported
+    assert not [name for name in imported if name.startswith("_")]
+
+
+def test_every_direct_lookup_passes_i_direct(monkeypatch, capsys):
+    # wrapped in every lacuna module that binds it, as the benchmark's
+    # tracer wraps it: each lookup of the memo is one i_direct call
+    calls = 0
+    original = ig.i_direct
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "lacuna" or mod_name.startswith("lacuna."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    before = ig._direct_memo.cache_info()
+    code = cli.main(["certify", "--base", "4", "--depth", "5", "--trials", "40"])
+    after = ig._direct_memo.cache_info()
+    capsys.readouterr()
+    assert code == 0
+    lookups = after.hits + after.misses - before.hits - before.misses
+    assert calls == lookups > 1000

@@ -137,11 +137,12 @@ def test_direct_input_validation():
         ig.i_direct((533, 0, 0, 0, 0, 0))
     with pytest.raises(RangeError):
         ig.i_direct((0,) * 6, r_max=50.0)
-    bad_keys = [(1, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 533), (0, 0),
-                (0, 0, 0, 0, 0.5, 1)]
-    for moduli in bad_keys:
+    # the cap binds the largest modulus, whatever its sign or slot
+    with pytest.raises(RangeError, match="order 533 outside"):
+        ig.i_direct((0, -533, 0, 0, 0, 0))
+    for bad in [(0, 0, 0, 0, 0, 533), (0, 0), (0, 0, 0, 0, 0.5, 1), (0, 0, 0, 0, True, 1)]:
         with pytest.raises(RangeError):
-            ig.i_direct_moduli(moduli, 4000.0)
+            ig.i_direct(bad)
 
 
 def test_direct_rejects_r_max_at_or_below_order(monkeypatch):
@@ -149,7 +150,7 @@ def test_direct_rejects_r_max_at_or_below_order(monkeypatch):
     with pytest.raises(RangeError, match="order 532"):
         ig.i_direct((532,) * 6, r_max=100.0)
     with pytest.raises(RangeError):
-        ig.i_direct_moduli((0, 0, 0, 0, 200, 200), 200.0)
+        ig.i_direct((0, 0, 0, 0, 200, 200), r_max=200.0)
     with pytest.raises(RangeError, match="order 200"):
         ig.sweep_diagonal(200, r_max=150.0)
     # past MAX_R_MAX no grid is built to find out
@@ -223,7 +224,7 @@ def _reference_pass(orders, r_max, refine=4):
      (5, 5, 121, 121, 364, 364)],
 )
 def test_single_pass_within_proven_bound(moduli):
-    one = ig.i_direct_moduli(moduli, 1000.0)
+    one = ig.i_direct(moduli, r_max=1000.0)
     bound = ig.quad_bound(1000.0, moduli[-1])
     assert abs(one.value - _reference_pass(moduli, 1000.0)) <= bound
     assert one.error_bound == bound + ig.tail_bound(1000.0, moduli[-1])
