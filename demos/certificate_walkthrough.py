@@ -19,7 +19,7 @@ print("\nexception points (exactly two essentially different writings):")
 for p in sp.classify_brute_force(A):
     if p.kind is sp.PointKind.EXCEPTION:
         reps = "  =  ".join(" + ".join(f"{v:d}" for v in r) for r in p.reps)
-        print(f"  D = {p.point:4d}  [{p.subtype.name.lower():11s}]  {reps}")
+        print(f"  D = {p.point:4d}  [{p.subtype.value:11s}]  {reps}")
 
 window = ct.feasible_b_interval()
 print(f"\nfeasible b window: [{window.lo:.4f}, {window.hi:.4f}]"

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import EvaluationError, RangeError, ZeroFindingError
+from .errors import EvaluationError, RangeError, ZeroFindingError, check_int
 
 MAX_ORDER = 1200
 MAX_ARG = 1.0e4
@@ -53,11 +53,7 @@ _RESCALE = 1.0e150
 _RESCALE_INV = 1.0e-150
 
 
-def _validate(n: int, x: float) -> None:
-    if not isinstance(n, (int, np.integer)):
-        raise RangeError(f"order must be an integer, got {n!r}")
-    if abs(int(n)) > MAX_ORDER:
-        raise RangeError(f"order {n} outside |n| <= {MAX_ORDER}")
+def _validate(x: float) -> None:
     if not math.isfinite(x):
         raise RangeError(f"argument must be finite, got {x!r}")
     if x < 0.0 or x > MAX_ARG:
@@ -169,15 +165,14 @@ def _miller_lanes(n_max: int, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validate_lanes(n: int, x: object) -> np.ndarray:
+def _validate_lanes(x: object) -> np.ndarray:
     # the scalar checks, applied to every entry of a 1-D array of x
     xs = np.asarray(x, dtype=float)
     if xs.ndim != 1:
         raise RangeError(f"argument must be a float or a 1-D array, got {xs.ndim} dimensions")
-    _validate(n, 0.0)
     bad = ~((xs >= 0.0) & (xs <= MAX_ARG))  # NaN fails both tests
     if bad.any():
-        _validate(n, float(xs[np.argmax(bad)]))
+        _validate(float(xs[np.argmax(bad)]))
     return xs
 
 
@@ -206,19 +201,17 @@ def besselj(n: int, x: float | np.ndarray) -> float | np.ndarray:
     0 <= x <= 1e4.  J_{-n}(x) returns exactly (-1)^n * J_n(x).  An array
     entry is bitwise the value of the float call at that entry.
     """
-    lanes = np.ndim(x) != 0
-    if lanes:
-        xs = _validate_lanes(n, x)
-    else:
-        _validate(n, float(x))
-    n_abs = abs(int(n))
+    n = check_int(n, "order", -MAX_ORDER, MAX_ORDER)
+    n_abs = abs(n)
     sign = -1.0 if (n < 0 and n_abs % 2 == 1) else 1.0
     switch = max(SERIES_SWITCH, 0.5 * n_abs)
-    if not lanes:
+    if np.ndim(x) == 0:
         x = float(x)
+        _validate(x)
         if x <= switch:
             return sign * _near_zero(n_abs, x)
         return sign * float(_miller(n_abs, x)[n_abs])
+    xs = _validate_lanes(x)
     out = np.empty(xs.size)
     small = xs <= switch
     for i in np.flatnonzero(small):
@@ -234,17 +227,15 @@ def besselj_batch(n_max: int, x: float | np.ndarray) -> np.ndarray:
     bitwise the row of the float call at that entry.  Entries agree
     with ``besselj`` to 1e-12 absolute.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
-        raise RangeError(f"n_max must be a non-negative integer, got {n_max!r}")
-    n_max = int(n_max)
+    n_max = check_int(n_max, "n_max", 0, MAX_ORDER)
     if np.ndim(x) == 0:
-        _validate(n_max, float(x))
+        _validate(float(x))
         if float(x) > 0.0:
             return _miller(n_max, float(x))
         out = np.zeros(n_max + 1)
         out[0] = 1.0
         return out
-    xs = _validate_lanes(n_max, x)
+    xs = _validate_lanes(x)
     out = np.zeros((xs.size, n_max + 1))
     out[xs == 0.0, 0] = 1.0
     out[xs > 0.0] = _miller_lanes(n_max, xs[xs > 0.0])
@@ -269,10 +260,7 @@ def j1_zeros(count: int) -> np.ndarray:
     zero still being refined takes its next step in one lane pass, and
     each follows exactly the iterates it would follow alone.
     """
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise RangeError(f"count must be a positive integer, got {count!r}")
-    if count > MAX_ZEROS + 1:
-        raise RangeError(f"count {count} exceeds the supported {MAX_ZEROS + 1}")
+    count = check_int(count, "count", 1, MAX_ZEROS + 1)
     zeros = np.zeros(count)
     r = np.arange(1, count)
     guess = _mcmahon_j1(r)

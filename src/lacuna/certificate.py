@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CertificateError, RangeError, StructureViolation
+from .errors import CertificateError, RangeError, StructureViolation, check_int
 from .integrals import (
     DEFAULT_R_MAX,
     MAX_SEXTET_ORDER,
@@ -988,8 +988,7 @@ def random_vector(
     elements = sorted(spectrum.elements)
     if size is None:
         size = min(len(elements), 9)
-    if not 1 <= size <= min(len(elements), MAX_SUPPORT):
-        raise RangeError(f"support size {size} out of range")
+    size = check_int(size, "support size", 1, min(len(elements), MAX_SUPPORT))
     if adversarial:
         preferred = list(exception_frequencies(spectrum))  # a subset of the elements
         hot = set(preferred)

@@ -213,13 +213,13 @@ def cmd_bessel_zeros(args: argparse.Namespace) -> Report:
 _TRIPLE_HEADER = ["k", "m", "n", "value", "error", "method"]
 
 
-def _triple_report(command: str, k: int, m: int, n: int, iv: ig.IntegralValue) -> Report:
+def _triple_report(command: str, method: str, iv: ig.IntegralValue, k=0, m=0, n=0) -> Report:
     return Report(
         {"command": command, "k": k, "m": m, "n": n,
-         "value": iv.value, "error": iv.error_bound, "method": iv.method},
+         "value": iv.value, "error": iv.error_bound, "method": method},
         _TRIPLE_HEADER,
-        lambda: [[k, m, n, iv.value, iv.error_bound, iv.method]],
-        lambda: f"({k},{m},{n}) = {iv.value!r} +- {iv.error_bound!r} [{iv.method}]",
+        lambda: [[k, m, n, iv.value, iv.error_bound, method]],
+        lambda: f"({k},{m},{n}) = {iv.value!r} +- {iv.error_bound!r} [{method}]",
     )
 
 
@@ -237,7 +237,7 @@ def cmd_integrals_f(args: argparse.Namespace) -> Report:
 
 
 def cmd_integrals_copt(args: argparse.Namespace) -> Report:
-    return _triple_report("integrals.copt", 0, 0, 0, ig.c_opt(r_max=args.r_max))
+    return _triple_report("integrals.copt", "direct_truncated", ig.c_opt(r_max=args.r_max))
 
 
 def cmd_integrals_tilde(args: argparse.Namespace) -> Report:
@@ -250,7 +250,8 @@ def cmd_integrals_tilde(args: argparse.Namespace) -> Report:
             f"order {top} exceeds {ig.ORDER_GUARANTEE_CAP}, the table route's certified range"
         )
     table = ig.build_table(max(args.order_cap, top))
-    return _triple_report("integrals.tilde", k, m, n, ig.i_tilde(abs(k), abs(m), abs(n), table))
+    iv = ig.i_tilde(abs(k), abs(m), abs(n), table)
+    return _triple_report("integrals.tilde", "quadrature_lemma8", iv, k, m, n)
 
 
 def cmd_integrals_direct(args: argparse.Namespace) -> Report:
@@ -258,9 +259,9 @@ def cmd_integrals_direct(args: argparse.Namespace) -> Report:
     iv = ig.i_direct(tuple(orders), r_max=args.r_max)
     return Report(
         {"command": "integrals.direct", "orders": orders,
-         "value": iv.value, "error": iv.error_bound, "method": iv.method},
+         "value": iv.value, "error": iv.error_bound, "method": "direct_truncated"},
         [f"n{i}" for i in range(1, 7)] + ["value", "error", "method"],
-        lambda: [[*orders, iv.value, iv.error_bound, iv.method]],
+        lambda: [[*orders, iv.value, iv.error_bound, "direct_truncated"]],
         lambda: f"I{tuple(orders)} = {iv.value!r} +- {iv.error_bound!r}",
     )
 
@@ -380,8 +381,8 @@ def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
 
 
 # the json text of each enum value; a point without a subtype has null
-_KIND_JSON = {k: f'"{k.name.lower()}"' for k in sp.PointKind}
-_SUBTYPE_JSON = {None: "null", **{k: f'"{k.name.lower()}"' for k in sp.ExceptionKind}}
+_KIND_JSON = {k: f'"{k.value}"' for k in sp.PointKind}
+_SUBTYPE_JSON = {None: "null", **{k: f'"{k.value}"' for k in sp.ExceptionKind}}
 _REP_JSON = "[\n          %d,\n          %d,\n          %d\n        ]"
 
 
@@ -416,7 +417,7 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
     spectrum = _spectrum_from_args(args)
     points = sp.classify_brute_force(spectrum)
     kinds = [p.kind for p in points]
-    counts = {k.name.lower(): kinds.count(k) for k in sp.PointKind}
+    counts = {k.value: kinds.count(k) for k in sp.PointKind}
     exceptions = [p for p in points if p.kind is sp.PointKind.EXCEPTION]
     unique_sums, witness = sp.has_unique_pair_sums(spectrum)
     cross = None
@@ -433,8 +434,8 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
         for p in points:
             yield [
                 p.point,
-                p.kind.name.lower(),
-                p.subtype.name.lower() if p.subtype else None,
+                p.kind.value,
+                p.subtype.value if p.subtype else None,
                 " ".join(map(str, sorted(p.family_tags))),
                 ";".join("%d,%d,%d" % r for r in p.reps),
                 p.boundary_safe,
@@ -446,7 +447,7 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
         ]
         for p in exceptions:
             reps = " = ".join("+".join(map(str, r)) for r in p.reps)
-            lines.append(f"exception D={p.point} [{p.subtype.name.lower()}]: {reps}")
+            lines.append(f"exception D={p.point} [{p.subtype.value}]: {reps}")
         lines.append(
             "counts: "
             + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one integer check."""
+
+import operator
 
 
 class LacunaError(Exception):
@@ -37,3 +39,17 @@ class StructureViolation(LacunaError, RuntimeError):
 class CertificateError(LacunaError, RuntimeError):
     """A certificate computation produced an internally inconsistent
     result (e.g. a purportedly real sum with a large imaginary part)."""
+
+
+def check_int(value: object, what: str, lo: int, hi: int) -> int:
+    """``value`` as an int in [lo, hi], else a RangeError. A bool is no integer;
+    anything ``operator.index`` takes (a numpy integer, not a float) is."""
+    if isinstance(value, bool):
+        raise RangeError(f"{what} must be an integer, got {value!r}")
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise RangeError(f"{what} must be an integer, got {value!r}") from None
+    if not lo <= n <= hi:
+        raise RangeError(f"{what} {n} outside [{lo}, {hi}]")
+    return n

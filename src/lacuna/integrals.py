@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import besselj, besselj_batch, j1_zeros
-from .errors import QuadratureError, RangeError
+from .errors import QuadratureError, RangeError, check_int
 
 GL_ORDER = 10
 PANEL_WIDTH = math.pi / 4.0          # under the product's oscillation scale
@@ -65,8 +65,6 @@ UNIT_ROUNDOFF = 2.0**-53
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 _LOG_ALIAS_TOL = math.log(ALIAS_TOL)
 
-_METHODS = ("quadrature_lemma8", "direct_truncated")
-
 
 @dataclass(frozen=True)
 class IntegralValue:
@@ -74,11 +72,8 @@ class IntegralValue:
 
     value: float
     error_bound: float
-    method: str
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise RangeError(f"unknown method {self.method!r}")
         if not (0.0 < self.error_bound < math.inf):
             raise RangeError(
                 f"error bound must be finite and positive, got {self.error_bound!r}"
@@ -114,11 +109,7 @@ def build_table(order_cap: int) -> QuadratureTable:
     written to disk. Rows past ORDER_GUARANTEE_CAP would carry no
     certified gap, so ``i_tilde`` could not read them; they are refused.
     """
-    if not isinstance(order_cap, (int, np.integer)) or isinstance(order_cap, bool):
-        raise RangeError(f"order_cap must be an integer, got {order_cap!r}")
-    order_cap = int(order_cap)
-    if not 0 <= order_cap <= ORDER_GUARANTEE_CAP:
-        raise RangeError(f"order_cap {order_cap} outside [0, {ORDER_GUARANTEE_CAP}]")
+    order_cap = check_int(order_cap, "order_cap", 0, ORDER_GUARANTEE_CAP)
     zeros = j1_zeros(NODE_COUNT)
     j0_at = besselj(0, zeros)
     if np.any(np.abs(j0_at) <= 1.0e-3):
@@ -131,29 +122,19 @@ def build_table(order_cap: int) -> QuadratureTable:
     return QuadratureTable(nodes, weights, rows, order_cap)
 
 
-def _check_order(n: object, cap: int, what: str) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise RangeError(f"{what} must be an integer, got {n!r}")
-    n = int(n)
-    if abs(n) > cap:
-        raise RangeError(f"{what} {n} outside [-{cap}, {cap}]")
-    return n
-
-
 def i_tilde(k: int, m: int, n: int, table: QuadratureTable) -> IntegralValue:
     """Discrete 1001-node estimate of the diagonal integral from below.
 
     The sum undershoots I(k,k,m,m,n,n) by an amount in (0, 1e-2), a gap
     certified only for max(k,m,n) <= ORDER_GUARANTEE_CAP, past which
-    ``build_table`` holds no rows; orders past the table's rows are a
-    ``RangeError``.
+    ``build_table`` holds no rows. ``check_int`` holds each order to
+    [0, table.order_cap]; the orders are sorted, as the product's
+    rounding depends on their order.
     """
-    ks = sorted(_check_order(v, table.order_cap, "order") for v in (k, m, n))
-    if ks[0] < 0:
-        raise RangeError(f"orders must be non-negative, got {(k, m, n)}")
+    ks = sorted(check_int(v, "order", 0, table.order_cap) for v in (k, m, n))
     a, b, c = (table.bessel_cache[:, v] for v in ks)
     terms = table.weights * (a * a) * (b * b) * (c * c)
-    return IntegralValue(math.fsum(terms), TABLE_GAP, "quadrature_lemma8")
+    return IntegralValue(math.fsum(terms), TABLE_GAP)
 
 
 @functools.lru_cache(maxsize=16)
@@ -443,10 +424,10 @@ def i_direct(
     """Direct quadrature of the sextet integral, the table route's oracle.
 
     The one door to the direct route. It checks ``index`` in one pass:
-    six integer orders (not bools) whose largest modulus is at most
-    MAX_SEXTET_ORDER. J_{-n} = (-1)^n J_n turns the signs into one parity
-    factor, and the value of the sorted moduli comes from a memo, so a
-    repeated sextet, in any order and with any signs, costs one lookup.
+    six orders, each through ``check_int`` on [-MAX_SEXTET_ORDER,
+    MAX_SEXTET_ORDER]. J_{-n} = (-1)^n J_n turns the signs into one
+    parity factor, and the value of the sorted moduli comes from a memo,
+    so a repeated sextet, in any order and with any signs, costs one lookup.
     On a memo miss, one pass of Gauss-Legendre panels of width <= pi/4
     on [0, r_max] > N, the largest order, computes it; its bound,
     quad_bound + tail_bound, is proven before the pass, and quad_bound
@@ -457,19 +438,15 @@ def i_direct(
     if len(index) != 6:
         raise RangeError(f"need exactly six orders, got {len(index)}")
     moduli, odd = [], 0
-    for n in index:
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise RangeError(f"order must be an integer, got {n!r}")
-        m = abs(int(n))
-        moduli.append(m)
+    for v in index:
+        n = check_int(v, "order", -MAX_SEXTET_ORDER, MAX_SEXTET_ORDER)
+        moduli.append(abs(n))
         if n < 0:
-            odd ^= m & 1
+            odd ^= n & 1
     moduli.sort()
-    if moduli[-1] > MAX_SEXTET_ORDER:
-        raise RangeError(f"order {moduli[-1]} outside [-{MAX_SEXTET_ORDER}, {MAX_SEXTET_ORDER}]")
     base = _direct_memo(tuple(moduli), r_max)
     if odd:
-        return IntegralValue(-base.value, base.error_bound, base.method)
+        return IntegralValue(-base.value, base.error_bound)
     return base
 
 
@@ -477,7 +454,7 @@ def i_direct(
 def _direct_memo(moduli: tuple[int, ...], r_max: float) -> IntegralValue:
     """The direct value of six ascending moduli that ``i_direct`` checked."""
     bound = quad_bound(r_max, moduli[-1]) + tail_bound(r_max, moduli[-1])
-    return IntegralValue(_product_on_grid(moduli, r_max), bound, "direct_truncated")
+    return IntegralValue(_product_on_grid(moduli, r_max), bound)
 
 
 @dataclass(frozen=True)
@@ -507,11 +484,11 @@ def f_ratio(
     The table route's 1e-2 gap is far too coarse for the threshold
     comparisons downstream (it would wash out margins of order 1e-1), so
     both numerator and denominator use the direct quadrature. The
-    denominator, with the larger orders, comes first, so an r_max at or
-    below them is refused before any grid is built.
+    denominator goes to ``i_direct`` as given, which checks and sorts its
+    orders, and comes first, so an r_max at or below them is refused
+    before any grid is built.
     """
-    a, b, c = sorted(abs(_check_order(v, MAX_SEXTET_ORDER, "order")) for v in (n1, n2, n3))
-    den = i_direct((a, a, b, b, c, c), r_max=r_max)
+    den = i_direct((n1, n1, n2, n2, n3, n3), r_max=r_max)
     num = i_direct((0, 0, 0, 0, 0, 0), r_max=r_max)
     if den.lo <= 0.0:
         raise QuadratureError(
@@ -531,7 +508,7 @@ def c_opt(*, r_max: float = DEFAULT_R_MAX) -> IntegralValue:
     """The sharp-constant candidate (2 pi)^4 * I(0,...,0)."""
     base = i_direct((0, 0, 0, 0, 0, 0), r_max=r_max)
     scale = (2.0 * math.pi) ** 4
-    return IntegralValue(scale * base.value, scale * base.error_bound, "direct_truncated")
+    return IntegralValue(scale * base.value, scale * base.error_bound)
 
 
 @dataclass(frozen=True)
@@ -555,9 +532,7 @@ class DiagonalSweep:
         return self.quad_diff + tail_bound(self.r_max, self.n_max)
 
     def value(self, k: int, m: int, n: int) -> float:
-        a, b, c = sorted(abs(int(v)) for v in (k, m, n))
-        if c > self.n_max:
-            raise RangeError(f"order {c} exceeds sweep cap {self.n_max}")
+        a, b, c = sorted(abs(check_int(v, "order", -self.n_max, self.n_max)) for v in (k, m, n))
         return float(self.direct[a, b, c])
 
     def ratio_lo(self, k: int, m: int, n: int) -> float:
@@ -609,9 +584,7 @@ def sweep_diagonal(
     in place of ~n_max^3/6 independent quadratures. Computed on every
     call and never stored: the result depends on the arguments alone.
     """
-    if not isinstance(n_max, (int, np.integer)) or not 0 <= int(n_max) <= MAX_SEXTET_ORDER:
-        raise RangeError(f"n_max must be an integer in [0, {MAX_SEXTET_ORDER}]")
-    n_max = int(n_max)
+    n_max = check_int(n_max, "n_max", 0, MAX_SEXTET_ORDER)
     quad = quad_bound(r_max, n_max)
     stack = _diagonal_stack(n_max, r_max)
     # exact permutation symmetry: every entry takes its sorted triple's value

@@ -25,13 +25,15 @@ some 89k points over 92k triples, and no point carries a per-instance
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .errors import RangeError, SpectrumError, StructureViolation
+from .errors import RangeError, SpectrumError, StructureViolation, check_int
 
 # Brute force holds every triple in memory: at 139 elements (depth 69)
 # `spectrum classify --cross-check` peaks at 301 MB, streaming a 142 MB json report.
@@ -64,14 +66,9 @@ class SpectrumSet:
     def __contains__(self, value: int) -> bool:
         return value in self._element_set
 
-    @property
+    @functools.cached_property
     def _element_set(self) -> frozenset[int]:
-        # cached lazily on the instance despite frozen=True
-        cached = getattr(self, "_elements_cache", None)
-        if cached is None:
-            cached = frozenset(self.elements)
-            object.__setattr__(self, "_elements_cache", cached)
-        return cached
+        return frozenset(self.elements)
 
     def is_double(self, value: int) -> bool:
         """True when value = 2a for some element a."""
@@ -80,6 +77,13 @@ class SpectrumSet:
     def is_triple(self, value: int) -> bool:
         """True when value = 3a for some element a."""
         return value % 3 == 0 and value // 3 in self._element_set
+
+
+def _generator_int(value: object, what: str, lo: int, kind: str) -> int:
+    try:
+        return check_int(value, what, lo, math.inf)
+    except RangeError:
+        raise SpectrumError(f"generator {what} must be {kind}, got {value!r}") from None
 
 
 def make_spectrum(
@@ -92,17 +96,15 @@ def make_spectrum(
     """Validate an explicit lambda list or expand a geometric generator.
 
     Generator form produces [0, scale, scale*base, ..., scale*base^(depth-1)];
-    base must be an integer >= 4 so the ratio stays strictly above 3.
+    base must be an integer >= 4 so the ratio stays strictly above 3; each
+    parameter goes through ``check_int``, and a refusal is a SpectrumError.
     """
     if (lambdas is None) == (base is None):
         raise SpectrumError("provide either an explicit lambda list or a generator base")
     if base is not None:
-        if not isinstance(base, int) or base < MIN_GENERATOR_BASE:
-            raise SpectrumError(f"generator base must be an integer >= 4, got {base!r}")
-        if not isinstance(depth, int) or depth < 0:
-            raise SpectrumError(f"generator depth must be a non-negative integer, got {depth!r}")
-        if not isinstance(scale, int) or scale < 1:
-            raise SpectrumError(f"generator scale must be a positive integer, got {scale!r}")
+        base = _generator_int(base, "base", MIN_GENERATOR_BASE, "an integer >= 4")
+        depth = _generator_int(depth, "depth", 0, "a non-negative integer")
+        scale = _generator_int(scale, "scale", 1, "a positive integer")
         lambdas = [0] + [scale * base**k for k in range(depth)]
     seq = tuple(lambdas)
     if not seq:

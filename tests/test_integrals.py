@@ -59,7 +59,6 @@ def test_tilde_reference_value(table12):
     got = ig.i_tilde(0, 0, 0, table12)
     assert got.value == pytest.approx(TILDE_000, rel=1.0e-12)
     assert got.error_bound == 0.01
-    assert got.method == "quadrature_lemma8"
     assert got.lo < got.value < got.hi
 
 
@@ -93,7 +92,6 @@ def test_direct_reference_values():
     coarse = ig.i_direct((0,) * 6)
     assert coarse.value == pytest.approx(REF_000_COARSE, rel=1.0e-11)
     assert coarse.error_bound == pytest.approx(ig.quad_bound(4000.0, 0) + ig.TAIL_COEFF / 4000.0)
-    assert coarse.method == "direct_truncated"
     fine = ig.i_direct((0,) * 6, r_max=40000.0)
     assert fine.value == pytest.approx(REF_000_FINE, rel=1.0e-11)
     assert fine.error_bound == pytest.approx(REF_000_FINE_ERR)
@@ -138,7 +136,7 @@ def test_direct_input_validation():
     with pytest.raises(RangeError):
         ig.i_direct((0,) * 6, r_max=50.0)
     # the cap binds the largest modulus, whatever its sign or slot
-    with pytest.raises(RangeError, match="order 533 outside"):
+    with pytest.raises(RangeError, match="order -533 outside"):
         ig.i_direct((0, -533, 0, 0, 0, 0))
     for bad in [(0, 0, 0, 0, 0, 533), (0, 0), (0, 0, 0, 0, 0.5, 1), (0, 0, 0, 0, True, 1)]:
         with pytest.raises(RangeError):
