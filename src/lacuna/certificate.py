@@ -51,7 +51,6 @@ from .integrals import (
 )
 from .spectrum import (
     ClassifiedPoint,
-    ExceptionKind,
     PointKind,
     SpectrumSet,
     Triple,
@@ -132,13 +131,52 @@ class CoefficientVector:
 
 
 # ---------------------------------------------------------------------------
-# interaction values all come from ``i_direct``, which checks each sextet
-# and serves it from the direct route's one memo
+# the exception table: each exception point's system, decided once for the
+# grouped bound and the systems
+
+SYSTEMS = ("trivial", "S2", "S3", "S4", "S5")
+
+
+def _shape(rep: Triple) -> tuple:
+    a, b, c = rep
+    if a == b == c:
+        return ("triple", a)
+    if a == b:
+        return ("pair", a, c)
+    if b == c:
+        return ("pair", b, a)
+    return ("distinct", rep)
+
+
+def _system_of(point: ClassifiedPoint) -> str:
+    """The system of an exception point, read from its two writings' shapes.
+
+    A repeat-free writing against a squared one is S2, against a cube S3;
+    a squared writing against a cube is S5; two squared writings are S4
+    when one pairs with zero, and "trivial" (no eps fires) otherwise.
+    """
+    shapes = [_shape(r) for r in point.reps]
+    kinds = tuple(sorted(s[0] for s in shapes))
+    if kinds == ("pair", "pair"):
+        return "S4" if sum(s[2] == 0 for s in shapes) == 1 else "trivial"
+    system = {
+        ("distinct", "pair"): "S2",
+        ("distinct", "triple"): "S3",
+        ("pair", "triple"): "S5",
+    }.get(kinds)
+    if system is None:
+        raise StructureViolation(f"exception {point.point} writings {kinds} match no known system")
+    return system
 
 
 @functools.lru_cache(maxsize=64)
-def _classified_map(spectrum: SpectrumSet) -> dict[int, ClassifiedPoint]:
-    return {c.point: c for c in classify_brute_force(spectrum)}
+def _exceptions(spectrum: SpectrumSet) -> dict[int, tuple[str, ClassifiedPoint]]:
+    """Each exception point of the spectrum with its system."""
+    return {
+        c.point: (_system_of(c), c)
+        for c in classify_brute_force(spectrum)
+        if c.kind is PointKind.EXCEPTION
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +209,6 @@ class BWindow:
     lo_exact: Fraction
     hi_exact: Fraction
     feasible: bool
-    binding_lower: str
-    binding_upper: str
 
 
 def feasible_b_interval(f_pair_zero_lo: float = F_FLOOR_PAIR0) -> BWindow:
@@ -186,18 +222,16 @@ def feasible_b_interval(f_pair_zero_lo: float = F_FLOOR_PAIR0) -> BWindow:
     if floor <= 0:
         raise RangeError(f"F floor must be positive, got {f_pair_zero_lo}")
     r3 = 3 * floor
-    low_desc = f"9(b+1)/(b-1) + 9 <= {float(r3)}"
-    high_desc = f"9(b-3)/(b-1) + 18 <= {float(r3)}"
     if r3 <= 18:
         # the quartic row already fails for every b > 1
-        return BWindow(math.inf, -math.inf, Fraction(0), Fraction(0), False, low_desc, high_desc)
+        return BWindow(math.inf, -math.inf, Fraction(0), Fraction(0), False)
     lo = r3 / (r3 - 18)
     if r3 < 27:
         hi = (45 - r3) / (27 - r3)
     else:
         hi = Fraction(10**9)  # the cross row is vacuous for b > 1
     feasible = 1 < lo <= hi
-    return BWindow(float(lo), float(hi), lo, hi, feasible, low_desc, high_desc)
+    return BWindow(float(lo), float(hi), lo, hi, feasible)
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +360,6 @@ def compute_S_exact(
 # certificate parameters and the grouped upper bound
 
 
-def default_a_exponent(spectrum: SpectrumSet, n1: int, n2: int) -> int:
-    """Exponent on eps for the quartic cross sum at (n1, n2).
-
-    Zero unless D = 2 n1 + n2 is twice a spectrum element; then +1 for
-    the n2 = 0 writing and -1 for the other. The two writings of one D
-    never both have n2 = 0, so the split is consistent.
-    """
-    if not spectrum.is_double(2 * n1 + n2):
-        return 0
-    return 1 if n2 == 0 else -1
-
-
 @dataclass(frozen=True)
 class CertificateParams:
     """Weights of the grouped bound: one b, one eps per exception."""
@@ -380,20 +402,15 @@ def _bound_terms(
 
     A term contributes coeff * x[n1] x[n2] x[n3] * integral, x = |fhat|^2,
     and is listed only when all three frequencies lie in ``support``, where
-    x can be nonzero. Indicator data (exception membership and its two
-    subclasses) comes from the spectrum's classification; eps weights are
-    looked up per fired exception and a missing one is a hard error.
+    x can be nonzero. Each exception's system comes from ``_exceptions``,
+    the table the systems read, so eps lands on the writing they assume;
+    eps weights are looked up per fired exception and a missing one is a
+    hard error.
     """
-    A = spectrum
-    classified = _classified_map(A)
+    system = {d: s for d, (s, _) in _exceptions(spectrum).items()}
     supp = tuple(support)
     present = set(supp)
     b = params.b
-
-    def in_e(d: int, subtype: ExceptionKind) -> bool:
-        c = classified.get(d)
-        return c is not None and c.kind is PointKind.EXCEPTION and c.subtype is subtype
-
     terms: list[BoundTerm] = []
 
     def add(coeff: float, mono: tuple[int, int, int], moduli: tuple[int, int, int]) -> None:
@@ -401,8 +418,7 @@ def _bound_terms(
         if present.issuperset(mono):
             terms.append((coeff, mono, i_direct(moduli + moduli, r_max=r_max)))
 
-    # distinct-moduli triples: 15, plus 6/eps when the sum is a
-    # one-distinct exception
+    # distinct-moduli triples: 15, plus 6/eps when the sum lies in S2 or S3
     for n1 in supp:
         for n2 in supp:
             if abs(n1) == abs(n2):
@@ -412,7 +428,7 @@ def _bound_terms(
                     continue
                 d = n1 + n2 + n3
                 coeff = 15.0
-                if in_e(d, ExceptionKind.ONE_DISTINCT):
+                if system.get(d) in ("S2", "S3"):
                     coeff += 6.0 / params.eps_for(d)
                 add(coeff, (n1, n2, n3), (n1, n2, n3))
 
@@ -424,24 +440,27 @@ def _bound_terms(
             if abs(n1) == abs(n2):
                 continue
             d = 2 * n1 + n2
+            s = system.get(d)
             quartic = (n1, n1, n2)
             coeff = 9.0 * (1.0 + (1.0 if n2 != 0 else 0.0))
-            if in_e(d, ExceptionKind.ONE_DISTINCT):
+            if s == "S2":
                 coeff += 9.0 * params.eps_for(d)
             add(coeff, quartic, quartic)
-            if in_e(d, ExceptionKind.BOTH_REPEAT):
-                if A.is_triple(d):
-                    add(9.0 / params.eps_for(d), quartic, quartic)
-                else:
-                    a = default_a_exponent(A, n1, n2)
-                    add(9.0 * params.eps_for(d) ** a if a else 9.0, quartic, quartic)
+            # the second writing's share: 1/eps against a cube; in S4 eps
+            # on the zero-paired writing and 1/eps on the other
+            if s == "S5":
+                add(9.0 / params.eps_for(d), quartic, quartic)
+            elif s == "S4":
+                add(9.0 * params.eps_for(d) ** (1 if n2 == 0 else -1), quartic, quartic)
+            elif s == "trivial":
+                add(9.0, quartic, quartic)
             # paired-conjugate cross sum, nonzero opposite modulus only
             if n2 != 0:
                 add(9.0, (n1, -n1, n2), quartic)
-        # pure sixth powers: 1, plus eps when 3 n1 is an exception
+        # pure sixth powers: 1, plus eps when 3 n1 lies in S3 or S5
         d3 = 3 * n1
         coeff = 1.0
-        if in_e(d3, ExceptionKind.BOTH_REPEAT) or in_e(d3, ExceptionKind.ONE_DISTINCT):
+        if system.get(d3) in ("S3", "S5"):
             coeff += params.eps_for(d3)
         add(coeff, (n1, n1, n1), (n1, n1, n1))
         add(9.0, (n1, n1, -n1), (n1, n1, n1))
@@ -676,17 +695,6 @@ class SystemReport:
     tightest_margin: float
 
 
-def _shape(rep: Triple) -> tuple:
-    a, b, c = rep
-    if a == b == c:
-        return ("triple", a)
-    if a == b:
-        return ("pair", a, c)
-    if b == c:
-        return ("pair", b, a)
-    return ("distinct", rep)
-
-
 def _free_instance(system_id: str, point: int | None, desc: str, slack: float) -> SystemInstance:
     return SystemInstance(
         system_id=system_id,
@@ -758,8 +766,8 @@ def _dispatch_exception(
     point: ClassifiedPoint, spectrum: SpectrumSet, b: float, flb: FLowerBounds
 ) -> list[SystemInstance]:
     d = point.point
+    system = _system_of(point)
     shapes = sorted((_shape(r) for r in point.reps), key=lambda s: s[0])
-    kinds = tuple(s[0] for s in shapes)
     quartic = 9.0 * (b + 1.0) / (b - 1.0)
 
     def dist_eps_lo(entries: tuple[int, int, int]) -> tuple[float, str]:
@@ -773,7 +781,7 @@ def _dispatch_exception(
         lo = 9.0 / (3.0 * f_lo - 18.0) if 3.0 * f_lo > 18.0 else math.inf
         return lo, f"9(2 + 1/eps) <= 3F({abs(p)},{abs(p)},{abs(q)}) [F_lo={f_lo:.4f}]"
 
-    if kinds == ("distinct", "pair"):
+    if system == "S2":
         # one repeat-free writing against a squared one
         entries = shapes[0][1]
         _, m1, m2 = shapes[1]
@@ -786,60 +794,46 @@ def _dispatch_exception(
             f"[F_lo={f2:.4f}]"
         )
         return [_eps_instance("S2", d, desc, lo, hi)]
-    if kinds == ("distinct", "triple"):
-        entries = shapes[0][1]
-        m1 = shapes[1][1]
+    if system in ("S3", "S5"):
+        # a repeat-free (S3) or squared (S5) writing against the cube 3 m1
+        other, (_, m1) = shapes
         if d != 3 * m1:
             raise StructureViolation(f"triple writing of {d} does not sum to it")
-        lo, lo_desc = dist_eps_lo(entries)
+        lo, lo_desc = dist_eps_lo(other[1]) if system == "S3" else pair_eps_lo(*other[1:])
         f2 = flb.lower(m1, m1, m1)
         hi = f2 - 1.0
         desc = f"{lo_desc}; 1 + eps <= F({abs(m1)},{abs(m1)},{abs(m1)}) [F_lo={f2:.4f}]"
-        return [_eps_instance("S3", d, desc, lo, hi)]
-    if kinds == ("pair", "triple"):
-        _, p, q = shapes[0]
-        m1 = shapes[1][1]
-        if d != 3 * m1:
-            raise StructureViolation(f"triple writing of {d} does not sum to it")
-        lo, lo_desc = pair_eps_lo(p, q)
-        f2 = flb.lower(m1, m1, m1)
-        hi = f2 - 1.0
-        desc = f"{lo_desc}; 1 + eps <= F({abs(m1)},{abs(m1)},{abs(m1)}) [F_lo={f2:.4f}]"
-        return [_eps_instance("S5", d, desc, lo, hi)]
-    if kinds == ("pair", "pair"):
-        zero_side = [s for s in shapes if s[2] == 0]
-        other_side = [s for s in shapes if s[2] != 0]
-        if len(zero_side) == 1:
-            n1 = zero_side[0][1]
-            _, m1, m2 = other_side[0]
-            if d != 2 * n1:
-                raise StructureViolation(f"zero-paired writing of {d} does not sum to it")
-            f1 = flb.lower(n1, n1, 0)
-            hi = (3.0 * f1 - quartic - 9.0) / 9.0
-            lo, lo_desc = pair_eps_lo(m1, m2)
-            desc = (
-                f"9(b+1)/(b-1) + 9(1+eps) <= 3F({abs(n1)},{abs(n1)},0) "
-                f"[F_lo={f1:.4f}]; {lo_desc}"
+        return [_eps_instance(system, d, desc, lo, hi)]
+    if system == "S4":
+        [(_, n1, _)] = [s for s in shapes if s[2] == 0]
+        [(_, m1, m2)] = [s for s in shapes if s[2] != 0]
+        if d != 2 * n1:
+            raise StructureViolation(f"zero-paired writing of {d} does not sum to it")
+        f1 = flb.lower(n1, n1, 0)
+        hi = (3.0 * f1 - quartic - 9.0) / 9.0
+        lo, lo_desc = pair_eps_lo(m1, m2)
+        desc = (
+            f"9(b+1)/(b-1) + 9(1+eps) <= 3F({abs(n1)},{abs(n1)},0) "
+            f"[F_lo={f1:.4f}]; {lo_desc}"
+        )
+        return [_eps_instance("S4", d, desc, lo, hi)]
+    if spectrum.is_double(d) or spectrum.is_triple(d):
+        raise StructureViolation(
+            f"exception {d} has two squared writings yet lies in 2A or 3A"
+        )
+    # no eps fires: each squared writing must clear the flat row
+    out = []
+    for _, p, q in shapes:
+        f_lo = flb.lower(p, p, q)
+        out.append(
+            _free_instance(
+                "trivial",
+                d,
+                f"27 <= 3F({abs(p)},{abs(p)},{abs(q)}) [F_lo={f_lo:.4f}]",
+                3.0 * f_lo - 27.0,
             )
-            return [_eps_instance("S4", d, desc, lo, hi)]
-        if spectrum.is_double(d) or spectrum.is_triple(d):
-            raise StructureViolation(
-                f"exception {d} has two squared writings yet lies in 2A or 3A"
-            )
-        # no eps fires: each squared writing must clear the flat row
-        out = []
-        for _, p, q in shapes:
-            f_lo = flb.lower(p, p, q)
-            out.append(
-                _free_instance(
-                    "trivial",
-                    d,
-                    f"27 <= 3F({abs(p)},{abs(p)},{abs(q)}) [F_lo={f_lo:.4f}]",
-                    3.0 * f_lo - 27.0,
-                )
-            )
-        return out
-    raise StructureViolation(f"exception {d} writings {kinds} match no known system")
+        )
+    return out
 
 
 def check_systems(
@@ -850,26 +844,21 @@ def check_systems(
 ) -> list[SystemReport]:
     """Check the global rows once and one system per exception point.
 
-    Dispatch is by the pair of writing shapes (repeat-free, squared
-    with or without the zero partner, cubed), the same dichotomies the
-    eps-split uses; a shape pair outside the known families is a hard
-    error. Feasibility of an eps window uses interval lower bounds for
-    every F, so a reported window survives quadrature error.
+    Each exception's system comes from ``_exceptions``, the table the
+    grouped bound reads, so both assume the same eps split; a shape pair
+    outside the known families is a hard error. Feasibility of an eps
+    window uses interval lower bounds for every F, so a reported window
+    survives quadrature error.
     """
     if not b > 1:
         raise RangeError(f"weight b must exceed 1, got {b}")
     flb = FLowerBounds(A, r_max=r_max)
-    instances: dict[str, list[SystemInstance]] = {
-        "trivial": [], "S2": [], "S3": [], "S4": [], "S5": []
-    }
+    instances: dict[str, list[SystemInstance]] = {system_id: [] for system_id in SYSTEMS}
     instances["trivial"].extend(_global_rows(A, b, flb))
-    for point in _classified_map(A).values():
-        if point.kind is not PointKind.EXCEPTION:
-            continue
-        for inst in _dispatch_exception(point, A, b, flb):
-            instances[inst.system_id].append(inst)
+    for system, point in _exceptions(A).values():
+        instances[system].extend(_dispatch_exception(point, A, b, flb))
     reports = []
-    for system_id in ("trivial", "S2", "S3", "S4", "S5"):
+    for system_id in SYSTEMS:
         rows = tuple(instances[system_id])
         passed = all(r.feasible for r in rows)
         tightest = min((r.margin for r in rows), default=math.inf)
@@ -966,10 +955,9 @@ def verify_theorem(
 def exception_frequencies(spectrum: SpectrumSet) -> tuple[int, ...]:
     """Elements participating in some exception writing, sorted."""
     out: set[int] = set()
-    for point in _classified_map(spectrum).values():
-        if point.kind is PointKind.EXCEPTION:
-            for rep in point.reps:
-                out.update(rep)
+    for _, point in _exceptions(spectrum).values():
+        for rep in point.reps:
+            out.update(rep)
     return tuple(sorted(out))
 
 

@@ -516,8 +516,9 @@ class DiagonalSweep:
     """Direct-route values of every diagonal integral with orders <= n_max.
 
     ``direct[k, m, n]`` is the one pi/4-panel pass of I(k,k,m,m,n,n) on
-    [0, r_max]; ``quad_diff`` is the proven quad_bound(r_max, n_max) of
-    every entry, to which error_bound adds tail_bound(r_max, n_max).
+    [0, r_max], read at sorted orders only; ``quad_diff`` is the proven
+    quad_bound(r_max, n_max) of every entry, to which error_bound adds
+    tail_bound(r_max, n_max).
     Truncation only discards a non-negative integrand, so the one-sided
     enclosure is [direct - quad_diff, direct + quad_diff + tail].
     """
@@ -586,9 +587,6 @@ def sweep_diagonal(
     """
     n_max = check_int(n_max, "n_max", 0, MAX_SEXTET_ORDER)
     quad = quad_bound(r_max, n_max)
-    stack = _diagonal_stack(n_max, r_max)
-    # exact permutation symmetry: every entry takes its sorted triple's value
-    a, b, c = np.sort(np.indices(stack.shape).reshape(3, -1), axis=0)
-    direct = stack[a, b, c].reshape(stack.shape)
+    direct = _diagonal_stack(n_max, r_max)
     direct.setflags(write=False)
     return DiagonalSweep(n_max, direct, quad, r_max)

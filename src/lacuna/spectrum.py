@@ -105,6 +105,8 @@ def make_spectrum(
         base = _generator_int(base, "base", MIN_GENERATOR_BASE, "an integer >= 4")
         depth = _generator_int(depth, "depth", 0, "a non-negative integer")
         scale = _generator_int(scale, "scale", 1, "a positive integer")
+        if 2 * depth + 1 > MAX_ELEMENTS:  # refused before any power is built
+            raise RangeError(f"{2 * depth + 1} elements exceed the supported {MAX_ELEMENTS}")
         lambdas = [0] + [scale * base**k for k in range(depth)]
     seq = tuple(lambdas)
     if not seq:

@@ -2,6 +2,7 @@
 system windows, and the final three-valued comparison."""
 
 import ast
+import collections
 import math
 import random
 import sys
@@ -18,7 +19,7 @@ from lacuna import certificate as ct
 from lacuna import cli
 from lacuna import integrals as ig
 from lacuna.errors import CertificateError, RangeError, StructureViolation
-from lacuna.spectrum import PointKind, classify_brute_force, make_spectrum
+from lacuna.spectrum import ExceptionKind, PointKind, classify_brute_force, make_spectrum
 
 A5 = make_spectrum(base=5, depth=4)      # {0, +-1, +-5, +-25, +-125}
 A4 = make_spectrum(base=4, depth=5)      # {0, +-1, +-4, ..., +-256}
@@ -166,7 +167,6 @@ def test_b_window_endpoints_exact():
 def test_b_window_infeasible():
     w = ct.feasible_b_interval(6.0)          # 3F = 18 kills the quartic row
     assert not w.feasible
-    assert "9(b+1)/(b-1)" in w.binding_lower
     w2 = ct.feasible_b_interval(6.5)         # lo = 19.5/1.5 = 13 > hi
     assert not w2.feasible and w2.lo_exact == Fraction(13)
 
@@ -195,7 +195,7 @@ def test_s_exact_reads_no_classification(monkeypatch):
     def refuse(spectrum):
         raise AssertionError("S consulted the classification")
 
-    monkeypatch.setattr(ct, "_classified_map", refuse)
+    monkeypatch.setattr(ct, "_exceptions", refuse)
     for f, want in zip(vectors, expected, strict=True):
         got = ct.compute_S_exact(f)
         assert got.value == want.value and got.error_bound == want.error_bound > 0
@@ -346,11 +346,29 @@ def test_b5_coefficient_reduction():
     assert 5 / (2 * b - 2) == 5 / 8 and 1 / (2 * b - 2) == 1 / 8
 
 
-def test_a_exponent_rule():
-    assert ct.default_a_exponent(A5, 1, 5) == 0          # 7 not twice an element
-    assert ct.default_a_exponent(A5, 5, 0) == 1          # 10 = 2*5, zero partner
-    assert ct.default_a_exponent(A4, -1, 4) == -1        # 2 = 2*1, nonzero partner
-    assert ct.default_a_exponent(A4, 1, 4) == 0          # 6 not twice an element
+def test_system_of_matches_the_subtype_rule():
+    # the writing shapes give the system the grouped bound once read off the
+    # subtype and the spectrum: one repeat-free writing is S2, or S3 when D
+    # lies in 3A; two squared ones are S5 in 3A, S4 in 2A, else "trivial"
+    spectra = [
+        make_spectrum(base=base, depth=depth, scale=scale)
+        for base in range(4, 10) for depth in range(1, 7) for scale in range(1, 4)
+    ] + [
+        make_spectrum(lambdas=lams)
+        for lams in ([0, 5, 22, 88, 274], [0, 5, 20, 70, 222], [0, 1, 4, 13, 40, 121, 364])
+    ]
+    seen = collections.Counter()
+    for spectrum in spectra:
+        for d, (system, point) in ct._exceptions(spectrum).items():
+            if point.subtype is ExceptionKind.ONE_DISTINCT:
+                rule = "S3" if spectrum.is_triple(d) else "S2"
+            elif spectrum.is_triple(d):
+                rule = "S5"
+            else:
+                rule = "S4" if spectrum.is_double(d) else "trivial"
+            assert ct._system_of(point) == system == rule, (spectrum.lambdas, d)
+            seen[system] += 1
+    assert set(seen) == set(ct.SYSTEMS) and sum(seen.values()) > 300
 
 
 # ---------------------------------------------------------------------------

@@ -438,6 +438,28 @@ def test_certify_deterministic_bytes(capsys):
     assert out1 == out2
 
 
+# sha256 of certify's stdout before the exception table decided each
+# system once; both spectra reach all five systems
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("--lambdas", "0,5,22,88,274", "--trials", "60", "--seed", "2"),
+            "1829b90f6b7286d139524acf43311e360955ae3e7468232e8a79fc742e1a9dd8",
+        ),
+        (
+            ("--lambdas", "0,5,20,70,222", "--trials", "60", "--format", "csv"),
+            "cf877dde81f1abe011b1615d1b932962d1c67b327e3818b3eaa29fd35db5107f",
+        ),
+    ],
+    ids=["json", "csv"],
+)
+def test_certify_five_system_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, "certify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_certify_threads_do_not_change_output(capsys):
     base = ("certify", "--base", "5", "--depth", "4", "--trials", "3", "--seed", "2")
     _, out1, _ = run(capsys, *base, "--threads", "1")
@@ -496,7 +518,7 @@ def test_certify_runs_each_stage_once(monkeypatch, capsys):
     )
     for name in names:
         counted(name)
-    ct._classified_map.cache_clear()
+    ct._exceptions.cache_clear()
     code, _, _ = run(
         capsys, "certify", "--base", "5", "--depth", "4", "--trials", "6", "--seed", "7"
     )

@@ -222,6 +222,12 @@ def test_pair_sum_uniqueness():
     assert {first, second} == {(-1, 2), (0, 1)}
 
 
+def test_oversized_generator_refused_before_expansion():
+    # a generator has 2 depth + 1 elements: refused before any power exists
+    with pytest.raises(RangeError, match="^2000000001 elements exceed the supported 140$"):
+        sp.make_spectrum(base=4, depth=10**9)
+
+
 def test_element_cap():
     many = sp.SpectrumSet(lambdas=(0,), elements=tuple(range(sp.MAX_ELEMENTS + 1)))
     with pytest.raises(RangeError):
