@@ -23,9 +23,9 @@ copt = ig.c_opt()
 
 print(f"support          : {f.support}")
 print(f"S (exact)        : {s.value!r} +- {s.error_bound:.2e}")
-print(f"||f||_2^6        : {norm6.value!r}")
+print(f"||f||_2^6        : {norm6.mass_cubed!r}")
 
-chain = (2 * math.pi) ** 7 * s.value / ((2 * math.pi) ** 3 * norm6.value)
+chain = (2 * math.pi) ** 7 * s.value / ((2 * math.pi) ** 3 * norm6.mass_cubed)
 print(f"(2pi)^7 S / ((2pi)^3 ||f||^6) = {chain!r}")
 print(f"c_opt                         = {copt.value!r} +- {copt.error_bound:.2e}")
 print(f"relative deviation            = {abs(chain - copt.value) / copt.value:.2e}")

@@ -34,6 +34,7 @@ interval endpoints, so "holds" survives worst-case quadrature error.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,10 +245,6 @@ class NormSixth:
 
     mass_cubed: float
     grouped: float
-
-    @property
-    def value(self) -> float:
-        return self.mass_cubed
 
 
 def compute_norm6(f: CoefficientVector) -> NormSixth:
@@ -750,23 +747,18 @@ def _global_rows(spectrum: SpectrumSet, b: float, flb: FLowerBounds) -> list[Sys
             rows.append(
                 _free_instance("trivial", None, f"27 <= 3F({m1},{m1},{m2})", lo - 27.0)
             )
-    lams = sorted(set(spectrum.lambdas))
-    for i in range(len(lams)):
-        for j in range(i + 1, len(lams)):
-            for k in range(j + 1, len(lams)):
-                n3, n2, n1 = lams[i], lams[j], lams[k]
-                lo = flb.lower(n1, n2, n3)
-                rows.append(
-                    _free_instance("trivial", None, f"15 <= F({n1},{n2},{n3})", lo - 15.0)
-                )
+    # make_spectrum keeps the lambdas strictly increasing
+    for n3, n2, n1 in itertools.combinations(spectrum.lambdas, 3):
+        lo = flb.lower(n1, n2, n3)
+        rows.append(_free_instance("trivial", None, f"15 <= F({n1},{n2},{n3})", lo - 15.0))
     return rows
 
 
 def _dispatch_exception(
-    point: ClassifiedPoint, spectrum: SpectrumSet, b: float, flb: FLowerBounds
+    system: str, point: ClassifiedPoint, b: float, flb: FLowerBounds
 ) -> list[SystemInstance]:
+    """The rows of one exception point under its system from ``_exceptions``."""
     d = point.point
-    system = _system_of(point)
     shapes = sorted((_shape(r) for r in point.reps), key=lambda s: s[0])
     quartic = 9.0 * (b + 1.0) / (b - 1.0)
 
@@ -797,8 +789,6 @@ def _dispatch_exception(
     if system in ("S3", "S5"):
         # a repeat-free (S3) or squared (S5) writing against the cube 3 m1
         other, (_, m1) = shapes
-        if d != 3 * m1:
-            raise StructureViolation(f"triple writing of {d} does not sum to it")
         lo, lo_desc = dist_eps_lo(other[1]) if system == "S3" else pair_eps_lo(*other[1:])
         f2 = flb.lower(m1, m1, m1)
         hi = f2 - 1.0
@@ -807,8 +797,6 @@ def _dispatch_exception(
     if system == "S4":
         [(_, n1, _)] = [s for s in shapes if s[2] == 0]
         [(_, m1, m2)] = [s for s in shapes if s[2] != 0]
-        if d != 2 * n1:
-            raise StructureViolation(f"zero-paired writing of {d} does not sum to it")
         f1 = flb.lower(n1, n1, 0)
         hi = (3.0 * f1 - quartic - 9.0) / 9.0
         lo, lo_desc = pair_eps_lo(m1, m2)
@@ -817,10 +805,6 @@ def _dispatch_exception(
             f"[F_lo={f1:.4f}]; {lo_desc}"
         )
         return [_eps_instance("S4", d, desc, lo, hi)]
-    if spectrum.is_double(d) or spectrum.is_triple(d):
-        raise StructureViolation(
-            f"exception {d} has two squared writings yet lies in 2A or 3A"
-        )
     # no eps fires: each squared writing must clear the flat row
     out = []
     for _, p, q in shapes:
@@ -856,7 +840,7 @@ def check_systems(
     instances: dict[str, list[SystemInstance]] = {system_id: [] for system_id in SYSTEMS}
     instances["trivial"].extend(_global_rows(A, b, flb))
     for system, point in _exceptions(A).values():
-        instances[system].extend(_dispatch_exception(point, A, b, flb))
+        instances[system].extend(_dispatch_exception(system, point, b, flb))
     reports = []
     for system_id in SYSTEMS:
         rows = tuple(instances[system_id])

@@ -37,6 +37,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 _FORMATS = ("json", "csv", "text")
+AMPLITUDE_BOX = (1.0e-40, 1.0e40)
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +160,13 @@ def _add_spectrum_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambdas", help="comma-separated absolute values, e.g. 0,1,5,25")
     parser.add_argument("--base", type=int, help="geometric generator base (> 3)")
     parser.add_argument("--depth", type=int, help="number of positive generator powers")
-    parser.add_argument("--scale", type=int, default=1, help="generator multiplier")
+    parser.add_argument("--scale", type=int, help="generator multiplier (default 1)")
 
 
 def _spectrum_from_args(args: argparse.Namespace) -> sp.SpectrumSet:
     if args.lambdas is not None:
-        if args.base is not None or args.depth is not None:
-            raise RangeError("give either --lambdas or --base/--depth, not both")
+        if args.base is not None or args.depth is not None or args.scale is not None:
+            raise RangeError("give either --lambdas or --base/--depth/--scale, not both")
         try:
             lams = [int(part) for part in args.lambdas.split(",") if part.strip() != ""]
         except ValueError as exc:
@@ -173,7 +174,8 @@ def _spectrum_from_args(args: argparse.Namespace) -> sp.SpectrumSet:
         return sp.make_spectrum(lams)
     if args.base is None or args.depth is None:
         raise RangeError("need --lambdas or both --base and --depth")
-    return sp.make_spectrum(base=args.base, depth=args.depth, scale=args.scale)
+    scale = 1 if args.scale is None else args.scale
+    return sp.make_spectrum(base=args.base, depth=args.depth, scale=scale)
 
 
 def _spectrum_desc(spectrum: sp.SpectrumSet) -> dict:
@@ -504,6 +506,12 @@ def _read_coefficients(path: str, spectrum: sp.SpectrumSet) -> ct.CoefficientVec
     vec = ct.CoefficientVector.from_dict(spectrum, values)
     if not vec.entries:
         raise RangeError("coefficient file has no nonzero amplitude: no vector would be checked")
+    # inside the box sixth powers, cubed masses and error terms stay normal
+    # floats; outside it they overflow or underflow to 0 and fake a verdict
+    lo, hi = AMPLITUDE_BOX
+    top = max(abs(z) for _, z in vec.entries)
+    if not lo <= top <= hi:
+        raise RangeError(f"largest amplitude modulus {top:g} outside [{lo:g}, {hi:g}]")
     return vec
 
 

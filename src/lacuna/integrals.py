@@ -48,6 +48,9 @@ TABLE_GAP = 1.0e-2                   # one-sided gap bound of the table route
 MAX_SEXTET_ORDER = 532
 DEFAULT_R_MAX = 4000.0
 SWEEP_N_MAX = 40                     # the diagonal sweep's default grid
+# the sweep's ceiling: n_max 200 takes 93 s and 879 MB peak RSS (2-vCPU Xeon);
+# its (n+1)(n+2)/2-row products and (n+1)^3 cube would need ~6.5 GB at 532
+SWEEP_MAX_N = 200
 SWEEP_R_MAX = 40000.0
 MIN_R_MAX = 100.0
 # the largest grid on which the tests pin the direct route's Bessel factors
@@ -468,8 +471,6 @@ class RatioValue:
     value: float
     lo: float
     hi: float
-    numerator: IntegralValue
-    denominator: IntegralValue
 
 
 def f_ratio(
@@ -499,8 +500,6 @@ def f_ratio(
         value=num.value / den.value,
         lo=num.lo / den.hi,
         hi=num.hi / den.lo,
-        numerator=num,
-        denominator=den,
     )
 
 
@@ -585,7 +584,7 @@ def sweep_diagonal(
     in place of ~n_max^3/6 independent quadratures. Computed on every
     call and never stored: the result depends on the arguments alone.
     """
-    n_max = check_int(n_max, "n_max", 0, MAX_SEXTET_ORDER)
+    n_max = check_int(n_max, "n_max", 0, SWEEP_MAX_N)
     quad = quad_bound(r_max, n_max)
     direct = _diagonal_stack(n_max, r_max)
     direct.setflags(write=False)

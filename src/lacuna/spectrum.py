@@ -70,14 +70,6 @@ class SpectrumSet:
     def _element_set(self) -> frozenset[int]:
         return frozenset(self.elements)
 
-    def is_double(self, value: int) -> bool:
-        """True when value = 2a for some element a."""
-        return value % 2 == 0 and value // 2 in self._element_set
-
-    def is_triple(self, value: int) -> bool:
-        """True when value = 3a for some element a."""
-        return value % 3 == 0 and value // 3 in self._element_set
-
 
 def _generator_int(value: object, what: str, lo: int, kind: str) -> int:
     try:

@@ -57,9 +57,9 @@ def test_constant_vector():
 def test_norm6_examples():
     one = ct.CoefficientVector.from_dict(A5, {0: 1.0})
     r = ct.compute_norm6(one)
-    assert r.value == 1.0 and r.grouped == 1.0
+    assert r.mass_cubed == 1.0 and r.grouped == 1.0
     pair = ct.CoefficientVector.from_dict(A5, {1: 1.0, -1: 1.0})
-    assert ct.compute_norm6(pair).value == pytest.approx(8.0, rel=1e-15)
+    assert ct.compute_norm6(pair).mass_cubed == pytest.approx(8.0, rel=1e-15)
 
 
 def test_norm6_identity_random():
@@ -181,7 +181,8 @@ def test_s_exact_zero_support_chain():
     direct = ig.i_direct((0,) * 6)
     assert s0.value == pytest.approx(direct.value, rel=1e-15)
     # (2pi)^7 S / ((2pi)^3 norm6) equals the conjectured constant
-    chain = (2 * math.pi) ** 7 * s0.value / ((2 * math.pi) ** 3 * ct.compute_norm6(f0).value)
+    norm6 = ct.compute_norm6(f0).mass_cubed
+    chain = (2 * math.pi) ** 7 * s0.value / ((2 * math.pi) ** 3 * norm6)
     assert chain == pytest.approx(ig.c_opt().value, rel=1e-12)
 
 
@@ -349,7 +350,9 @@ def test_b5_coefficient_reduction():
 def test_system_of_matches_the_subtype_rule():
     # the writing shapes give the system the grouped bound once read off the
     # subtype and the spectrum: one repeat-free writing is S2, or S3 when D
-    # lies in 3A; two squared ones are S5 in 3A, S4 in 2A, else "trivial"
+    # lies in 3A; two squared ones are S5 in 3A, S4 in 2A, else "trivial".
+    # The systems rely on two facts checked here: every writing sums to its
+    # point, and no "trivial" point lies in 2A or 3A
     spectra = [
         make_spectrum(base=base, depth=depth, scale=scale)
         for base in range(4, 10) for depth in range(1, 7) for scale in range(1, 4)
@@ -360,13 +363,17 @@ def test_system_of_matches_the_subtype_rule():
     seen = collections.Counter()
     for spectrum in spectra:
         for d, (system, point) in ct._exceptions(spectrum).items():
+            in_2a = d % 2 == 0 and d // 2 in spectrum
+            in_3a = d % 3 == 0 and d // 3 in spectrum
             if point.subtype is ExceptionKind.ONE_DISTINCT:
-                rule = "S3" if spectrum.is_triple(d) else "S2"
-            elif spectrum.is_triple(d):
+                rule = "S3" if in_3a else "S2"
+            elif in_3a:
                 rule = "S5"
             else:
-                rule = "S4" if spectrum.is_double(d) else "trivial"
+                rule = "S4" if in_2a else "trivial"
             assert ct._system_of(point) == system == rule, (spectrum.lambdas, d)
+            assert all(sum(rep) == d for rep in point.reps), (spectrum.lambdas, d)
+            assert system != "trivial" or not (in_2a or in_3a), (spectrum.lambdas, d)
             seen[system] += 1
     assert set(seen) == set(ct.SYSTEMS) and sum(seen.values()) > 300
 
@@ -488,9 +495,10 @@ def test_systems_global_row_equality_case():
 
 
 def test_dispatch_rejects_unknown_shape():
+    # the table refuses a shape pair outside the known systems, so no such
+    # point ever reaches the systems
     from lacuna.spectrum import ClassifiedPoint, ExceptionKind
 
-    flb = ct.FLowerBounds(A5)
     bogus = ClassifiedPoint(
         point=9,
         reps=((1, 3, 5), (0, 4, 5)),
@@ -500,7 +508,7 @@ def test_dispatch_rejects_unknown_shape():
         boundary_safe=True,
     )
     with pytest.raises(StructureViolation, match="match no known system"):
-        ct._dispatch_exception(bogus, A5, 6.66, flb)
+        ct._system_of(bogus)
 
 
 def test_derive_params_midpoints():

@@ -202,6 +202,18 @@ def test_integrals_sweep_unknown_suite(capsys):
     assert code == 2 and "unknown suite" in err
 
 
+def test_integrals_sweep_refuses_past_its_ceiling(capsys, monkeypatch):
+    from lacuna import integrals as ig
+
+    def forbidden(r_max):
+        raise AssertionError(f"built a grid to r_max {r_max}")
+
+    monkeypatch.setattr(ig, "_panel_grid", forbidden)
+    argv = ("integrals", "sweep", "--suite", "bounds-f", "--n-max", str(ig.SWEEP_MAX_N + 1))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "n_max 201 outside [0, 200]" in err
+
+
 def test_integrals_sweep_needs_an_order(capsys):
     # n_max 0 leaves every family empty: a pass would check nothing
     code, out, err = run(capsys, "integrals", "sweep", "--suite", "bounds-f", "--n-max", "0")
@@ -381,6 +393,8 @@ def test_spectrum_classify_argument_validation(capsys):
         capsys, "spectrum", "classify", "--base", "5", "--depth", "2", "--lambdas", "0,1"
     )
     assert code == 2 and "not both" in err
+    code, out, err = run(capsys, "spectrum", "classify", "--lambdas", "0,1,5", "--scale", "3")
+    assert code == 2 and out == "" and "not both" in err
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +591,22 @@ def test_certify_coefficient_file_validation(tmp_path, capsys):
         zero.write_text(body)
         code, out, err = run(capsys, "certify", "--lambdas", "0,1,5", "--coeff", str(zero))
         assert code == 2 and out == "" and "no nonzero amplitude" in err
+    # past the amplitude box mass^3 overflows, or S, the bound and mass^3
+    # underflow to 0 and read as "fails": both are refused before any sum
+    for name, body in (
+        ("huge", "n,re,im\n1,1e60,0\n"),
+        ("tiny", "n,re,im\n1,1e-60,0\n4,1e-60,0\n"),
+    ):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(body)
+        code, out, err = run(
+            capsys, "certify", "--base", "4", "--depth", "3", "--coeff", str(path)
+        )
+        assert code == 2 and out == "" and "largest amplitude modulus" in err, name
+    edge = tmp_path / "edge.csv"
+    edge.write_text("n,re,im\n1,1e-40,0\n4,1e-40,0\n")
+    code, out, _ = run(capsys, "certify", "--base", "4", "--depth", "3", "--coeff", str(edge))
+    assert code == 0 and json.loads(out)["verdict"] == "holds"
 
 
 def test_certify_output_file(tmp_path, capsys):

@@ -151,11 +151,13 @@ def test_direct_rejects_r_max_at_or_below_order(monkeypatch):
         ig.i_direct((0, 0, 0, 0, 200, 200), r_max=200.0)
     with pytest.raises(RangeError, match="order 200"):
         ig.sweep_diagonal(200, r_max=150.0)
-    # past MAX_R_MAX no grid is built to find out
+    # past MAX_R_MAX, or past the sweep's ceiling, no grid is built to find out
     def forbidden(r_max):
         raise AssertionError(f"built a grid to r_max {r_max}")
 
     monkeypatch.setattr(ig, "_panel_grid", forbidden)
+    with pytest.raises(RangeError, match=r"n_max 201 outside \[0, 200\]"):
+        ig.sweep_diagonal(ig.SWEEP_MAX_N + 1)
     for r_max in (40001.0, 1.0e300):
         with pytest.raises(RangeError, match="exceeds 40000"):
             ig.i_direct((0,) * 6, r_max=r_max)
@@ -304,7 +306,7 @@ def test_f_identity_and_equality_case():
     assert f100.value == pytest.approx(F_100, rel=1.0e-9)
     assert abs(f100.value - 5.0) <= 2.0e-2
     assert f100.lo <= 5.0 <= f100.hi
-    assert f100.lo == f100.numerator.lo / f100.denominator.hi
+    assert f100.lo == ig.i_direct((0,) * 6).lo / ig.i_direct((1, 1, 0, 0, 0, 0)).hi
 
 
 def test_f_permutation_and_sign_invariance():

@@ -50,10 +50,6 @@ def test_membership_helpers():
     a5 = sp.make_spectrum(base=5, depth=3)
     assert 25 in a5 and -25 in a5 and 0 in a5
     assert 3 not in a5
-    assert a5.is_double(50) and a5.is_double(-10) and a5.is_double(0)
-    assert not a5.is_double(15)
-    assert a5.is_triple(75) and a5.is_triple(-3)
-    assert not a5.is_triple(50)
 
 
 def test_enumerate_smallest_sets():
