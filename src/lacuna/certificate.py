@@ -24,11 +24,13 @@ integrals the literal sums look up, and ``evaluate_forms`` checks many
 vectors with numpy, a fixed block of vectors at a time. The literal sums
 stay as the oracle the tests compare the forms against.
 
-Lower bounds for the ratio F come in two flavors: recorded analytic
-window floors (strict inequalities, trusted as assumptions and
-corroborated on finite windows by the integrals test suite) and direct
-quadrature intervals computed on demand. Every verdict consumes
-interval endpoints, so "holds" survives worst-case quadrature error.
+One function, ``f_lower``, gives every lower bound for the ratio F the
+systems read: the larger of a recorded analytic floor and the direct
+quadrature bound computed on demand. The floors are strict inequalities
+on finite windows, trusted as assumptions (the pair and distinct floors
+only on 3-separated moduli, as in a lacunary spectrum) and corroborated
+by the integrals test suite. Every verdict consumes interval endpoints,
+so "holds" survives worst-case quadrature error.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .integrals import (
     DEFAULT_R_MAX,
     MAX_SEXTET_ORDER,
     IntegralValue,
-    f_ratio,
     i_direct,
 )
 from .spectrum import (
@@ -67,16 +68,15 @@ FORM_BLOCK = 16         # vectors per numpy pass: temporaries stay near 1 MB
 
 # Analytic window floors for F(a, b, c) = I(0,0,0) / I(a,b,c), recorded
 # as assumptions. The integrals tests corroborate each on a finite
-# window; none is re-derived here. "member" rows apply when every
-# modulus belongs to the spectrum's lambda sequence.
+# window; none is re-derived here. The pair and distinct floors hold on
+# 3-separated moduli: each nonzero modulus more than three times the
+# next, as in every lacunary spectrum.
 F_FLOOR_SINGLE = 5.0           # (n,0,0), n >= 1; equality at n = 1
 F_FLOOR_PAIR0 = 7.94           # (n,n,0), n >= 1
 F_FLOOR_PAIR0_HIGH = 10.8      # (n,n,0), n >= 3
 F_FLOOR_TRIPLE = 3.2           # (n,n,n), n >= 1
-F_FLOOR_PAIR = 10.0            # (n,n,m), n != m >= 1, except {n,m} = {1,2}
-F_FLOOR_PAIR_MEMBER = 13.2
-F_FLOOR_DISTINCT = 18.0        # (n,m,k), n > m > k >= 0, except (3,2,0)
-F_FLOOR_DISTINCT_MEMBER = 21.0
+F_FLOOR_PAIR_MEMBER = 13.2     # (n,n,m), n != m >= 1, 3-separated
+F_FLOOR_DISTINCT_MEMBER = 21.0  # (n,m,k), n > m > k >= 0, 3-separated
 
 
 # ---------------------------------------------------------------------------
@@ -617,49 +617,38 @@ def evaluate_forms(
 # lower bounds for F
 
 
-class FLowerBounds:
-    """Best available lower bounds for F on modulus triples.
+def f_lower(m1: int, m2: int, m3: int, r_max: float = DEFAULT_R_MAX) -> float:
+    """A lower bound for F on these moduli; signs and order do not matter.
 
-    ``floor`` is the recorded analytic floor alone; ``lower`` merges it
-    with the direct quadrature ratio interval, skipped above the order
-    cap, and the larger wins.
+    The larger of the recorded floor of the triple's shape and, up to the
+    direct route's order cap, the proven I(0,...,0).lo / I(n,n,m,m,k,k).hi.
+    The pair and distinct floors are recorded for 3-separated moduli only;
+    elsewhere the floor is 0, as F > 0.
     """
-
-    def __init__(self, spectrum: SpectrumSet, *, r_max: float = DEFAULT_R_MAX) -> None:
-        self._moduli = frozenset(abs(v) for v in spectrum.lambdas)
-        self._r_max = r_max
-
-    def floor(self, m1: int, m2: int, m3: int) -> float | None:
-        """The analytic floor of F on these moduli, or None where none is recorded."""
-        n, m, k = sorted((abs(m1), abs(m2), abs(m3)), reverse=True)
-        members = {n, m, k} <= self._moduli
-        if n == 0:
-            return 1.0
-        if m == 0:                       # (n, 0, 0)
-            return F_FLOOR_SINGLE
-        if n == m == k:
-            return F_FLOOR_TRIPLE
-        if n == m and k == 0:
-            return F_FLOOR_PAIR0_HIGH if n >= 3 else F_FLOOR_PAIR0
-        if n == m or m == k:             # pair (p, p, q), q possibly > p
-            p, q = (n, k) if n == m else (m, n)
-            if {p, q} == {1, 2}:
-                return None
-            return F_FLOOR_PAIR_MEMBER if members else F_FLOOR_PAIR
-        if (n, m, k) == (3, 2, 0):
-            return None
-        return F_FLOOR_DISTINCT_MEMBER if members else F_FLOOR_DISTINCT
-
-    def lower(self, m1: int, m2: int, m3: int) -> float:
-        n, m, k = sorted((abs(m1), abs(m2), abs(m3)), reverse=True)
-        best = self.floor(n, m, k)
-        if n <= MAX_SEXTET_ORDER:
-            num = f_ratio(n, m, k, r_max=self._r_max).lo
-            if best is None or num > best:
-                best = num
-        if best is None:
-            raise CertificateError(f"no lower bound available for F{(n, m, k)}")
-        return best
+    n, m, k = sorted((abs(m1), abs(m2), abs(m3)), reverse=True)
+    if n == 0:
+        floor = 1.0
+    elif m == 0:                         # (n, 0, 0)
+        floor = F_FLOOR_SINGLE
+    elif n == m == k:
+        floor = F_FLOOR_TRIPLE
+    elif n == m and k == 0:
+        floor = F_FLOOR_PAIR0_HIGH if n >= 3 else F_FLOOR_PAIR0
+    else:                                # a pair (p, p, q) or a distinct triple
+        mods = sorted({n, m, k} - {0})
+        if not all(hi > 3 * lo for lo, hi in zip(mods, mods[1:])):
+            floor = 0.0
+        elif n == m or m == k:
+            floor = F_FLOOR_PAIR_MEMBER
+        else:
+            floor = F_FLOOR_DISTINCT_MEMBER
+    if n > MAX_SEXTET_ORDER:
+        return floor
+    # the denominator's integrand is nonnegative, so den.hi > 0 even where
+    # den.lo is not; the denominator comes first, as in f_ratio
+    den = i_direct((n, n, m, m, k, k), r_max=r_max)
+    num = i_direct((0,) * 6, r_max=r_max)
+    return max(floor, num.lo / den.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -718,17 +707,17 @@ def _eps_instance(
     )
 
 
-def _global_rows(spectrum: SpectrumSet, b: float, flb: FLowerBounds) -> list[SystemInstance]:
+def _global_rows(spectrum: SpectrumSet, b: float, r_max: float) -> list[SystemInstance]:
     rows: list[SystemInstance] = []
     pos = [v for v in spectrum.lambdas if v > 0]
     quartic = 9.0 * (b + 1.0) / (b - 1.0)
     cross = 9.0 * (b - 3.0) / (b - 1.0)
     for mu in pos:
-        lo = 3.0 * flb.lower(mu, mu, mu)
+        lo = 3.0 * f_lower(mu, mu, mu, r_max)
         rows.append(_free_instance("trivial", None, f"9 <= 3F({mu},{mu},{mu})", lo - 9.0))
-        lo = 3.0 * flb.lower(mu, 0, 0)
+        lo = 3.0 * f_lower(mu, 0, 0, r_max)
         rows.append(_free_instance("trivial", None, f"15 <= 3F({mu},0,0)", lo - 15.0))
-        lo = 3.0 * flb.lower(mu, mu, 0)
+        lo = 3.0 * f_lower(mu, mu, 0, r_max)
         rows.append(
             _free_instance(
                 "trivial", None, f"9(b-3)/(b-1) + 18 <= 3F({mu},{mu},0)", lo - (cross + 18.0)
@@ -743,19 +732,19 @@ def _global_rows(spectrum: SpectrumSet, b: float, flb: FLowerBounds) -> list[Sys
         for m2 in pos:
             if m1 == m2:
                 continue
-            lo = 3.0 * flb.lower(m1, m1, m2)
+            lo = 3.0 * f_lower(m1, m1, m2, r_max)
             rows.append(
                 _free_instance("trivial", None, f"27 <= 3F({m1},{m1},{m2})", lo - 27.0)
             )
     # make_spectrum keeps the lambdas strictly increasing
     for n3, n2, n1 in itertools.combinations(spectrum.lambdas, 3):
-        lo = flb.lower(n1, n2, n3)
+        lo = f_lower(n1, n2, n3, r_max)
         rows.append(_free_instance("trivial", None, f"15 <= F({n1},{n2},{n3})", lo - 15.0))
     return rows
 
 
 def _dispatch_exception(
-    system: str, point: ClassifiedPoint, b: float, flb: FLowerBounds
+    system: str, point: ClassifiedPoint, b: float, r_max: float
 ) -> list[SystemInstance]:
     """The rows of one exception point under its system from ``_exceptions``."""
     d = point.point
@@ -763,13 +752,13 @@ def _dispatch_exception(
     quartic = 9.0 * (b + 1.0) / (b - 1.0)
 
     def dist_eps_lo(entries: tuple[int, int, int]) -> tuple[float, str]:
-        f_lo = flb.lower(*entries)
+        f_lo = f_lower(*entries, r_max)
         lo = 6.0 / (f_lo - 15.0) if f_lo > 15.0 else math.inf
         mods = tuple(sorted((abs(v) for v in entries), reverse=True))
         return lo, f"15 + 6/eps <= F{mods} [F_lo={f_lo:.4f}]"
 
     def pair_eps_lo(p: int, q: int) -> tuple[float, str]:
-        f_lo = flb.lower(p, p, q)
+        f_lo = f_lower(p, p, q, r_max)
         lo = 9.0 / (3.0 * f_lo - 18.0) if 3.0 * f_lo > 18.0 else math.inf
         return lo, f"9(2 + 1/eps) <= 3F({abs(p)},{abs(p)},{abs(q)}) [F_lo={f_lo:.4f}]"
 
@@ -778,7 +767,7 @@ def _dispatch_exception(
         entries = shapes[0][1]
         _, m1, m2 = shapes[1]
         lo, lo_desc = dist_eps_lo(entries)
-        f2 = flb.lower(m1, m1, m2)
+        f2 = f_lower(m1, m1, m2, r_max)
         base = (quartic if m2 == 0 else 0.0) + 9.0 * (1.0 + (1.0 if m2 != 0 else 0.0))
         hi = (3.0 * f2 - base) / 9.0
         desc = (
@@ -790,14 +779,14 @@ def _dispatch_exception(
         # a repeat-free (S3) or squared (S5) writing against the cube 3 m1
         other, (_, m1) = shapes
         lo, lo_desc = dist_eps_lo(other[1]) if system == "S3" else pair_eps_lo(*other[1:])
-        f2 = flb.lower(m1, m1, m1)
+        f2 = f_lower(m1, m1, m1, r_max)
         hi = f2 - 1.0
         desc = f"{lo_desc}; 1 + eps <= F({abs(m1)},{abs(m1)},{abs(m1)}) [F_lo={f2:.4f}]"
         return [_eps_instance(system, d, desc, lo, hi)]
     if system == "S4":
         [(_, n1, _)] = [s for s in shapes if s[2] == 0]
         [(_, m1, m2)] = [s for s in shapes if s[2] != 0]
-        f1 = flb.lower(n1, n1, 0)
+        f1 = f_lower(n1, n1, 0, r_max)
         hi = (3.0 * f1 - quartic - 9.0) / 9.0
         lo, lo_desc = pair_eps_lo(m1, m2)
         desc = (
@@ -808,7 +797,7 @@ def _dispatch_exception(
     # no eps fires: each squared writing must clear the flat row
     out = []
     for _, p, q in shapes:
-        f_lo = flb.lower(p, p, q)
+        f_lo = f_lower(p, p, q, r_max)
         out.append(
             _free_instance(
                 "trivial",
@@ -836,11 +825,10 @@ def check_systems(
     """
     if not b > 1:
         raise RangeError(f"weight b must exceed 1, got {b}")
-    flb = FLowerBounds(A, r_max=r_max)
     instances: dict[str, list[SystemInstance]] = {system_id: [] for system_id in SYSTEMS}
-    instances["trivial"].extend(_global_rows(A, b, flb))
+    instances["trivial"].extend(_global_rows(A, b, r_max))
     for system, point in _exceptions(A).values():
-        instances[system].extend(_dispatch_exception(system, point, b, flb))
+        instances[system].extend(_dispatch_exception(system, point, b, r_max))
     reports = []
     for system_id in SYSTEMS:
         rows = tuple(instances[system_id])

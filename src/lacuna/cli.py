@@ -19,6 +19,7 @@ import gc
 import io
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from . import bessel
 from . import certificate as ct
 from . import integrals as ig
 from . import spectrum as sp
-from .errors import LacunaError, RangeError, SpectrumError
+from .errors import LacunaError, RangeError, SpectrumError, check_int
 
 SCHEMA = "lacuna-verify/1"
 EXIT_OK = 0
@@ -137,7 +138,13 @@ def _write(report: Report, fmt: str, out: TextIO) -> None:
 def _render(report: Report, fmt: str, output: str | None) -> int:
     """Write ``report`` as ``fmt`` to ``output`` or stdout; return its exit code."""
     if not output:
-        _write(report, fmt, sys.stdout)
+        try:
+            _write(report, fmt, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout early (| head): the verdict stands, and
+            # devnull takes the interpreter's last flush, which would raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return report.code
     try:
         with open(output, "w", encoding="utf-8") as out:
@@ -244,8 +251,7 @@ def cmd_integrals_copt(args: argparse.Namespace) -> Report:
 
 def cmd_integrals_tilde(args: argparse.Namespace) -> Report:
     k, m, n = args.orders
-    if args.order_cap < 1:
-        raise RangeError(f"order_cap must be >= 1, got {args.order_cap}")
+    check_int(args.order_cap, "order_cap", 1, ig.ORDER_GUARANTEE_CAP)
     top = max(abs(k), abs(m), abs(n))
     if top > ig.ORDER_GUARANTEE_CAP:
         raise RangeError(
@@ -268,12 +274,17 @@ def cmd_integrals_direct(args: argparse.Namespace) -> Report:
     )
 
 
+# The paper's pair and distinct thresholds for any moduli, checked by the
+# sweep only; the certificate reads its floors for 3-separated moduli.
+F_FLOOR_PAIR = 10.0            # (n,n,m), n != m >= 1, except {n,m} = {1,2}
+F_FLOOR_DISTINCT = 18.0        # (n,m,k), n > m > k >= 0, except (3,2,0)
+
+
 def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
     if args.suite != "bounds-f":
         raise RangeError(f"unknown suite {args.suite!r}; available: bounds-f")
-    n_max = args.n_max
-    if n_max < 1:
-        raise RangeError(f"n_max must be >= 1, got {n_max}: no family would be checked")
+    # n_max 0 would leave every family empty, and a pass would check nothing
+    n_max = check_int(args.n_max, "n_max", 1, ig.SWEEP_MAX_N)
     sweep = ig.sweep_diagonal(n_max, r_max=args.r_max)
     rows: list[dict] = []
 
@@ -329,7 +340,7 @@ def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
             for m in range(1, cap + 1)
             if n != m and (n, m) != (1, 2)
         ],
-        ct.F_FLOOR_PAIR,
+        F_FLOOR_PAIR,
     )
     family(
         "distinct (n,m,k) > {:g}, not (3,2,0)",
@@ -340,7 +351,7 @@ def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
             for k in range(0, m)
             if (n, m, k) != (3, 2, 0)
         ],
-        ct.F_FLOOR_DISTINCT,
+        F_FLOOR_DISTINCT,
     )
     passed = all(r["status"] != "fail" for r in rows)
 
@@ -572,8 +583,7 @@ _CERTIFY_HEADER = [
 
 
 def cmd_certify(args: argparse.Namespace) -> Report:
-    if args.trials < 0:
-        raise RangeError(f"trials must be >= 0, got {args.trials}")
+    check_int(args.trials, "trials", 0, math.inf)
     if args.trials == 0 and args.coeff is None:
         raise RangeError("trials must be >= 1 without --coeff: no vector would be checked")
     if not math.isfinite(args.b):
@@ -770,8 +780,7 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if args.threads < 1:
-            raise RangeError(f"threads must be >= 1, got {args.threads}")
+        check_int(args.threads, "threads", 1, math.inf)
         return _render(args.func(args), args.format or args.default_fmt, args.output)
     except (RangeError, SpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -236,7 +236,12 @@ def _equation_solutions(spectrum: SpectrumSet) -> tuple[list, list]:
 
 
 def _family_patterns(lam_next: int, lam_n: int, lm: int, lk: int, first_eq: bool):
-    """The four rearrangements of one equation solution into triple pairs."""
+    """The four rearrangements of one equation solution into triple pairs.
+
+    Each rearranges an exact solution (lam_next - 3 lam_n = lm + lk for the
+    first equation, lk - lm for the second), so both triples of a pair have
+    the same sum, and each pair holds a triple with a repeated element.
+    """
     if first_eq:
         return [
             (1, (lam_next, -lam_n, -lam_n), (lam_n, lm, lk)),
@@ -268,11 +273,6 @@ def exceptions_from_equations(spectrum: SpectrumSet) -> tuple[ClassifiedPoint, .
                 for sign in (1, -1):
                     rep1 = tuple(sorted(sign * v for v in raw1))
                     rep2 = tuple(sorted(sign * v for v in raw2))
-                    if sum(rep1) != sum(rep2):
-                        raise StructureViolation(
-                            f"pattern {tag} produced unequal sums "
-                            f"{sum(rep1)} != {sum(rep2)}"
-                        )
                     if rep1 == rep2:
                         continue  # degenerate instance, not two different triples
                     tagged[(sum(rep1), tuple(sorted((rep1, rep2))))].add(tag)
@@ -288,8 +288,6 @@ def exceptions_from_equations(spectrum: SpectrumSet) -> tuple[ClassifiedPoint, .
             )
         reps, tags = entries[0]
         repeats = sum(1 for r in reps if has_repeat(r))
-        if repeats == 0:
-            raise StructureViolation(f"point {point} lost its repeated element")
         subtype = ExceptionKind.BOTH_REPEAT if repeats == 2 else ExceptionKind.ONE_DISTINCT
         out.append(
             ClassifiedPoint(

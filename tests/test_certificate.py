@@ -18,7 +18,7 @@ from scipy.special import jv
 from lacuna import certificate as ct
 from lacuna import cli
 from lacuna import integrals as ig
-from lacuna.errors import CertificateError, RangeError, StructureViolation
+from lacuna.errors import CertificateError, QuadratureError, RangeError, StructureViolation
 from lacuna.spectrum import ExceptionKind, PointKind, classify_brute_force, make_spectrum
 
 A5 = make_spectrum(base=5, depth=4)      # {0, +-1, +-5, +-25, +-125}
@@ -383,23 +383,34 @@ def test_system_of_matches_the_subtype_rule():
 
 
 def test_f_lower_bounds_merge():
-    flb = ct.FLowerBounds(A5)
     # at default precision the interval endpoint sits under the floor
-    assert flb.lower(1, 1, 0) == 7.94
-    assert flb.lower(5, 5, 0) > 10.8                     # quadrature beats floor
-    assert flb.lower(1, 0, 0) == 5.0
-    assert flb.lower(5, 1, 1) >= 13.2
-    assert flb.floor(1, 1, 0) == 7.94
-    assert flb.floor(125, 5, 1) == 21.0                  # member distinct row
-    assert flb.floor(3, 1, 1) == 10.0                    # 3 not an element here
-    assert flb.floor(-1, 0, 1) == 7.94                   # signs and order do not matter
-    assert flb.floor(2, 1, 1) is None                    # excluded pair pattern
+    assert ct.f_lower(1, 1, 0) == 7.94
+    assert ct.f_lower(5, 5, 0) > 10.8                    # quadrature beats floor
+    assert ct.f_lower(1, 0, 0) == 5.0
+    assert ct.f_lower(5, 1, 1) >= 13.2
+    assert ct.f_lower(125, 5, 1) >= 21.0                 # 3-separated distinct row
+    assert ct.f_lower(0, 0, 0) == 1.0
+    # signs and argument order do not matter
+    assert ct.f_lower(-1, 0, 1) == ct.f_lower(1, 1, 0) == 7.94
+    assert ct.f_lower(1, -125, 5) == ct.f_lower(125, 5, 1)
+    assert ct.f_lower(-1, 5, -1) == ct.f_lower(5, 1, 1)
+    # past the direct route's order cap each shape keeps its floor alone
+    top = ig.MAX_SEXTET_ORDER + 1
+    assert ct.f_lower(top, 0, 0) == 5.0
+    assert ct.f_lower(top, top, top) == 3.2
+    assert ct.f_lower(top, top, 0) == 10.8
+    assert ct.f_lower(5 * top, 5 * top, top) == 13.2
+    assert ct.f_lower(5 * top, top, 0) == 21.0
 
 
 def test_f_lower_bounds_excluded_distinct():
-    flb = ct.FLowerBounds(A5)
-    assert flb.floor(3, 2, 0) is None
-    assert 13.0 < flb.lower(3, 2, 0) < 14.0              # quadrature rescues it
+    # moduli that are not 3-separated have no recorded floor: the
+    # quadrature bound alone, the float f_ratio's lo divides out
+    for trip in ((3, 1, 1), (2, 1, 1), (3, 2, 0)):
+        assert ct.f_lower(*trip) == ig.f_ratio(*trip).lo, trip
+    assert 13.0 < ct.f_lower(3, 2, 0) < 14.0
+    # past the cap such a triple is left with F > 0 alone
+    assert ct.f_lower(600, 599, 599) == 0.0
 
 
 def test_member_floors_from_sweep(sweep40):
@@ -426,11 +437,28 @@ def test_member_floors_from_sweep(sweep40):
     # the pair floor decides a row on every base-4 spectrum: at the
     # default r_max the quadrature interval of F(4,4,1) sits below it
     assert ig.f_ratio(4, 4, 1).lo < ct.F_FLOOR_PAIR_MEMBER
-    assert ct.FLowerBounds(A4).lower(4, 4, 1) == ct.F_FLOOR_PAIR_MEMBER
+    assert ct.f_lower(4, 4, 1) == ct.F_FLOOR_PAIR_MEMBER
 
 
 # ---------------------------------------------------------------------------
 # systems
+
+
+def test_systems_raise_nothing_on_the_generator_grid():
+    # F's denominator interval straddles zero on some of these lookups,
+    # F(512,8,1), F(512,1,0) and F(375,3,0) among them; I > 0 still bounds F
+    with pytest.raises(QuadratureError, match="touches zero"):
+        ig.f_ratio(512, 8, 1)
+    assert ct.f_lower(512, 8, 1) >= ct.F_FLOOR_DISTINCT_MEMBER
+    for base in range(4, 10):
+        for depth in range(1, 6):
+            for scale in range(1, 4):
+                spectrum = make_spectrum(base=base, depth=depth, scale=scale)
+                reports = ct.check_systems(spectrum)
+                assert [r.system_id for r in reports] == list(ct.SYSTEMS)
+    for base, depth, scale in ((8, 4, 1), (8, 5, 1), (5, 4, 3), (5, 5, 3)):
+        reports = ct.check_systems(make_spectrum(base=base, depth=depth, scale=scale))
+        assert all(r.passed for r in reports), (base, depth, scale)
 
 
 def test_systems_a4_shapes_and_windows():
@@ -572,15 +600,15 @@ def test_random_vector_adversarial_targets_exceptions():
 
 
 def test_certificate_reaches_direct_values_through_i_direct_only():
-    # no side door to the memo: the only functions of lacuna.integrals
-    # bound in the certificate are i_direct and f_ratio
+    # no side door to the memo: the only function of lacuna.integrals
+    # bound in the certificate is i_direct
     from_integrals = {
         name
         for name, value in vars(ct).items()
         if callable(value) and not isinstance(value, type)
         and getattr(value, "__module__", None) == ig.__name__
     }
-    assert from_integrals == {"f_ratio", "i_direct"}
+    assert from_integrals == {"i_direct"}
     assert not hasattr(ct, "_diag")
     tree = ast.parse(Path(ct.__file__).read_text(encoding="utf-8"))
     imported = [

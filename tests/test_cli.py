@@ -107,7 +107,7 @@ def test_integrals_tilde_table_route(capsys):
     capsys.readouterr()
     code, out, err = run(capsys, "integrals", "tilde", "1", "0", "0", "--order-cap", "0")
     assert code == 2 and out == ""
-    assert "order_cap must be >= 1" in err and "r_max" not in err
+    assert "order_cap 0 outside [1, 532]" in err and "r_max" not in err
 
 
 def test_integrals_tilde_past_certified_range_exits_2(capsys, monkeypatch):
@@ -211,14 +211,14 @@ def test_integrals_sweep_refuses_past_its_ceiling(capsys, monkeypatch):
     monkeypatch.setattr(ig, "_panel_grid", forbidden)
     argv = ("integrals", "sweep", "--suite", "bounds-f", "--n-max", str(ig.SWEEP_MAX_N + 1))
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and "n_max 201 outside [0, 200]" in err
+    assert code == 2 and out == "" and "n_max 201 outside [1, 200]" in err
 
 
 def test_integrals_sweep_needs_an_order(capsys):
     # n_max 0 leaves every family empty: a pass would check nothing
     code, out, err = run(capsys, "integrals", "sweep", "--suite", "bounds-f", "--n-max", "0")
     assert code == 2 and out == ""
-    assert "n_max must be >= 1" in err
+    assert "n_max 0 outside [1, 200]" in err
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +267,9 @@ class _Writes:
     def write(self, text):
         self.parts.append(text)
         return len(text)
+
+    def flush(self):
+        pass
 
 
 def test_spectrum_classify_streams_its_json(tmp_path, monkeypatch):
@@ -502,6 +505,13 @@ def test_certify_rejects_non_finite_numbers(capsys, extra):
     assert code == 2 and out == "" and "finite" in err
 
 
+def test_certify_holds_where_a_denominator_interval_straddles_zero(capsys):
+    # F(512,8,1) and F(512,1,0) have den.lo <= 0 at the default r_max
+    code, out, err = run(capsys, "certify", "--base", "8", "--depth", "4", "--trials", "20")
+    assert code == 0 and err == ""
+    assert json.loads(out)["verdict"] == "holds"
+
+
 def test_certify_rejects_zero_trials_without_coeff(capsys):
     # no vector would be checked, so no verdict may be printed
     code, out, err = run(capsys, "certify", "--base", "4", "--depth", "4", "--trials", "0")
@@ -687,6 +697,26 @@ def test_no_command_imports_scipy(tmp_path, argv):
     proc = subprocess.run(command, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "scipy loaded: False"
+
+
+def test_closed_stdout_keeps_the_exit_code(tmp_path):
+    # the report is far larger than a pipe buffer, so the child is still
+    # writing when the reader closes the pipe after one line
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(lacuna.__file__).resolve().parents[1]),
+    }
+    argv = ["spectrum", "classify", "--base", "5", "--depth", "12"]
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lacuna.cli", *argv],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        err.seek(0)
+        assert err.read() == b""
 
 
 def test_console_script_entry_point():

@@ -178,12 +178,14 @@ def _assert_oracle_match(spectrum):
         for p in sp.classify_brute_force(spectrum)
         if p.kind is sp.PointKind.EXCEPTION and p.boundary_safe
     }
-    equations = {
-        (p.point, p.reps, p.subtype)
-        for p in sp.exceptions_from_equations(spectrum)
-        if p.boundary_safe
-    }
+    found = sp.exceptions_from_equations(spectrum)
+    equations = {(p.point, p.reps, p.subtype) for p in found if p.boundary_safe}
     assert brute == equations, spectrum.lambdas
+    # each pattern rearranges an exact equation solution, so both writings
+    # of every point sum to it and at least one repeats an element
+    for p in found:
+        assert all(sum(rep) == p.point for rep in p.reps), (spectrum.lambdas, p.point)
+        assert any(sp.has_repeat(rep) for rep in p.reps), (spectrum.lambdas, p.point)
 
 
 def test_oracle_equivalence_geometric():
