@@ -14,7 +14,6 @@ from .errors import (
     CertificateError,
     EvaluationError,
     LacunaError,
-    QuadratureError,
     RangeError,
     SpectrumError,
     StructureViolation,
@@ -27,7 +26,6 @@ __all__ = [
     "CertificateError",
     "EvaluationError",
     "LacunaError",
-    "QuadratureError",
     "RangeError",
     "SpectrumError",
     "StructureViolation",

@@ -25,12 +25,13 @@ vectors with numpy, a fixed block of vectors at a time. The literal sums
 stay as the oracle the tests compare the forms against.
 
 One function, ``f_lower``, gives every lower bound for the ratio F the
-systems read: the larger of a recorded analytic floor and the direct
-quadrature bound computed on demand. The floors are strict inequalities
-on finite windows, trusted as assumptions (the pair and distinct floors
-only on 3-separated moduli, as in a lacunary spectrum) and corroborated
-by the integrals test suite. Every verdict consumes interval endpoints,
-so "holds" survives worst-case quadrature error.
+systems read: the larger of a recorded analytic floor and the proven
+``lo`` of ``integrals.f_ratio``, the program's one F interval. The
+floors are strict inequalities on finite windows, trusted as assumptions
+(the pair and distinct floors only on 3-separated moduli, as in a
+lacunary spectrum) and corroborated by the integrals test suite. Every
+verdict consumes interval endpoints, so "holds" survives worst-case
+quadrature error.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .integrals import (
     DEFAULT_R_MAX,
     MAX_SEXTET_ORDER,
     IntegralValue,
+    f_ratio,
     i_direct,
 )
 from .spectrum import (
@@ -621,7 +623,8 @@ def f_lower(m1: int, m2: int, m3: int, r_max: float = DEFAULT_R_MAX) -> float:
     """A lower bound for F on these moduli; signs and order do not matter.
 
     The larger of the recorded floor of the triple's shape and, up to the
-    direct route's order cap, the proven I(0,...,0).lo / I(n,n,m,m,k,k).hi.
+    direct route's order cap, ``f_ratio(n, m, k).lo``, which is proven
+    even where F's interval has no finite upper end.
     The pair and distinct floors are recorded for 3-separated moduli only;
     elsewhere the floor is 0, as F > 0.
     """
@@ -644,11 +647,7 @@ def f_lower(m1: int, m2: int, m3: int, r_max: float = DEFAULT_R_MAX) -> float:
             floor = F_FLOOR_DISTINCT_MEMBER
     if n > MAX_SEXTET_ORDER:
         return floor
-    # the denominator's integrand is nonnegative, so den.hi > 0 even where
-    # den.lo is not; the denominator comes first, as in f_ratio
-    den = i_direct((n, n, m, m, k, k), r_max=r_max)
-    num = i_direct((0,) * 6, r_max=r_max)
-    return max(floor, num.lo / den.hi)
+    return max(floor, f_ratio(n, m, k, r_max=r_max).lo)
 
 
 # ---------------------------------------------------------------------------
@@ -659,52 +658,40 @@ def f_lower(m1: int, m2: int, m3: int, r_max: float = DEFAULT_R_MAX) -> float:
 class SystemInstance:
     """One checked inequality instance, with its eps window if any.
 
-    Global rows and eps-free exception rows report the window (0, inf)
-    and carry the inequality slack in ``margin``; eps rows report the
-    window endpoints and its width.
+    Global rows and eps-free exception rows keep the default window
+    (0, inf) and carry the inequality slack in ``margin``; eps rows keep
+    the window endpoints and its width. Either way the row is feasible
+    exactly when its margin is nonnegative.
     """
 
     system_id: str
     point: int | None
     description: str
-    eps_lo: float
-    eps_hi: float
-    feasible: bool
     margin: float
+    eps_lo: float = 0.0
+    eps_hi: float = math.inf
+
+    @property
+    def feasible(self) -> bool:
+        return self.margin >= 0.0
 
 
 @dataclass(frozen=True)
 class SystemReport:
     system_id: str
     instances: tuple[SystemInstance, ...]
-    passed: bool
-    tightest_margin: float
+
+    @property
+    def passed(self) -> bool:
+        return all(r.feasible for r in self.instances)
+
+    @property
+    def tightest_margin(self) -> float:
+        return min((r.margin for r in self.instances), default=math.inf)
 
 
-def _free_instance(system_id: str, point: int | None, desc: str, slack: float) -> SystemInstance:
-    return SystemInstance(
-        system_id=system_id,
-        point=point,
-        description=desc,
-        eps_lo=0.0,
-        eps_hi=math.inf,
-        feasible=slack >= 0.0,
-        margin=slack,
-    )
-
-
-def _eps_instance(
-    system_id: str, point: int, desc: str, eps_lo: float, eps_hi: float
-) -> SystemInstance:
-    return SystemInstance(
-        system_id=system_id,
-        point=point,
-        description=desc,
-        eps_lo=eps_lo,
-        eps_hi=eps_hi,
-        feasible=eps_lo <= eps_hi,
-        margin=eps_hi - eps_lo,
-    )
+def _eps_instance(system_id: str, point: int, desc: str, lo: float, hi: float) -> SystemInstance:
+    return SystemInstance(system_id, point, desc, margin=hi - lo, eps_lo=lo, eps_hi=hi)
 
 
 def _global_rows(spectrum: SpectrumSet, b: float, r_max: float) -> list[SystemInstance]:
@@ -714,17 +701,17 @@ def _global_rows(spectrum: SpectrumSet, b: float, r_max: float) -> list[SystemIn
     cross = 9.0 * (b - 3.0) / (b - 1.0)
     for mu in pos:
         lo = 3.0 * f_lower(mu, mu, mu, r_max)
-        rows.append(_free_instance("trivial", None, f"9 <= 3F({mu},{mu},{mu})", lo - 9.0))
+        rows.append(SystemInstance("trivial", None, f"9 <= 3F({mu},{mu},{mu})", lo - 9.0))
         lo = 3.0 * f_lower(mu, 0, 0, r_max)
-        rows.append(_free_instance("trivial", None, f"15 <= 3F({mu},0,0)", lo - 15.0))
+        rows.append(SystemInstance("trivial", None, f"15 <= 3F({mu},0,0)", lo - 15.0))
         lo = 3.0 * f_lower(mu, mu, 0, r_max)
         rows.append(
-            _free_instance(
+            SystemInstance(
                 "trivial", None, f"9(b-3)/(b-1) + 18 <= 3F({mu},{mu},0)", lo - (cross + 18.0)
             )
         )
         rows.append(
-            _free_instance(
+            SystemInstance(
                 "trivial", None, f"9(b+1)/(b-1) + 9 <= 3F({mu},{mu},0)", lo - (quartic + 9.0)
             )
         )
@@ -733,13 +720,11 @@ def _global_rows(spectrum: SpectrumSet, b: float, r_max: float) -> list[SystemIn
             if m1 == m2:
                 continue
             lo = 3.0 * f_lower(m1, m1, m2, r_max)
-            rows.append(
-                _free_instance("trivial", None, f"27 <= 3F({m1},{m1},{m2})", lo - 27.0)
-            )
+            rows.append(SystemInstance("trivial", None, f"27 <= 3F({m1},{m1},{m2})", lo - 27.0))
     # make_spectrum keeps the lambdas strictly increasing
     for n3, n2, n1 in itertools.combinations(spectrum.lambdas, 3):
         lo = f_lower(n1, n2, n3, r_max)
-        rows.append(_free_instance("trivial", None, f"15 <= F({n1},{n2},{n3})", lo - 15.0))
+        rows.append(SystemInstance("trivial", None, f"15 <= F({n1},{n2},{n3})", lo - 15.0))
     return rows
 
 
@@ -799,7 +784,7 @@ def _dispatch_exception(
     for _, p, q in shapes:
         f_lo = f_lower(p, p, q, r_max)
         out.append(
-            _free_instance(
+            SystemInstance(
                 "trivial",
                 d,
                 f"27 <= 3F({abs(p)},{abs(p)},{abs(q)}) [F_lo={f_lo:.4f}]",
@@ -829,13 +814,7 @@ def check_systems(
     instances["trivial"].extend(_global_rows(A, b, r_max))
     for system, point in _exceptions(A).values():
         instances[system].extend(_dispatch_exception(system, point, b, r_max))
-    reports = []
-    for system_id in SYSTEMS:
-        rows = tuple(instances[system_id])
-        passed = all(r.feasible for r in rows)
-        tightest = min((r.margin for r in rows), default=math.inf)
-        reports.append(SystemReport(system_id, rows, passed, tightest))
-    return reports
+    return [SystemReport(system_id, tuple(instances[system_id])) for system_id in SYSTEMS]
 
 
 def derive_params(

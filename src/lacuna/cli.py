@@ -238,7 +238,7 @@ def cmd_integrals_f(args: argparse.Namespace) -> Report:
     err = max(rv.value - rv.lo, rv.hi - rv.value)
     return Report(
         {"command": "integrals.F", "k": k, "m": m, "n": n,
-         "value": rv.value, "lo": rv.lo, "hi": rv.hi},
+         "value": rv.value, "lo": rv.lo, "hi": _finite(rv.hi)},
         _TRIPLE_HEADER,
         lambda: [[k, m, n, rv.value, err, "direct_ratio"]],
         lambda: f"F({k},{m},{n}) = {rv.value!r} in [{rv.lo!r}, {rv.hi!r}]",

@@ -20,12 +20,6 @@ class ZeroFindingError(LacunaError, ArithmeticError):
     """Root bracketing or refinement failed for a requested zero."""
 
 
-class QuadratureError(LacunaError, ArithmeticError):
-    """A quadrature result is unusable: J0 nearly vanishes at a J1 zero,
-    so the table's weights blow up, or F's denominator interval touches
-    zero, so no finite ratio interval exists."""
-
-
 class SpectrumError(LacunaError, ValueError):
     """A candidate spectrum violates the lacunarity contract."""
 

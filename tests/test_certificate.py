@@ -18,7 +18,7 @@ from scipy.special import jv
 from lacuna import certificate as ct
 from lacuna import cli
 from lacuna import integrals as ig
-from lacuna.errors import CertificateError, QuadratureError, RangeError, StructureViolation
+from lacuna.errors import CertificateError, RangeError, StructureViolation
 from lacuna.spectrum import ExceptionKind, PointKind, classify_brute_force, make_spectrum
 
 A5 = make_spectrum(base=5, depth=4)      # {0, +-1, +-5, +-25, +-125}
@@ -447,8 +447,8 @@ def test_member_floors_from_sweep(sweep40):
 def test_systems_raise_nothing_on_the_generator_grid():
     # F's denominator interval straddles zero on some of these lookups,
     # F(512,8,1), F(512,1,0) and F(375,3,0) among them; I > 0 still bounds F
-    with pytest.raises(QuadratureError, match="touches zero"):
-        ig.f_ratio(512, 8, 1)
+    f = ig.f_ratio(512, 8, 1)
+    assert f.hi == math.inf and f.lo > 0
     assert ct.f_lower(512, 8, 1) >= ct.F_FLOOR_DISTINCT_MEMBER
     for base in range(4, 10):
         for depth in range(1, 6):
@@ -459,6 +459,16 @@ def test_systems_raise_nothing_on_the_generator_grid():
     for base, depth, scale in ((8, 4, 1), (8, 5, 1), (5, 4, 3), (5, 5, 3)):
         reports = ct.check_systems(make_spectrum(base=base, depth=depth, scale=scale))
         assert all(r.passed for r in reports), (base, depth, scale)
+
+
+def test_derive_params_refuses_an_infeasible_system():
+    # at b = 4.1 the S4 window of the doubled points +-2 is empty
+    spectrum = make_spectrum(base=4, depth=4)
+    with pytest.raises(CertificateError, match="system S4 infeasible at exception -2"):
+        ct.derive_params(spectrum, 4.1)
+    reports = {r.system_id: r for r in ct.check_systems(spectrum, 4.1)}
+    assert [i.point for i in reports["S4"].instances if not i.feasible] == [-2, 2]
+    assert reports["S4"].tightest_margin == pytest.approx(-0.26507, abs=1e-5)
 
 
 def test_systems_a4_shapes_and_windows():
@@ -600,15 +610,15 @@ def test_random_vector_adversarial_targets_exceptions():
 
 
 def test_certificate_reaches_direct_values_through_i_direct_only():
-    # no side door to the memo: the only function of lacuna.integrals
-    # bound in the certificate is i_direct
+    # no side door to the memo: the only functions of lacuna.integrals
+    # bound in the certificate are i_direct and f_ratio, which reads it
     from_integrals = {
         name
         for name, value in vars(ct).items()
         if callable(value) and not isinstance(value, type)
         and getattr(value, "__module__", None) == ig.__name__
     }
-    assert from_integrals == {"i_direct"}
+    assert from_integrals == {"f_ratio", "i_direct"}
     assert not hasattr(ct, "_diag")
     tree = ast.parse(Path(ct.__file__).read_text(encoding="utf-8"))
     imported = [

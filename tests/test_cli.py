@@ -81,6 +81,27 @@ def test_integrals_f_csv(capsys):
     assert row["method"] == "direct_ratio"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_integrals_f_where_the_denominator_reaches_zero(capsys, fmt):
+    # den.lo <= 0 for F(512,8,1) at the default r_max: hi is unbounded,
+    # lo = I(0^6).lo / I(512,512,8,8,1,1).hi is still proven
+    from lacuna import integrals as ig
+
+    lo = ig.i_direct((0,) * 6).lo / ig.i_direct((512, 512, 8, 8, 1, 1)).hi
+    code, out, err = run(capsys, "integrals", "F", "512", "8", "1", "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["hi"] is None and payload["lo"] == lo
+        assert lo < payload["value"]
+    elif fmt == "csv":
+        [row] = csv.DictReader(io.StringIO(out))
+        assert row["error"] == "inf" and row["method"] == "direct_ratio"
+    else:
+        assert out.rstrip("\n").endswith(f"in [{lo!r}, inf]")
+        assert 3043.0 < lo < 3044.0
+
+
 def test_integrals_copt_json(capsys):
     code, out, _ = run(capsys, "integrals", "copt", "--format", "json")
     payload = json.loads(out)
@@ -420,6 +441,19 @@ def test_certify_b_window_violation(capsys):
     assert payload["b_interval"]["hi_exact"] == "353/53"
     assert payload["b_interval"]["b_inside"] is False
     assert payload["trials_run"] == []
+
+
+def test_certify_system_infeasible(capsys):
+    # b = 4.1 lies inside the b window, yet the S4 window at +-2 is empty
+    code, out, _ = run(capsys, "certify", "--base", "4", "--depth", "4", "--b", "4.1")
+    payload = json.loads(out)
+    assert code == 1 and payload["verdict"] == "system infeasible"
+    assert payload["trials_run"] == [] and "eps" not in payload
+    reports = {r["system"]: r for r in payload["system_reports"]}
+    assert [s for s, r in reports.items() if not r["passed"]] == ["S4"]
+    assert reports["S4"]["tightest_margin"] == pytest.approx(-0.26507, abs=1e-5)
+    assert reports["S2"]["tightest_margin"] is None and not reports["S2"]["instances"]
+    assert reports["S5"]["tightest_margin"] is None and not reports["S5"]["instances"]
 
 
 def test_certify_bad_coefficient_file_exits_2_whatever_b(tmp_path, capsys):

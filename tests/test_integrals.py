@@ -45,6 +45,13 @@ def test_weight_at_origin_is_exact(table12):
     assert np.all(np.isfinite(table12.weights))
 
 
+def test_j0_stays_away_from_zero_at_every_node():
+    # the table's weights divide by J0^2 at the J1 zeros; NODE_COUNT is a
+    # constant and the smallest |J0| there is 0.01423, at the last zero
+    zeros = lacuna.bessel.j1_zeros(ig.NODE_COUNT)[1:]
+    assert np.abs(lacuna.bessel.besselj(0, zeros)).min() > 1e-2
+
+
 def test_table_rebuild_is_bitwise_identical():
     a = ig.build_table(6)
     b = ig.build_table(6)
