@@ -267,17 +267,13 @@ def j1_zeros(count: int) -> np.ndarray:
     a, b = guess - 0.2, guess + 0.2
     ends = _j0_j1(np.concatenate([a, b]))[1]
     fa, fb = ends[: r.size], ends[r.size :]
-    # an endpoint that is an exact zero is taken as is
-    at_a = fa == 0.0
-    at_b = ~at_a & (fb == 0.0)
-    zeros[r[at_a]] = a[at_a]
-    zeros[r[at_b]] = b[at_b]
-    flat = ~at_a & ~at_b & (fa * fb > 0.0)
+    # |J1| >= 1.585e-3 at every bracket end of the supported zeros, so no
+    # end is itself a zero and each bracket must change sign strictly
+    flat = fa * fb >= 0.0
     if flat.any():
         i = np.argmax(flat)
         raise ZeroFindingError(f"no sign change around zero {r[i]} in [{a[i]}, {b[i]}]")
-    keep = ~at_a & ~at_b
-    r, a, b, fa, x = r[keep], a[keep], b[keep], fa[keep], guess[keep]
+    x = guess
     for _ in range(60):
         if not r.size:
             break

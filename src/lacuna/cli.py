@@ -7,8 +7,8 @@ contract: 0 success, 1 verification failure, 2 usage or range error.
 Reports carry no timestamps, paths, or machine identity, so identical
 configuration and seed give byte-identical bytes; json is written as
 ``json.dumps(payload, sort_keys=True, indent=2)`` would write it.
-Classify's json points go out a batch at a time and csv rows one at a
-time, never as one report-sized string.
+Classify's json points and csv rows go out a batch at a time, never as
+one report-sized string.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import csv
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -78,7 +79,7 @@ class EncodedList:
     encode: Callable[[object], str]
 
 
-_BATCH = 1024  # items per write of an EncodedList
+_BATCH = 1024  # items per write of an EncodedList, rows per write of csv
 
 
 def _table(header: list[str], records: list[dict]) -> Callable[[], Iterable[list]]:
@@ -123,9 +124,12 @@ def _json_parts(payload: dict) -> Iterator[str]:
 def _write(report: Report, fmt: str, out: TextIO) -> None:
     """Write ``report`` as ``fmt`` to ``out`` as it is produced, ending in one newline."""
     if fmt == "csv":  # every row, the header too, ends in the line terminator
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(report.header)
-        writer.writerows(report.rows())
+        rows, batch = iter(report.rows()), [report.header]
+        while batch:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(batch)
+            out.write(buf.getvalue())
+            batch = list(itertools.islice(rows, _BATCH))
         return
     if fmt == "json":
         for part in _json_parts({"schema": SCHEMA, **report.payload}):

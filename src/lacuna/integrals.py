@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ TABLE_GAP = 1.0e-2                   # one-sided gap bound of the table route
 MAX_SEXTET_ORDER = 532
 DEFAULT_R_MAX = 4000.0
 SWEEP_N_MAX = 40                     # the diagonal sweep's default grid
-# the sweep's ceiling: n_max 200 takes 93 s and 879 MB peak RSS (2-vCPU Xeon);
+# the sweep's ceiling: n_max 200 takes 75 s and 865 MB peak RSS (2-vCPU Xeon);
 # its (n+1)(n+2)/2-row products and (n+1)^3 cube would need ~6.5 GB at 532
 SWEEP_MAX_N = 200
 SWEEP_R_MAX = 40000.0
@@ -138,13 +139,38 @@ def i_tilde(k: int, m: int, n: int, table: QuadratureTable) -> IntegralValue:
     return IntegralValue(math.fsum(terms), TABLE_GAP)
 
 
+def _panel_count(r_max: float) -> int:
+    return math.ceil(r_max / PANEL_WIDTH)
+
+
+def _grid_blocks(r_max: float) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The panel grid on [0, r_max] and its r dr weights, BESSEL_BLOCK nodes at a time.
+
+    The only code that computes grid nodes: it yields (cols, nodes, rw)
+    for the nodes cols of the whole grid, block edges at multiples of
+    BESSEL_BLOCK from node 0. Each block builds the panels it touches and
+    slices them, so its values are those of the whole grid bit for bit.
+    """
+    n_panels = _panel_count(r_max)
+    width = r_max / n_panels
+    size = n_panels * GL_ORDER
+    for lo in range(0, size, BESSEL_BLOCK):
+        hi = min(lo + BESSEL_BLOCK, size)
+        first, last = lo // GL_ORDER, -(-hi // GL_ORDER)
+        cut = slice(lo - first * GL_ORDER, hi - first * GL_ORDER)
+        centers = (np.arange(first, last) + 0.5) * width
+        nodes = (centers[:, None] + (0.5 * width) * _GL_NODES[None, :]).ravel()[cut]
+        rw = nodes * np.tile(0.5 * width * _GL_WEIGHTS, last - first)[cut]  # r dr weight
+        yield slice(lo, hi), nodes, rw
+
+
 @functools.lru_cache(maxsize=16)
 def _panel_grid(r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    n_panels = math.ceil(r_max / PANEL_WIDTH)
-    width = r_max / n_panels
-    centers = (np.arange(n_panels) + 0.5) * width
-    nodes = (centers[:, None] + (0.5 * width) * _GL_NODES[None, :]).ravel()
-    rw = nodes * np.tile(0.5 * width * _GL_WEIGHTS, n_panels)  # r dr weight
+    """The whole grid, which the direct route's per-order rows read."""
+    size = _panel_count(r_max) * GL_ORDER
+    nodes, rw = np.empty(size), np.empty(size)
+    for cols, block, w in _grid_blocks(r_max):
+        nodes[cols], rw[cols] = block, w
     nodes.setflags(write=False)
     rw.setflags(write=False)
     return nodes, rw
@@ -351,20 +377,11 @@ def _disc_bound(r_max: float) -> float:
     most (64/15) M rho^(2-2m) / (rho^2 - 1) (Trefethen, ATAP Thm 19.3),
     times h per panel; the panel centres average r_max / 2.
     """
-    n_panels = math.ceil(r_max / PANEL_WIDTH)
+    n_panels = _panel_count(r_max)
     h, rho = 0.5 * r_max / n_panels, ELLIPSE_RHO
     a, b = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
     rule = (64.0 / 15.0) * rho ** (2 - 2 * GL_ORDER) / (rho * rho - 1.0)
     return n_panels * h * (0.5 * r_max + h * a) * rule * _i0(h * b) ** 6
-
-
-@functools.lru_cache(maxsize=4)
-def _landau_envelope(r_max: float) -> np.ndarray:
-    """min(1, LANDAU_C r^(-1/3)) on every node, which no top order changes."""
-    nodes, _ = _panel_grid(r_max)
-    env = np.minimum(1.0, LANDAU_C / np.cbrt(nodes))
-    env.setflags(write=False)
-    return env
 
 
 @functools.lru_cache(maxsize=64)
@@ -379,29 +396,31 @@ def _eval_bound(r_max: float, top: int) -> float:
     rounding the weights, products and the sum of n terms adds at most
     gamma_(n+16) sum w r (E + d)^6 (Higham, ASNA, ch. 3-4).
     """
-    nodes, rw = _panel_grid(r_max)
-    k = (nodes.size + 16) * UNIT_ROUNDOFF
-    # sum of rw (E + d)^5 (6 d + k/(1-k) (E + d)), computed in place with
-    # the same roundings as the plain expression: a grid-sized array is
-    # 4 MB at r_max 40000, and at most three are alive at once here
-    env = nodes * nodes
-    env -= top * top
-    np.maximum(env, 1.0e-300, out=env)  # r <= top: no modulus envelope
-    np.sqrt(env, out=env)
-    env *= math.pi
-    np.divide(2.0, env, out=env)
-    np.sqrt(env, out=env)
-    np.minimum(_landau_envelope(r_max), env, out=env)
-    d = (8.0 * UNIT_ROUNDOFF) * nodes
-    d += BESSEL_FACTOR_ERR
-    env += d                            # E + d
-    d *= 6.0
-    rounding = env * (k / (1.0 - k))
-    rounding += d
-    env **= 5
-    env *= rw
-    env *= rounding
-    return float(np.sum(env))
+    terms = np.empty(_panel_count(r_max) * GL_ORDER)
+    k = (terms.size + 16) * UNIT_ROUNDOFF
+    # rw (E + d)^5 (6 d + k/(1-k) (E + d)) per node, computed a block at a
+    # time in place with the same roundings as the plain expression, into
+    # the one grid-length array (4 MB at r_max 40000) that one sum reads
+    for cols, nodes, rw in _grid_blocks(r_max):
+        env = terms[cols]
+        np.multiply(nodes, nodes, out=env)
+        env -= top * top
+        np.maximum(env, 1.0e-300, out=env)  # r <= top: no modulus envelope
+        np.sqrt(env, out=env)
+        env *= math.pi
+        np.divide(2.0, env, out=env)
+        np.sqrt(env, out=env)
+        np.minimum(np.minimum(1.0, LANDAU_C / np.cbrt(nodes)), env, out=env)
+        d = (8.0 * UNIT_ROUNDOFF) * nodes
+        d += BESSEL_FACTOR_ERR
+        env += d                            # E + d
+        d *= 6.0
+        rounding = env * (k / (1.0 - k))
+        rounding += d
+        env **= 5
+        env *= rw
+        env *= rounding
+    return float(np.sum(terms))
 
 
 def quad_bound(r_max: float, top: int) -> float:
@@ -544,18 +563,19 @@ def _diagonal_stack(n_max: int, r_max: float) -> np.ndarray:
     One BESSEL_BLOCK of nodes at a time: the Bessel rows of the block,
     the weighted products J_k^2 J_m^2 of the sorted pairs k <= m only,
     and their product with every J_n^2 added into a small accumulator,
-    which is mirrored in (k, m) at the end. No array spans the grid.
+    which is mirrored in (k, m) at the end. No array spans the grid, here
+    or anywhere in the sweep: nodes and weights come a block at a time
+    from ``_grid_blocks``, and the one grid-length array, the terms of
+    ``_eval_bound``, is freed once summed, before this runs.
     """
-    nodes, rw = _panel_grid(r_max)
     count = n_max + 1
     orders = list(range(count))
     pairs = [(k, m) for k in orders for m in orders[k:]]
     acc = np.zeros((len(pairs), count))
     prod = np.empty((len(pairs), BESSEL_BLOCK))
-    for lo in range(0, nodes.size, BESSEL_BLOCK):
-        j2 = _bessel_rows(orders, nodes[lo:lo + BESSEL_BLOCK])
+    for _, nodes, w in _grid_blocks(r_max):
+        j2 = _bessel_rows(orders, nodes)
         np.multiply(j2, j2, out=j2)
-        w = rw[lo:lo + BESSEL_BLOCK]
         p = prod[:, :w.size]
         row = 0
         for k in orders:  # rows row.. hold the pairs (k, k..n_max)

@@ -18,6 +18,8 @@ from lacuna.bessel import (
     MAX_ZEROS,
     SERIES_SWITCH,
     ZERO_TOL,
+    _j0_j1,
+    _mcmahon_j1,
     besselj,
     besselj_batch,
     j1_zeros,
@@ -242,6 +244,16 @@ def _one_x_zero(r):
 def test_zeros_are_bitwise_one_x_steps(zeros_1001):
     for r in (*range(1, 30), 500, 999, 1000):
         assert zeros_1001[r] == _one_x_zero(r)
+
+
+def test_no_bracket_end_is_a_zero():
+    # j1_zeros brackets zero r by its McMahon guess +- 0.2 and needs a
+    # strict sign change there: no end of any supported zero's bracket
+    # lies near a zero of J1 (the smallest |J1|, 1.585e-3, is at the last)
+    guess = _mcmahon_j1(np.arange(1, MAX_ZEROS + 1))
+    ends = _j0_j1(np.concatenate([guess - 0.2, guess + 0.2]))[1]
+    assert ends.size == 2 * MAX_ZEROS
+    assert np.min(np.abs(ends)) > 1.0e-3
 
 
 def test_zeros_start_at_origin(zeros_1001):

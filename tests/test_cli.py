@@ -209,7 +209,7 @@ def test_integrals_direct_r_max_below_order_exits_2(capsys, monkeypatch, argv, t
     def forbidden(r_max):
         raise AssertionError(f"built a grid to r_max {r_max}")
 
-    monkeypatch.setattr(ig, "_panel_grid", forbidden)
+    monkeypatch.setattr(ig, "_grid_blocks", forbidden)
     if top is not None:
         code, out, err = run(capsys, *argv, "--r-max", "150")
         assert code == 2 and out == "" and f"order {top}" in err
@@ -229,7 +229,7 @@ def test_integrals_sweep_refuses_past_its_ceiling(capsys, monkeypatch):
     def forbidden(r_max):
         raise AssertionError(f"built a grid to r_max {r_max}")
 
-    monkeypatch.setattr(ig, "_panel_grid", forbidden)
+    monkeypatch.setattr(ig, "_grid_blocks", forbidden)
     argv = ("integrals", "sweep", "--suite", "bounds-f", "--n-max", str(ig.SWEEP_MAX_N + 1))
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "n_max 201 outside [1, 200]" in err

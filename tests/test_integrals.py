@@ -9,6 +9,7 @@ kernel, so the two share no evaluation code. scipy and mpmath values
 check that kernel; the mpmath ones are literals, so mpmath is not needed.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_direct_rejects_r_max_at_or_below_order(monkeypatch):
     def forbidden(r_max):
         raise AssertionError(f"built a grid to r_max {r_max}")
 
-    monkeypatch.setattr(ig, "_panel_grid", forbidden)
+    monkeypatch.setattr(ig, "_grid_blocks", forbidden)
     with pytest.raises(RangeError, match=r"n_max 201 outside \[0, 200\]"):
         ig.sweep_diagonal(ig.SWEEP_MAX_N + 1)
     for r_max in (40001.0, 1.0e300):
@@ -516,6 +517,47 @@ def test_table_uses_array_passes(monkeypatch):
     monkeypatch.setattr(lacuna.bessel, "_miller", forbidden)
     table = ig.build_table(40)
     assert table.bessel_cache.shape == (1001, 41)
+
+
+def test_grid_blocks_are_the_whole_grid_bit_for_bit():
+    # every grid node comes from _grid_blocks, cut at multiples of
+    # BESSEL_BLOCK from node 0; the blocks hold the whole-grid expressions'
+    # values bit for bit, and a partial last block ends the grid
+    for r_max in (100.0, 777.0, 1234.5, 4000.0, 40000.0):
+        n_panels = math.ceil(r_max / ig.PANEL_WIDTH)
+        width = r_max / n_panels
+        centers = (np.arange(n_panels) + 0.5) * width
+        nodes = (centers[:, None] + (0.5 * width) * ig._GL_NODES[None, :]).ravel()
+        rw = nodes * np.tile(0.5 * width * ig._GL_WEIGHTS, n_panels)
+        assert nodes.size % ig.BESSEL_BLOCK, r_max
+        cols, block_nodes, block_rw = zip(*ig._grid_blocks(r_max))
+        starts = range(0, nodes.size, ig.BESSEL_BLOCK)
+        assert [(c.start, c.stop) for c in cols] == [
+            (lo, min(lo + ig.BESSEL_BLOCK, nodes.size)) for lo in starts
+        ]
+        assert np.concatenate(block_nodes).tobytes() == nodes.tobytes(), r_max
+        assert np.concatenate(block_rw).tobytes() == rw.tobytes(), r_max
+        grid_nodes, grid_rw = ig._panel_grid(r_max)
+        assert grid_nodes.tobytes() == nodes.tobytes(), r_max
+        assert grid_rw.tobytes() == rw.tobytes(), r_max
+
+
+def test_sweep_holds_no_grid_sized_array():
+    # one array of the r_max 40000 grid's 509,300 nodes is 3.9 MiB, and
+    # numpy reports its buffers to tracemalloc; the caches start empty, so
+    # a grid the sweep built and kept would count in both figures
+    for fn in vars(ig).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    tracemalloc.start()
+    try:
+        sweep = ig.sweep_diagonal(8)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sweep.direct.shape == (9, 9, 9)
+    assert peak < 8 * 2**20, peak
+    assert held < 2**20, held
 
 
 def test_diagonal_stack_matches_whole_grid_sum():
