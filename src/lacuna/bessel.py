@@ -17,9 +17,10 @@ whole row, and the J1 zero finder reads entries 0 and 1; both entry
 points take a float or a 1-D array of x, so a scalar value in the
 recurrence regime is bitwise equal to its batch entry and to its entry
 in an array call.  A float argument keeps the one-x loop: a lane pass
-pays numpy's per-call cost at every step, so a single lane runs 40-80
-times slower than the loop and only pays off across many x (the
-quadrature table, the zero finder).
+pays numpy's per-call cost at every step (four calls per step, the
+rest once per block of 32 steps), so a single lane runs about 40 times
+slower than the loop and only pays off across many x (the quadrature
+table, the zero finder).
 
 The guaranteed box is |n| <= 1200, 0 <= x <= 1e4, with absolute error
 at most 1e-12.  Negative orders reduce through J_{-n} = (-1)^n J_n and
@@ -121,37 +122,78 @@ def _miller_lanes(n_max: int, xs: np.ndarray) -> np.ndarray:
     # with p = 1, is rescaled only when its own |p| passes _RESCALE and is
     # normalised by its own sum, so it performs the scalar loop's float
     # operations in the scalar loop's order.  Lanes run in order of
-    # descending x, so the lanes already started are always a prefix.
+    # descending x, so the lanes already started are always a prefix; a
+    # lane not yet started holds p = p_up = 0, which the recurrence keeps
+    # at 0 and which adds 0 to its sum.
+    #
+    # The pass takes 32 steps at a time.  A step is three numpy calls over
+    # the block's lanes, p_{k-1} = (k * (2/x)) * p_k - p_{k+1}, and `hist`
+    # keeps the p of every step; the squares follow once per block, and the
+    # sum one add per step.  The sum only grows, so a lane whose |p| passed
+    # _RESCALE in the block shows it in its sum or in the square of its
+    # last p, and _replay_lane reruns it from there with the scalar loop;
+    # every other lane already holds the scalar loop's values.
     order = np.argsort(-xs, kind="stable")
     x = xs[order]
     lanes = x.size
-    starts = n_max + np.ceil(START_SLOPE * x).astype(np.int64) + START_OFFSET
-    rec = np.zeros((n_max + 1, lanes))
-    p_up, p, nxt = np.empty(lanes), np.empty(lanes), np.empty(lanes)
-    ssum = np.zeros(lanes)
+    starts = (n_max + np.ceil(START_SLOPE * x).astype(np.int64) + START_OFFSET).tolist()
     two_over_x = 2.0 / x
-    mag = np.empty(lanes)
-    live = 0
-    for k in range(int(starts[0]) if lanes else 0, 0, -1):
-        while live < lanes and starts[live] >= k:
-            p_up[live], p[live] = 0.0, 1.0  # the lane starts at k
-            live += 1
-        cur, up, new = p[:live], p_up[:live], nxt[:live]
-        if k <= n_max:
-            rec[k, :live] = cur
-        np.multiply(cur, cur, out=new)
-        ssum[:live] += new
-        np.multiply(two_over_x[:live], k, out=new)
-        new *= cur
-        new -= up
-        p_up, p, nxt = p, nxt, p_up
-        np.abs(new, out=mag[:live])
-        if mag[:live].max() > _RESCALE:
-            hit = np.flatnonzero(mag[:live] > _RESCALE)
-            p[hit] *= _RESCALE_INV
-            p_up[hit] *= _RESCALE_INV
-            ssum[hit] *= _RESCALE_INV * _RESCALE_INV
-            rec[:, hit] *= _RESCALE_INV
+    block = 32
+    rec = np.zeros((n_max + 1, lanes))
+    ssum = np.zeros(lanes)
+    # Each block views these as contiguous (rows, lanes started) arrays, so
+    # numpy streams every block operation.  hist: p_up and p at the block's
+    # first step, then each new p; sq: the block's sum at its start, then
+    # the squares of hist.
+    hist, sq = np.empty((block + 2) * lanes), np.empty((block + 2) * lanes)
+    last = np.zeros((2, lanes))  # p_up and p after the last block
+    big = _RESCALE * _RESCALE  # |p| > _RESCALE implies p * p >= big
+    joined = width = 0
+    # a lane past _RESCALE may overflow before it is rerun
+    with np.errstate(over="ignore", invalid="ignore"):
+        for top in range(starts[0] if lanes else 0, 0, -block):
+            steps = min(block, top)
+            end = top - steps + 1  # the block runs k = top, top - 1, ..., end
+            while width < lanes and starts[width] >= end:
+                width += 1
+            h = hist[: (steps + 2) * width].reshape(steps + 2, width)
+            s = sq[: (steps + 2) * width].reshape(steps + 2, width)
+            h[:2] = last[:, :width]
+            tw = two_over_x[:width]
+            rows = list(h)  # one view per row
+            for k, up, cur, new in zip(range(top, end - 1, -1), rows, rows[1:], rows[2:]):
+                while joined < width and starts[joined] >= k:
+                    cur[joined] = 1.0  # the lane starts at k
+                    joined += 1
+                np.multiply(tw, k, new)
+                np.multiply(new, cur, new)
+                np.subtract(new, up, new)
+            s[0] = ssum[:width]
+            np.multiply(h[1:], h[1:], s[1:])
+            total = ssum[:width]
+            for q in s[1 : steps + 1]:  # one add per step, as the scalar loop sums
+                np.add(total, q, total)
+            if end <= n_max:
+                low = max(top - n_max, 0)  # the first step that records its p
+                rec[end : top - low + 1, :width] = h[low + 1 : steps + 1][::-1]
+            hit = np.flatnonzero(~(np.maximum(total, s[steps + 1]) < big))  # NaN counts
+            if hit.size:
+                past = ~(s[2:, hit] < big)  # a large sum need not mean a large p
+                large = past.any(axis=0)
+                hit = hit[large]
+                lanes_in = zip(
+                    hit.tolist(),
+                    past[:, large].argmax(axis=0).tolist(),
+                    h[:, hit].T.tolist(),
+                    s[:, hit].T.tolist(),
+                    two_over_x[hit].tolist(),
+                )
+                tails = np.array([_replay_lane(top, n_max, rec, *v) for v in lanes_in])
+                tails = tails.reshape(-1, 3)  # p_up, p and the sum of each lane rerun
+                h[steps:, hit] = tails[:, :2].T
+                ssum[hit] = tails[:, 2]
+            last[:, :width] = h[steps:]
+    p = last[1]
     rec[0] = p
     ssum = 2.0 * ssum + p * p
     bad = ~((ssum > 0.0) & np.isfinite(ssum))
@@ -163,6 +205,40 @@ def _miller_lanes(n_max: int, xs: np.ndarray) -> np.ndarray:
     out = np.empty((lanes, n_max + 1))
     out[order] = rec.T
     return out
+
+
+def _replay_lane(
+    top: int,
+    n_max: int,
+    rec: np.ndarray,
+    lane: int,
+    i: int,
+    p_col: list[float],
+    sq_col: list[float],
+    two_over_x: float,
+) -> tuple[float, float, float]:
+    # Rerun one lane of a _miller_lanes block, whose p and squares are
+    # p_col and sq_col, with the scalar loop from step i, the first whose
+    # new p has p * p >= _RESCALE**2: no earlier p of the block passed
+    # _RESCALE, so the block's values up to there are the scalar loop's.
+    # Writes the lane's recorded p into rec; returns its last p_up, p and
+    # its sum.
+    total = 0.0
+    for v in sq_col[: i + 1]:  # the sum at the block's start, then p * p
+        total += v
+    p_up, p = p_col[i], p_col[i + 1]
+    for k in range(top - i, top - len(p_col) + 2, -1):
+        if k <= n_max:
+            rec[k, lane] = p
+        total += p * p
+        p_up, p = p, (k * two_over_x) * p - p_up
+        if abs(p) > _RESCALE:
+            p *= _RESCALE_INV
+            p_up *= _RESCALE_INV
+            total *= _RESCALE_INV * _RESCALE_INV
+            if k <= n_max:
+                rec[:, lane] *= _RESCALE_INV
+    return p_up, p, total
 
 
 def _validate_lanes(x: object) -> np.ndarray:
@@ -256,28 +332,33 @@ def j1_zeros(count: int) -> np.ndarray:
     r-th zero, and every positive entry satisfies |J1(zero)| <= ZERO_TOL.
 
     Newton iteration (J1' = J0 - J1/x) from the large-root expansion,
-    safeguarded by a sign-change bracket and bisection fallback.  Every
-    zero still being refined takes its next step in one lane pass, and
-    each follows exactly the iterates it would follow alone.
+    safeguarded by a sign-change bracket and bisection fallback.  The
+    first lane pass evaluates both ends of every bracket and every
+    expansion guess, and checks each bracket's sign change before any
+    Newton step reads it; after that, every zero still being refined takes
+    its next step in one lane pass.  Each zero follows exactly the
+    iterates it would follow alone.
     """
     count = check_int(count, "count", 1, MAX_ZEROS + 1)
     zeros = np.zeros(count)
     r = np.arange(1, count)
     guess = _mcmahon_j1(r)
     a, b = guess - 0.2, guess + 0.2
-    ends = _j0_j1(np.concatenate([a, b]))[1]
-    fa, fb = ends[: r.size], ends[r.size :]
+    # one pass for both bracket ends and the first Newton point
+    j0, j1 = _j0_j1(np.concatenate([a, b, guess]))
+    fa, fb = j1[: r.size], j1[r.size : 2 * r.size]
     # |J1| >= 1.585e-3 at every bracket end of the supported zeros, so no
     # end is itself a zero and each bracket must change sign strictly
     flat = fa * fb >= 0.0
     if flat.any():
         i = np.argmax(flat)
         raise ZeroFindingError(f"no sign change around zero {r[i]} in [{a[i]}, {b[i]}]")
-    x = guess
-    for _ in range(60):
+    x, j0, j1 = guess, j0[2 * r.size :], j1[2 * r.size :]
+    for step in range(60):
         if not r.size:
             break
-        j0, j1 = _j0_j1(x)
+        if step:
+            j0, j1 = _j0_j1(x)
         done = np.abs(j1) <= ZERO_TOL
         zeros[r[done]] = x[done]
         live = ~done
@@ -303,6 +384,5 @@ def sign_change_certificate(zeros: np.ndarray, delta: float = 1.0e-8) -> bool:
     """Check J1 flips sign across [z - delta, z + delta] at every
     positive zero in ``zeros``.  Returns True when all flips hold."""
     z = zeros[1:]
-    left = _j0_j1(z - delta)[1]
-    right = _j0_j1(z + delta)[1]
-    return bool(np.all(left * right < 0.0))
+    j1 = _j0_j1(np.concatenate([z - delta, z + delta]))[1]
+    return bool(np.all(j1[: z.size] * j1[z.size :] < 0.0))

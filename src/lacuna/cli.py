@@ -397,9 +397,12 @@ def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
 # spectrum
 
 
-# the json text of each enum value; a point without a subtype has null
+# the json and csv text of each enum value; a point without a subtype has
+# null in json and an empty csv cell
 _KIND_JSON = {k: f'"{k.value}"' for k in sp.PointKind}
 _SUBTYPE_JSON = {None: "null", **{k: f'"{k.value}"' for k in sp.ExceptionKind}}
+_KIND_CSV = {k: k.value for k in sp.PointKind}
+_SUBTYPE_CSV = {None: None, **{k: k.value for k in sp.ExceptionKind}}
 _REP_JSON = "[\n          %d,\n          %d,\n          %d\n        ]"
 
 
@@ -449,12 +452,13 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
 
     def rows() -> Iterator[list]:
         for p in points:
+            reps = p.reps  # most points have one
             yield [
                 p.point,
-                p.kind.value,
-                p.subtype.value if p.subtype else None,
-                " ".join(map(str, sorted(p.family_tags))),
-                ";".join("%d,%d,%d" % r for r in p.reps),
+                _KIND_CSV[p.kind],
+                _SUBTYPE_CSV[p.subtype],
+                " ".join(map(str, sorted(p.family_tags))) if p.family_tags else "",
+                "%d,%d,%d" % reps[0] if len(reps) == 1 else ";".join("%d,%d,%d" % r for r in reps),
                 p.boundary_safe,
             ]
 

@@ -109,7 +109,7 @@ class QuadratureTable:
 def build_table(order_cap: int) -> QuadratureTable:
     """Build the quadrature table for orders 0..order_cap <= ORDER_GUARANTEE_CAP.
 
-    Built in memory on every call, a few tenths of a second, and never
+    Built in memory on every call, about a tenth of a second, and never
     written to disk. Rows past ORDER_GUARANTEE_CAP would carry no
     certified gap, so ``i_tilde`` could not read them; they are refused.
     """

@@ -12,6 +12,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacuna import bessel
 from lacuna.bessel import (
     MAX_ARG,
     MAX_ORDER,
@@ -20,12 +21,14 @@ from lacuna.bessel import (
     ZERO_TOL,
     _j0_j1,
     _mcmahon_j1,
+    _miller,
+    _miller_lanes,
     besselj,
     besselj_batch,
     j1_zeros,
     sign_change_certificate,
 )
-from lacuna.errors import RangeError
+from lacuna.errors import RangeError, ZeroFindingError
 
 # (n, x, J_n(x) from mpmath at 40 digits)
 FROZEN = [
@@ -137,6 +140,27 @@ def test_array_besselj_is_bitwise_float_calls(n):
     want = np.array([besselj(n, float(x)) for x in xs])
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))  # signed zeros too
+
+
+# x on (1e-3, 1e4]; below 1 a lane passes the rescale threshold every few steps
+LANE_X = st.one_of(
+    st.floats(min_value=1.0e-3, max_value=1.0, exclude_min=True),
+    st.floats(min_value=1.0e-3, max_value=MAX_ARG, exclude_min=True),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_max=st.sampled_from([0, 1, 40, 532]), data=st.data())
+def test_lane_pass_is_bitwise_one_x_pass(n_max, data):
+    lanes = data.draw(st.integers(min_value=1, max_value=300))
+    xs = data.draw(st.lists(LANE_X, min_size=(lanes + 1) // 2, max_size=lanes))
+    more = lanes - len(xs)
+    xs += data.draw(st.lists(st.sampled_from(xs), min_size=more, max_size=more))  # duplicates
+    rows = _miller_lanes(n_max, np.array(xs))
+    assert rows.shape == (len(xs), n_max + 1)
+    one_x = {x: _miller(n_max, x).tobytes() for x in set(xs)}
+    for x, row in zip(xs, rows):
+        assert row.tobytes() == one_x[x]
 
 
 def test_array_argument_out_of_range():
@@ -254,6 +278,46 @@ def test_no_bracket_end_is_a_zero():
     ends = _j0_j1(np.concatenate([guess - 0.2, guess + 0.2]))[1]
     assert ends.size == 2 * MAX_ZEROS
     assert np.min(np.abs(ends)) > 1.0e-3
+
+
+def _count_lane_passes(monkeypatch):
+    calls = []
+
+    def counted(n_max, xs):
+        calls.append(xs.size)
+        return _miller_lanes(n_max, xs)
+
+    monkeypatch.setattr(bessel, "_miller_lanes", counted)
+    return calls
+
+
+def test_zero_search_lane_passes(monkeypatch):
+    # one pass for the bracket ends and the first Newton point, then one
+    # per further Newton step
+    calls = _count_lane_passes(monkeypatch)
+    j1_zeros(1001)
+    assert len(calls) == 3
+    guess = _mcmahon_j1(np.arange(1, 1001))
+    first = np.concatenate([guess - 0.2, guess + 0.2, guess])
+    assert calls[0] == np.count_nonzero(first > SERIES_SWITCH)  # the rest take the series
+
+
+def test_zeros_refuse_a_bracket_without_sign_change(monkeypatch):
+    # a guess 1.0 off puts zero 7 outside its bracket [guess - 0.2, guess + 0.2]
+    def moved(r):
+        return _mcmahon_j1(r) + np.where(r == 7, 1.0, 0.0)
+
+    monkeypatch.setattr(bessel, "_mcmahon_j1", moved)
+    calls = _count_lane_passes(monkeypatch)
+    with pytest.raises(ZeroFindingError, match="no sign change around zero 7 in"):
+        j1_zeros(60)
+    assert len(calls) == 1  # refused from the first pass, before any Newton step
+
+
+def test_zeros_refuse_a_zero_that_does_not_refine(monkeypatch):
+    monkeypatch.setattr(bessel, "ZERO_TOL", 0.0)
+    with pytest.raises(ZeroFindingError, match="zero 1 did not refine to"):
+        j1_zeros(3)
 
 
 def test_zeros_start_at_origin(zeros_1001):
