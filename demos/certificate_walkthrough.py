@@ -22,7 +22,7 @@ for p in sp.classify_brute_force(A):
         print(f"  D = {p.point:4d}  [{p.subtype.value:11s}]  {reps}")
 
 window = ct.feasible_b_interval()
-print(f"\nfeasible b window: [{window.lo:.4f}, {window.hi:.4f}]"
+print(f"\npaper's b window at F(1,1,0) >= 7.94: [{window.lo:.4f}, {window.hi:.4f}]"
       f"  (exact {window.lo_exact}, {window.hi_exact})")
 
 params, reports = ct.derive_params(A)

@@ -610,8 +610,6 @@ def cmd_certify(args: argparse.Namespace) -> Report:
             vec = ct.random_vector(spectrum, rng, adversarial=(i % 3 == 0))
             jobs.append((i, "random", vec))
     b = args.b
-    window = ct.feasible_b_interval()
-    b_inside = window.feasible and window.lo < b < window.hi
     payload: dict = {
         "command": "certify",
         "config": {
@@ -622,59 +620,36 @@ def cmd_certify(args: argparse.Namespace) -> Report:
             "r_max": args.r_max,
             "coeff": args.coeff,
         },
-        "b_interval": {
-            "lo": window.lo,
-            "hi": window.hi,
-            "lo_exact": str(window.lo_exact),
-            "hi_exact": str(window.hi_exact),
-            "feasible": window.feasible,
-            "b_inside": b_inside,
-        },
+        "trials_run": [],
     }
-
-    def report(verdict: str, code: int) -> Report:
-        # a run stopped early reports the stages it never reached as empty
-        payload["verdict"] = verdict
-        payload.setdefault("system_reports", [])
-        payload.setdefault("trials_run", [])
-        return Report(
-            payload,
-            _CERTIFY_HEADER,
-            _table(_CERTIFY_HEADER, payload["trials_run"]),
-            lambda: _certify_text(payload),
-            code,
-        )
-
-    if not b_inside:
-        return report("b-interval violation", EXIT_FAIL)
     reports = ct.check_systems(spectrum, b, r_max=args.r_max)
     payload["system_reports"] = [_report_dict(r) for r in reports]
-    if not all(r.passed for r in reports):
-        return report("system infeasible", EXIT_FAIL)
-    params = ct.params_from_reports(b, reports)
-    payload["eps"] = [[d, e] for d, e in params.eps]
-
-    # both forms are built once, on the frequencies the vectors use: a --coeff
-    # file that avoids an element past the direct route's order cap still runs
-    vectors = [vec for _, _, vec in jobs]
-    support = sorted(set().union(*(vec.support for vec in vectors)))
-    forms = ct.assemble_forms(spectrum, params, support, r_max=args.r_max)
-    trials = [
-        _trial_dict(index, label, vec, s, ub, args.r_max)
-        for (index, label, vec), (s, ub) in zip(jobs, ct.evaluate_forms(forms, vectors))
-    ]
-    payload["trials_run"] = trials
-    all_pass = all(t["passed"] for t in trials)
-    return report("holds" if all_pass else "fails", EXIT_OK if all_pass else EXIT_FAIL)
+    verdict = "system infeasible"
+    if all(r.passed for r in reports):
+        params = ct.params_from_reports(b, reports)
+        payload["eps"] = [[d, e] for d, e in params.eps]
+        # both forms are built once, on the frequencies the vectors use: a --coeff
+        # file that avoids an element past the direct route's order cap still runs
+        vectors = [vec for _, _, vec in jobs]
+        support = sorted(set().union(*(vec.support for vec in vectors)))
+        forms = ct.assemble_forms(spectrum, params, support, r_max=args.r_max)
+        payload["trials_run"] = [
+            _trial_dict(index, label, vec, s, ub, args.r_max)
+            for (index, label, vec), (s, ub) in zip(jobs, ct.evaluate_forms(forms, vectors))
+        ]
+        verdict = "holds" if all(t["passed"] for t in payload["trials_run"]) else "fails"
+    payload["verdict"] = verdict
+    return Report(
+        payload,
+        _CERTIFY_HEADER,
+        _table(_CERTIFY_HEADER, payload["trials_run"]),
+        lambda: _certify_text(payload),
+        EXIT_OK if verdict == "holds" else EXIT_FAIL,
+    )
 
 
 def _certify_text(payload: dict) -> str:
-    w = payload["b_interval"]
-    lines = [
-        f"b = {payload['config']['b']} against window "
-        f"[{w['lo']:.4f}, {w['hi']:.4f}] ({w['lo_exact']}, {w['hi_exact']}): "
-        + ("inside" if w["b_inside"] else "OUTSIDE")
-    ]
+    lines = [f"b = {payload['config']['b']}"]
     for rep in payload["system_reports"]:
         lines.append(
             f"system {rep['system']}: "
@@ -766,7 +741,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = subs.add_parser("certify", parents=[common], help="run the certificate")
     _add_spectrum_args(p_cert)
-    p_cert.add_argument("--b", type=float, default=ct.DEFAULT_B)
+    p_cert.add_argument(
+        "--b",
+        type=float,
+        default=ct.DEFAULT_B,
+        help="weight b > 1 of the grouped bound; the system rows decide it",
+    )
     p_cert.add_argument("--trials", type=int, default=100)
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument(

@@ -171,6 +171,24 @@ def test_b_window_infeasible():
     assert not w2.feasible and w2.lo_exact == Fraction(13)
 
 
+@pytest.mark.parametrize(
+    "spectrum",
+    [make_spectrum(base=4, depth=4), make_spectrum(lambdas=[0, 1, 4, 13, 40, 121, 364])],
+    ids=["base4-depth4", "wide"],
+)
+def test_global_rows_refuse_b_outside_the_window(spectrum):
+    # with +-1 in the spectrum the rows alone refuse every b the window refuses
+    w = ct.feasible_b_interval()
+    for b, passed in [
+        (w.lo - 1e-6, False),
+        (w.lo + 1e-6, True),
+        (w.hi - 1e-6, True),
+        (w.hi + 1e-6, False),
+    ]:
+        trivial = ct.check_systems(spectrum, b)[0]
+        assert trivial.system_id == "trivial" and trivial.passed is passed, b
+
+
 # ---------------------------------------------------------------------------
 # exact sextic sum
 

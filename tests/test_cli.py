@@ -434,13 +434,36 @@ def test_certify_equality_case(capsys):
     assert abs(trial["margin"]) <= trial["error_budget"]
 
 
-def test_certify_b_window_violation(capsys):
+def test_certify_b_above_window_fails_the_cross_row(capsys):
+    # b = 7.5 lies above the paper's window (397/97, 353/53); the global rows
+    # refuse it through F(1,1,0), and no other system fails
     code, out, _ = run(capsys, "certify", "--base", "4", "--depth", "4", "--b", "7.5")
     payload = json.loads(out)
-    assert code == 1 and payload["verdict"] == "b-interval violation"
-    assert payload["b_interval"]["hi_exact"] == "353/53"
-    assert payload["b_interval"]["b_inside"] is False
+    assert code == 1 and payload["verdict"] == "system infeasible"
     assert payload["trials_run"] == []
+    assert "eps" not in payload and "b_interval" not in payload
+    failed = [r for r in payload["system_reports"] if not r["passed"]]
+    assert [r["system"] for r in failed] == ["trivial"]
+    assert failed[0]["tightest_margin"] == pytest.approx(-0.4108, abs=5e-5)
+    worst = min(failed[0]["instances"], key=lambda inst: inst["margin"])
+    assert worst["description"] == "9(b-3)/(b-1) + 18 <= 3F(1,1,0)"
+
+
+def test_certify_b_outside_paper_window_holds_without_unit_modulus(capsys):
+    # with +-1 outside the spectrum every row accepts b = 7 > 353/53
+    code, out, _ = run(
+        capsys, "certify", "--lambdas", "0,5,22,88,274", "--b", "7", "--trials", "20"
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] == "holds"
+    assert all(r["passed"] for r in payload["system_reports"])
+    assert len(payload["trials_run"]) == 20
+
+
+@pytest.mark.parametrize("b", ["1", "0.5"])
+def test_certify_b_at_most_one_is_a_usage_error(capsys, b):
+    code, out, err = run(capsys, "certify", "--base", "4", "--depth", "4", "--b", b)
+    assert code == 2 and out == "" and "weight b must exceed 1" in err
 
 
 def test_certify_system_infeasible(capsys):
@@ -457,7 +480,7 @@ def test_certify_system_infeasible(capsys):
 
 
 def test_certify_bad_coefficient_file_exits_2_whatever_b(tmp_path, capsys):
-    # the file is read before the b window is judged: usage error, no report
+    # the file is read before the system rows judge b: usage error, no report
     missing = str(tmp_path / "missing.csv")
     for extra in ((), ("--b", "1.5")):
         code, out, err = run(
@@ -490,13 +513,16 @@ def test_certify_deterministic_bytes(capsys):
 
 
 # sha256 of certify's stdout before the exception table decided each
-# system once; both spectra reach all five systems
+# system once; both spectra reach all five systems. The json digest is of
+# that stdout without its former "b_interval" block: json.loads, delete the
+# key, json.dumps(sort_keys=True, indent=2) plus a newline (the round trip
+# without the delete gives the old stdout back byte for byte)
 @pytest.mark.parametrize(
     "argv, digest",
     [
         (
             ("--lambdas", "0,5,22,88,274", "--trials", "60", "--seed", "2"),
-            "1829b90f6b7286d139524acf43311e360955ae3e7468232e8a79fc742e1a9dd8",
+            "2a61082ffc7160ae2c818eb758345995b7b612480d7daeb28621245a4362e0b6",
         ),
         (
             ("--lambdas", "0,5,20,70,222", "--trials", "60", "--format", "csv"),
