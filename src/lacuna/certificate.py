@@ -51,6 +51,7 @@ from .integrals import (
     MAX_SEXTET_ORDER,
     IntegralValue,
     f_ratio,
+    fill_grid_rows,
     i_direct,
 )
 from .spectrum import (
@@ -806,10 +807,12 @@ def check_systems(
     grouped bound reads, so both assume the same eps split; a shape pair
     outside the known families is a hard error. Feasibility of an eps
     window uses interval lower bounds for every F, so a reported window
-    survives quadrature error.
+    survives quadrature error. The direct route's grid rows of every
+    modulus come from one Bessel pass before the first F.
     """
     if not b > 1:
         raise RangeError(f"weight b must exceed 1, got {b}")
+    fill_grid_rows((0, *A.elements), r_max)
     instances: dict[str, list[SystemInstance]] = {system_id: [] for system_id in SYSTEMS}
     instances["trivial"].extend(_global_rows(A, b, r_max))
     for system, point in _exceptions(A).values():

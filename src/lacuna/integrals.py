@@ -18,11 +18,15 @@ routes:
   disc(R) + eval(R, N) + tail(R, N), see ``quad_bound`` and
   ``tail_bound``. Bessel factors come from a numpy kernel in this
   module (``_bessel_rows``): the trapezoid rule on Bessel's integral on
-  nodes r <= max(n, X0), and J0, J1 from Hankel's expansion carried up
-  by the forward recurrence on nodes r > max(n, X0), where it is
-  stable. They agree with ``scipy.special.jv`` to 7.0e-14 absolute on
-  the r_max = 4000 grid for every order 0..532, and with mpmath to
-  7.5e-16 at x near n for n up to 532; the tests check the per-factor
+  nodes r <= max(n, X0), and the forward recurrence on nodes
+  r > max(n, X0), where it is stable, started from Hankel's J0 and J1
+  on chunks that begin at the first node past X0. A row depends on its
+  order and the nodes alone, so one pass of the recurrence serves every
+  order of a run (``fill_grid_rows``, which ``check_systems`` calls
+  before its first F) with the bits each row has when built alone. They
+  agree with ``scipy.special.jv`` to 7.0e-14 absolute on the
+  r_max = 4000 grid for every order 0..532, and with mpmath to 4.5e-15
+  at x near n for n up to 532; the tests check the per-factor
   assumption BESSEL_FACTOR_ERR = 1e-12 against both, and against
   lacuna.bessel up to order 1200. The run needs numpy alone.
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,8 +198,8 @@ def _alias_free_order(x: int) -> int:
     return nu
 
 
-def _trapezoid_rows(orders: list[int], x: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = J_{orders[i]}(x) by the trapezoid rule on Bessel's integral.
+def _trapezoid_row(n: int, x: np.ndarray, out: np.ndarray) -> None:
+    """out[0] = J_n(x) by the trapezoid rule on Bessel's integral.
 
     The M = 4q-point rule on J_n(x) = (1/2pi) int_{-pi}^{pi} cos(n t - x sin t) dt
     folds, by the integrand's symmetries, onto q + 1 points t_j = j pi/(2q):
@@ -203,16 +207,13 @@ def _trapezoid_rows(orders: list[int], x: np.ndarray, out: np.ndarray) -> None:
     sin(n t_j) sin(x sin t_j) for odd n, halving the end terms. It returns
     J_n plus the aliases J_{kM-n} and J_{kM+n}, k >= 1 (Trefethen and
     Weideman, SIAM Review 56, 2014), so q is chosen per block of nodes to
-    put M - max(orders) at _alias_free_order of the block's largest node.
-    A block's trigonometric matrix holds at most TEMP_DOUBLES values.
+    put M - n at _alias_free_order of the block's largest node. A block's
+    trigonometric matrix holds at most TEMP_DOUBLES values.
     """
-    top = max(orders)
-    even = [i for i, n in enumerate(orders) if n % 2 == 0]
-    odd = [i for i, n in enumerate(orders) if n % 2]
-    parities = [(rows, trig) for rows, trig in ((even, np.cos), (odd, np.sin)) if rows]
+    trig = np.sin if n % 2 else np.cos
 
-    def quarter(last: float) -> int:  # least q with 4q - top >= the alias-free order
-        return -(-(top + _alias_free_order(max(1, math.ceil(last)))) // 4)
+    def quarter(last: float) -> int:  # least q with 4q - n >= the alias-free order
+        return -(-(n + _alias_free_order(max(1, math.ceil(last)))) // 4)
 
     step = max(1, TEMP_DOUBLES // (quarter(x[-1]) + 1))
     for lo in range(0, x.size, step):
@@ -222,11 +223,10 @@ def _trapezoid_rows(orders: list[int], x: np.ndarray, out: np.ndarray) -> None:
         rule = np.full(q + 1, 1.0 / q)
         rule[0] = rule[-1] = 0.5 / q
         arg = np.multiply.outer(block, np.sin((math.pi / (2 * q)) * j))
-        for rows, trig in parities:
-            # n t_j reduced exactly: cos and sin see angles below 2 pi
-            turns = np.multiply.outer([orders[i] for i in rows], j) % (4 * q)
-            weights = trig((math.pi / (2 * q)) * turns) * rule
-            out[rows, lo:lo + block.size] = weights @ trig(arg).T
+        # n t_j reduced exactly: cos and sin see angles below 2 pi
+        turns = np.multiply.outer([n], j) % (4 * q)
+        weights = trig((math.pi / (2 * q)) * turns) * rule
+        out[:, lo:lo + block.size] = weights @ trig(arg).T
 
 
 def _hankel_coefficients() -> np.ndarray:
@@ -245,6 +245,12 @@ def _hankel_coefficients() -> np.ndarray:
 
 
 _HANKEL = _hankel_coefficients()
+_HANKEL_PEAK = np.abs(_HANKEL).max(axis=0)
+# rows P0, Q0, P1, Q1, each in powers of x^-2, for each count of kept powers
+_HANKEL_STACKS = [
+    np.stack([row[parity:2 * half:2] for row in _HANKEL for parity in (0, 1)])
+    for half in range(_HANKEL.shape[1] // 2 + 1)
+]
 
 
 def _hankel_j0_j1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,10 +263,9 @@ def _hankel_j0_j1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     term (DLMF 10.17(iii)). cos w and sin w of both orders come from one
     cos x and one sin x.
     """
-    dropped = np.abs(_HANKEL).max(axis=0) <= ALIAS_TOL * float(x[0]) ** np.arange(_HANKEL.shape[1])
+    dropped = _HANKEL_PEAK <= ALIAS_TOL * float(x[0]) ** np.arange(_HANKEL.shape[1])
     half = (int(np.argmax(dropped)) + 1) // 2
-    # rows P0, Q0, P1, Q1, each in powers of x^-2
-    coeffs = np.stack([row[parity:2 * half:2] for row in _HANKEL for parity in (0, 1)])
+    coeffs = _HANKEL_STACKS[half]
     y = 1.0 / (x * x)
     pq = np.empty((4, x.size))
     pq[:] = coeffs[:, -1:]
@@ -284,62 +289,110 @@ def _hankel_j0_j1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _bessel_rows(orders: list[int], nodes: np.ndarray) -> np.ndarray:
     """J_n(nodes) for each of the distinct non-negative orders, one row each.
 
-    ``nodes`` ascend. Nodes up to max(max(orders), X0) take the trapezoid
-    rule on Bessel's integral (``_trapezoid_rows``), except those where
-    Kapteyn's bound puts every requested order below ALIAS_TOL, which
-    are 0. Past that point every requested order sits below r, where the
-    forward recurrence J_{k+1} = (2k/r) J_k - J_{k-1} is stable (Gautschi,
-    SIAM Review 9, 1967); it starts from J0 and J1 of Hankel's expansion
-    (``_hankel_j0_j1``) and runs over BESSEL_BLOCK nodes at a time, so its
-    work arrays stay small. Neither kernel calls lacuna.bessel.
+    ``nodes`` ascend, and each row depends only on its order and ``nodes``,
+    so a row built with other orders has the bits it has alone. Row n takes
+    the trapezoid rule on Bessel's integral (``_trapezoid_row``, its point
+    count chosen from n) on nodes up to max(n, X0), except those where
+    Kapteyn's bound puts J_n below ALIAS_TOL, which are 0. Past max(n, X0)
+    it takes the forward recurrence J_{k+1} = (2k/r) J_k - J_{k-1}, stable
+    while k < r (Gautschi, SIAM Review 9, 1967). The recurrence runs on
+    chunks of BESSEL_BLOCK nodes that begin at the first node past X0, so
+    its work arrays stay small; each chunk starts from J0 and J1 of
+    Hankel's expansion (``_hankel_j0_j1``), and its one recurrence serves
+    every order, the orders ascending: between two reads a step runs only
+    on the nodes past the next order, where that row reads it. Neither
+    kernel calls lacuna.bessel.
 
     Measured, max absolute difference: 7.0e-14 from scipy.special.jv on
-    the r_max = 4000 grid for every order 0..532 and 1.8e-14 on a sample
-    of the r_max = 40000 grid for orders 0..40; 7.0e-15 from
-    lacuna.bessel on nodes up to 1e4 for orders up to 1200; 7.5e-16 from
-    mpmath at x in {n - 3.3, n, n + 2.7}, n <= 532. The tests hold each
-    to BESSEL_FACTOR_ERR or tighter.
+    the r_max = 4000 grid for every order 0..532 (order 239 at
+    r = 3841.9) and 1.8e-14 on a sample of the r_max = 40000 grid for
+    orders 0..40; 7.0e-15 from
+    lacuna.bessel on nodes up to 1e4 for orders up to 1200; 3.5e-15 from
+    mpmath at x in {n - 3.3, n, n + 2.7} for every n <= 532, and 4.5e-15
+    at the r_max = 4000 grid nodes nearest them. The tests hold each to
+    BESSEL_FACTOR_ERR or tighter.
     """
-    top, low = max(orders), min(orders)
-    row_of = {n: i for i, n in enumerate(orders)}
     out = np.empty((len(orders), nodes.size))
-    split = int(np.searchsorted(nodes, max(top, X0), "right"))
-    start = 0
-    if low > 0:
-        below = nodes[:np.searchsorted(nodes, low)]
-        with np.errstate(divide="ignore"):
-            start = int(np.count_nonzero(_kapteyn_log(low, below) <= _LOG_ALIAS_TOL))
-        out[:, :start] = 0.0
-    if start < split:
-        _trapezoid_rows(orders, nodes[start:split], out[:, start:split])
-    for lo in range(split, nodes.size, BESSEL_BLOCK):
+    splits = np.searchsorted(nodes, np.maximum(orders, X0), "right").tolist()
+    for i, (n, split) in enumerate(zip(orders, splits)):
+        start = 0
+        if n > 0 and split:
+            below = nodes[:np.searchsorted(nodes, n)]
+            with np.errstate(divide="ignore"):
+                start = int(np.count_nonzero(_kapteyn_log(n, below) <= _LOG_ALIAS_TOL))
+            out[i, :start] = 0.0
+        if start < split:
+            _trapezoid_row(n, nodes[start:split], out[i:i + 1, start:split])
+    rising = sorted(range(len(orders)), key=orders.__getitem__)
+    ranked = [orders[i] for i in rising]
+    for lo in range(int(np.searchsorted(nodes, X0, "right")), nodes.size, BESSEL_BLOCK):
         x = nodes[lo:lo + BESSEL_BLOCK]
-        cols = slice(lo, lo + x.size)
-        two_over_x = 2.0 / x
         prev, cur = _hankel_j0_j1(x)
-        nxt = np.empty_like(x)
-        for k in range(top + 1):  # prev holds J_k, cur J_{k+1}
-            if k in row_of:
-                out[row_of[k], cols] = prev
-            np.multiply(two_over_x, k + 1, out=nxt)
-            nxt *= cur
-            nxt -= prev
-            prev, cur, nxt = cur, nxt, prev
+        nxt, two_over_x = np.empty_like(x), 2.0 / x
+        k = cut = 0  # prev holds J_k, cur J_{k+1}, on the chunk's nodes from cut
+        # row n reads the nodes past n
+        for i, n, past in zip(rising, ranked, np.searchsorted(x, ranked, "right").tolist()):
+            if past == x.size:
+                break
+            if past > cut:
+                prev, cur, nxt, two_over_x = (v[past - cut:] for v in (prev, cur, nxt, two_over_x))
+                cut = past
+            while k < n:
+                np.multiply(two_over_x, k + 1, out=nxt)
+                nxt *= cur
+                nxt -= prev
+                prev, cur, nxt = cur, nxt, prev
+                k += 1
+            out[i, lo + cut:lo + x.size] = prev
     return out
 
 
-@functools.lru_cache(maxsize=48)
+# whole-grid rows of the direct route by (order, r_max), least recently used first
+_GRID_ROWS: dict[tuple[int, float], np.ndarray] = {}
+
+
+def _grid_rows(orders: list[int], r_max: float) -> list[np.ndarray]:
+    """Whole-grid rows of distinct orders; one ``_bessel_rows`` pass builds those not held.
+
+    The 48 most recently used rows are kept.
+    """
+    missing = [n for n in orders if (n, r_max) not in _GRID_ROWS]
+    if missing:
+        built = _bessel_rows(missing, _panel_grid(r_max)[0])
+        built.setflags(write=False)
+        _GRID_ROWS.update(((n, r_max), row) for n, row in zip(missing, built))
+    rows = [_GRID_ROWS.pop((n, r_max)) for n in orders]
+    _GRID_ROWS.update(((n, r_max), row) for n, row in zip(orders, rows))
+    while len(_GRID_ROWS) > 48:
+        del _GRID_ROWS[next(iter(_GRID_ROWS))]
+    return rows
+
+
+def fill_grid_rows(orders: Iterable[int], r_max: float) -> None:
+    """Build the direct route's rows of every order a run will read, in one pass.
+
+    A run that knows its orders calls this before its first sextet: one
+    Hankel start and one recurrence per chunk then serve them all, where
+    ``i_direct`` would build each row on its first use. The rows are the
+    same bits either way, and signs do not matter, as in ``i_direct``.
+    Moduli that ``i_direct`` refuses, past MAX_SEXTET_ORDER or at or above
+    r_max, and an r_max outside [MIN_R_MAX, MAX_R_MAX] build nothing, so
+    ``i_direct`` still reports them.
+    """
+    if MIN_R_MAX <= r_max <= MAX_R_MAX:
+        moduli = {abs(n) for n in orders}
+        _grid_rows(sorted(n for n in moduli if n <= MAX_SEXTET_ORDER and n < r_max), r_max)
+
+
 def _order_on_grid(order: int, r_max: float) -> np.ndarray:
-    nodes, _ = _panel_grid(r_max)
-    values = _bessel_rows([order], nodes)[0]
-    values.setflags(write=False)
-    return values
+    return _grid_rows([order], r_max)[0]
 
 
 def _product_on_grid(orders: tuple[int, ...], r_max: float) -> float:
     _, rw = _panel_grid(r_max)
-    prod = rw.copy()
-    for n in orders:
+    first, *rest = orders
+    prod = np.multiply(rw, _order_on_grid(first, r_max))
+    for n in rest:
         prod *= _order_on_grid(n, r_max)
     return float(np.sum(prod))
 

@@ -629,14 +629,16 @@ def test_random_vector_adversarial_targets_exceptions():
 
 def test_certificate_reaches_direct_values_through_i_direct_only():
     # no side door to the memo: the only functions of lacuna.integrals
-    # bound in the certificate are i_direct and f_ratio, which reads it
+    # bound in the certificate are i_direct, f_ratio, which reads it, and
+    # fill_grid_rows, which builds Bessel rows and returns no value
     from_integrals = {
         name
         for name, value in vars(ct).items()
         if callable(value) and not isinstance(value, type)
         and getattr(value, "__module__", None) == ig.__name__
     }
-    assert from_integrals == {"f_ratio", "i_direct"}
+    assert from_integrals == {"f_ratio", "fill_grid_rows", "i_direct"}
+    assert ct.fill_grid_rows([0, 1], ig.DEFAULT_R_MAX) is None
     assert not hasattr(ct, "_diag")
     tree = ast.parse(Path(ct.__file__).read_text(encoding="utf-8"))
     imported = [
@@ -647,6 +649,26 @@ def test_certificate_reaches_direct_values_through_i_direct_only():
     ]
     assert "i_direct" in imported
     assert not [name for name in imported if name.startswith("_")]
+
+
+def test_systems_build_every_row_in_one_bessel_pass(monkeypatch):
+    # the seven moduli of 0,1,4,13,40,121,364 share one Hankel start per
+    # BESSEL_BLOCK chunk of the grid past X0, where one row per modulus
+    # would start its own chunks at max(n, X0): 90 starts in all
+    sizes = []
+    original = ig._hankel_j0_j1
+
+    def counted(x):
+        sizes.append(x.size)
+        return original(x)
+
+    monkeypatch.setattr(ig, "_hankel_j0_j1", counted)
+    monkeypatch.setattr(ig, "_GRID_ROWS", {})
+    ct.check_systems(make_spectrum([0, 1, 4, 13, 40, 121, 364]), r_max=4000.0)
+    nodes = ig._panel_grid(4000.0)[0]
+    past = nodes.size - int(np.searchsorted(nodes, ig.X0, "right"))
+    assert len(sizes) == -(-past // ig.BESSEL_BLOCK) == 13
+    assert sum(sizes) == past
 
 
 def test_every_direct_lookup_passes_i_direct(monkeypatch, capsys):

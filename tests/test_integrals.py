@@ -397,7 +397,7 @@ def _jv_rows(orders, nodes):
 def test_bessel_rows_match_jv_on_direct_grids():
     # the r_max = 4000 grid of i_direct
     nodes = ig._panel_grid(4000.0)[0]
-    orders = [0, 1, 2, 13, 121, 256, 364, 532]
+    orders = [0, 1, 2, 13, 25, 26, 40, 121, 256, 364, 532]
     rows = ig._bessel_rows(orders, nodes)
     ref = _jv_rows(orders, nodes)
     assert rows.shape == (len(orders), nodes.size)
@@ -430,6 +430,43 @@ def test_bessel_rows_empty_regions():
     assert np.max(np.abs(row - scipy.special.j0(nodes))) <= ig.BESSEL_FACTOR_ERR
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(0, ig.MAX_SEXTET_ORDER), min_size=1, max_size=6, unique=True),
+    st.sampled_from([100.0, 777.0, 1234.5, 4000.0]),
+)
+def test_bessel_row_has_its_own_bits_among_other_orders(orders, r_max):
+    # one Hankel start and one recurrence serve every order of a pass, yet
+    # a row depends only on its order and the nodes
+    nodes = ig._panel_grid(r_max)[0]
+    rows = ig._bessel_rows(orders, nodes)
+    for n, row in zip(orders, rows):
+        assert row.tobytes() == ig._bessel_rows([n], nodes)[0].tobytes(), n
+
+
+def test_fill_grid_rows_builds_only_rows_i_direct_reads(monkeypatch):
+    monkeypatch.setattr(ig, "_GRID_ROWS", {})
+    # 533 is past the order cap and 150 not below r_max; bad grids build
+    # nothing, and -7 is the modulus 7
+    ig.fill_grid_rows([150, 0, 533, -7, 7], 150.0)
+    ig.fill_grid_rows([1], ig.MIN_R_MAX / 2)
+    ig.fill_grid_rows([1], 2 * ig.MAX_R_MAX)
+    ig.fill_grid_rows([1], math.nan)
+    assert list(ig._GRID_ROWS) == [(0, 150.0), (7, 150.0)]
+    nodes = ig._panel_grid(150.0)[0]
+    assert ig._GRID_ROWS[7, 150.0].tobytes() == ig._bessel_rows([7], nodes)[0].tobytes()
+
+
+def test_grid_rows_keep_the_48_most_recently_used(monkeypatch):
+    monkeypatch.setattr(ig, "_GRID_ROWS", {})
+    ig.fill_grid_rows(range(50), 100.0)
+    assert sorted(n for n, _ in ig._GRID_ROWS) == list(range(2, 50))
+    ig._order_on_grid(2, 100.0)  # a hit becomes the most recent
+    row = ig._order_on_grid(0, 100.0)  # a miss evicts the least recent, 3
+    assert [n for n, _ in ig._GRID_ROWS][-2:] == [2, 0] and (3, 100.0) not in ig._GRID_ROWS
+    assert len(ig._GRID_ROWS) == 48 and not row.flags.writeable
+
+
 # (n, x, J_n(x) from mpmath besselj at 30 digits): x in {n - 3.3, n, n + 2.7}
 # where positive, both sides of X0, and far out on the r_max = 40000 grid
 BESSEL_ROWS_FROZEN = [
@@ -446,6 +483,9 @@ BESSEL_ROWS_FROZEN = [
     (532, 528.7, 3.557979913533228308247e-2),
     (532, 532.0, 5.520360811338662798682e-2),
     (532, 534.7, 7.122192207931600778456e-2),
+    (40, 36.7, 3.745281172742631407684e-2),
+    (40, 40.0, 1.30780545285166722103e-1),
+    (40, 42.7, 1.945616695831174103447e-1),
     (0, 24.75, 6.209579173200768982039e-2),
     (0, 25.25, 1.241420860363390926333e-1),
     (1, 24.75, -1.466304272818479901621e-1),
