@@ -2,25 +2,29 @@
 
 Two evaluation regimes, chosen per call:
 
-* ascending power series for small argument (x <= max(12, n/2)), summed
-  with compensated (Kahan) accumulation;
+* ascending power series for small argument (x <= max(12, n/2); in
+  ``besselj_batch`` only below TINY_ARG), summed with compensated
+  (Kahan) accumulation;
 * Miller's downward recurrence for everything else, normalized through
   the identity J0(x)^2 + 2*sum_{k>=1} Jk(x)^2 = 1, with periodic
-  rescaling so the unnormalized recurrence never overflows.
+  rescaling by a power of two so the unnormalized recurrence never
+  overflows.
 
 One recurrence records J_0..J_n in a single pass, in two forms:
 ``_miller`` runs it for one x, and ``_miller_lanes`` for a 1-D array of
-x, one lane per x with its own start, rescaling and normalisation, so
-every lane performs the one-x pass's float operations and is bitwise
-its result.  ``besselj`` takes entry n, ``besselj_batch`` returns the
-whole row, and the J1 zero finder reads entries 0 and 1; both entry
-points take a float or a 1-D array of x, so a scalar value in the
-recurrence regime is bitwise equal to its batch entry and to its entry
-in an array call.  A float argument keeps the one-x loop: a lane pass
-pays numpy's per-call cost at every step (four calls per step, the
-rest once per block of 32 steps), so a single lane runs about 40 times
-slower than the loop and only pays off across many x (the quadrature
-table, the zero finder).
+x, one lane per x with its own start, rescaling and normalisation.  A
+rescale by a power of two is exact, so its step does not change the
+bits: the lane pass scales a lane at the end of the block of steps in
+which its values passed the threshold, and every lane is bitwise the
+one-x pass's result without being rerun.  ``besselj`` takes entry n,
+``besselj_batch`` returns the whole row, and the J1 zero finder reads
+entries 0 and 1; both entry points take a float or a 1-D array of x, so
+a scalar value in the recurrence regime is bitwise equal to its batch
+entry and to its entry in an array call.  A float argument keeps the
+one-x loop: a lane pass pays numpy's per-call cost at every step (three
+calls per step plus one add, the rest once per block of up to 32
+steps), so a single lane runs 30 to 40 times slower than the loop and
+only pays off across many x (the quadrature table, the zero finder).
 
 The guaranteed box is |n| <= 1200, 0 <= x <= 1e4, with absolute error
 at most 1e-12.  Negative orders reduce through J_{-n} = (-1)^n J_n and
@@ -43,6 +47,11 @@ MAX_ZEROS = 3182                     # positive J1 zeros up to MAX_ARG; the next
 # x <= n/2 the series has no damaging cancellation in absolute terms).
 SERIES_SWITCH = 12.0
 
+# besselj_batch takes the power series below this argument.  Above it,
+# Miller's growth per step, 2 * n_start / x with n_start <= 1241, stays
+# below 1 / _SHRINK = 2**498, so one rescale brings p back under _RESCALE.
+TINY_ARG = 1.0e-140
+
 # Downward recurrence starts at n_max + ceil(START_SLOPE*x) + START_OFFSET.
 START_SLOPE = 1.3
 START_OFFSET = 40
@@ -50,8 +59,14 @@ START_OFFSET = 40
 # Refinement target for zeros of J1.
 ZERO_TOL = 1.0e-13
 
-_RESCALE = 1.0e150
-_RESCALE_INV = 1.0e-150
+# Miller's rescale: once |p| passes _RESCALE, the recurrence's values are
+# multiplied by _SHRINK and its sum by _SHRINK**2.  Both are powers of two,
+# so the products are exact.  A block of the lane pass with more than one
+# step lets p grow by at most 2**_GROWTH_BITS, so every square it sums
+# stays below _RESCALE**2 * 2**(2 * _GROWTH_BITS) = 2**1022.
+_RESCALE = 2.0**200
+_SHRINK = 2.0**-498
+_GROWTH_BITS = 311
 
 
 def _validate(x: float) -> None:
@@ -104,10 +119,10 @@ def _miller(n_max: int, x: float) -> np.ndarray:
         ssum += p * p
         p_up, p = p, (k * two_over_x) * p - p_up
         if abs(p) > _RESCALE:
-            p *= _RESCALE_INV
-            p_up *= _RESCALE_INV
-            ssum *= _RESCALE_INV * _RESCALE_INV
-            out *= _RESCALE_INV
+            p *= _SHRINK
+            p_up *= _SHRINK
+            ssum *= _SHRINK * _SHRINK
+            out *= _SHRINK
     out[0] = p
     ssum = 2.0 * ssum + p * p
     if not (ssum > 0.0 and math.isfinite(ssum)):
@@ -120,19 +135,24 @@ def _miller_lanes(n_max: int, xs: np.ndarray) -> np.ndarray:
     # _miller over a 1-D array of x > 0, one lane per x: row i is
     # bitwise _miller(n_max, xs[i]).  Each lane starts at its own n_start
     # with p = 1, is rescaled only when its own |p| passes _RESCALE and is
-    # normalised by its own sum, so it performs the scalar loop's float
-    # operations in the scalar loop's order.  Lanes run in order of
-    # descending x, so the lanes already started are always a prefix; a
-    # lane not yet started holds p = p_up = 0, which the recurrence keeps
-    # at 0 and which adds 0 to its sum.
+    # normalised by its own sum.  Lanes run in order of descending x, so
+    # the lanes already started are always a prefix; a lane not yet
+    # started holds p = p_up = 0, which the recurrence keeps at 0 and
+    # which adds 0 to its sum.
     #
-    # The pass takes 32 steps at a time.  A step is three numpy calls over
-    # the block's lanes, p_{k-1} = (k * (2/x)) * p_k - p_{k+1}, and `hist`
-    # keeps the p of every step; the squares follow once per block, and the
-    # sum one add per step.  The sum only grows, so a lane whose |p| passed
-    # _RESCALE in the block shows it in its sum or in the square of its
-    # last p, and _replay_lane reruns it from there with the scalar loop;
-    # every other lane already holds the scalar loop's values.
+    # The pass takes up to 32 steps at a time.  A step is three numpy calls
+    # over the block's lanes, p_{k-1} = (k * (2/x)) * p_k - p_{k+1}, and
+    # `hist` keeps the p of every step; the squares follow once per block,
+    # and the sum one add per step.  A rescale multiplies by a power of
+    # two, which is exact, so a lane gives the one-x loop's bits whichever
+    # step it is rescaled at: a lane whose block held a new p past
+    # _RESCALE is scaled once, at the block's end (its last p_up and p, its
+    # sum and its column of rec), and nothing is rerun.
+    # Since |p_{k-1}| <= (2k/x + 1) * max(|p_k|, |p_{k+1}|), a block of more
+    # than one step is kept short enough that p grows by at most
+    # 2**_GROWTH_BITS < 1 / _SHRINK in it, so the one-x loop passes _RESCALE
+    # at most once per block and every square the sum takes is finite; a
+    # one-step block sums only the square of its first p.
     order = np.argsort(-xs, kind="stable")
     x = xs[order]
     lanes = x.size
@@ -143,21 +163,22 @@ def _miller_lanes(n_max: int, xs: np.ndarray) -> np.ndarray:
     ssum = np.zeros(lanes)
     # Each block views these as contiguous (rows, lanes started) arrays, so
     # numpy streams every block operation.  hist: p_up and p at the block's
-    # first step, then each new p; sq: the block's sum at its start, then
-    # the squares of hist.
-    hist, sq = np.empty((block + 2) * lanes), np.empty((block + 2) * lanes)
+    # first step, then each new p; sq: the squares of hist past its first row.
+    hist, sq = np.empty((block + 2) * lanes), np.empty((block + 1) * lanes)
     last = np.zeros((2, lanes))  # p_up and p after the last block
-    big = _RESCALE * _RESCALE  # |p| > _RESCALE implies p * p >= big
+    big = _RESCALE * _RESCALE  # |p| > _RESCALE exactly when p * p > big
+    top = starts[0] if lanes else 0
     joined = width = 0
-    # a lane past _RESCALE may overflow before it is rerun
-    with np.errstate(over="ignore", invalid="ignore"):
-        for top in range(starts[0] if lanes else 0, 0, -block):
-            steps = min(block, top)
+    # a one-step block's last square may overflow; it only marks its lane
+    with np.errstate(over="ignore"):
+        while top > 0:
+            growth = math.log2(2.0 * top / x[-1] + 1.0)  # per step, in bits, at most
+            steps = min(block, top, max(1, int(_GROWTH_BITS / growth)))
             end = top - steps + 1  # the block runs k = top, top - 1, ..., end
             while width < lanes and starts[width] >= end:
                 width += 1
             h = hist[: (steps + 2) * width].reshape(steps + 2, width)
-            s = sq[: (steps + 2) * width].reshape(steps + 2, width)
+            s = sq[: (steps + 1) * width].reshape(steps + 1, width)
             h[:2] = last[:, :width]
             tw = two_over_x[:width]
             rows = list(h)  # one view per row
@@ -168,31 +189,20 @@ def _miller_lanes(n_max: int, xs: np.ndarray) -> np.ndarray:
                 np.multiply(tw, k, new)
                 np.multiply(new, cur, new)
                 np.subtract(new, up, new)
-            s[0] = ssum[:width]
-            np.multiply(h[1:], h[1:], s[1:])
+            np.multiply(h[1:], h[1:], s)
             total = ssum[:width]
-            for q in s[1 : steps + 1]:  # one add per step, as the scalar loop sums
+            for q in s[:steps]:  # one add per step, as the scalar loop sums
                 np.add(total, q, total)
             if end <= n_max:
                 low = max(top - n_max, 0)  # the first step that records its p
                 rec[end : top - low + 1, :width] = h[low + 1 : steps + 1][::-1]
-            hit = np.flatnonzero(~(np.maximum(total, s[steps + 1]) < big))  # NaN counts
+            hit = np.flatnonzero(s[1:].max(axis=0) > big)
             if hit.size:
-                past = ~(s[2:, hit] < big)  # a large sum need not mean a large p
-                large = past.any(axis=0)
-                hit = hit[large]
-                lanes_in = zip(
-                    hit.tolist(),
-                    past[:, large].argmax(axis=0).tolist(),
-                    h[:, hit].T.tolist(),
-                    s[:, hit].T.tolist(),
-                    two_over_x[hit].tolist(),
-                )
-                tails = np.array([_replay_lane(top, n_max, rec, *v) for v in lanes_in])
-                tails = tails.reshape(-1, 3)  # p_up, p and the sum of each lane rerun
-                h[steps:, hit] = tails[:, :2].T
-                ssum[hit] = tails[:, 2]
+                h[steps:, hit] *= _SHRINK
+                ssum[hit] *= _SHRINK * _SHRINK
+                rec[end:, hit] *= _SHRINK
             last[:, :width] = h[steps:]
+            top = end - 1
     p = last[1]
     rec[0] = p
     ssum = 2.0 * ssum + p * p
@@ -205,40 +215,6 @@ def _miller_lanes(n_max: int, xs: np.ndarray) -> np.ndarray:
     out = np.empty((lanes, n_max + 1))
     out[order] = rec.T
     return out
-
-
-def _replay_lane(
-    top: int,
-    n_max: int,
-    rec: np.ndarray,
-    lane: int,
-    i: int,
-    p_col: list[float],
-    sq_col: list[float],
-    two_over_x: float,
-) -> tuple[float, float, float]:
-    # Rerun one lane of a _miller_lanes block, whose p and squares are
-    # p_col and sq_col, with the scalar loop from step i, the first whose
-    # new p has p * p >= _RESCALE**2: no earlier p of the block passed
-    # _RESCALE, so the block's values up to there are the scalar loop's.
-    # Writes the lane's recorded p into rec; returns its last p_up, p and
-    # its sum.
-    total = 0.0
-    for v in sq_col[: i + 1]:  # the sum at the block's start, then p * p
-        total += v
-    p_up, p = p_col[i], p_col[i + 1]
-    for k in range(top - i, top - len(p_col) + 2, -1):
-        if k <= n_max:
-            rec[k, lane] = p
-        total += p * p
-        p_up, p = p, (k * two_over_x) * p - p_up
-        if abs(p) > _RESCALE:
-            p *= _RESCALE_INV
-            p_up *= _RESCALE_INV
-            total *= _RESCALE_INV * _RESCALE_INV
-            if k <= n_max:
-                rec[:, lane] *= _RESCALE_INV
-    return p_up, p, total
 
 
 def _validate_lanes(x: object) -> np.ndarray:
@@ -265,9 +241,14 @@ def _j0_j1(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _near_zero(n: int, x: float) -> float:
     # J_n(x) for n >= 0 and 0 <= x <= max(SERIES_SWITCH, n/2)
-    if x == 0.0:
+    if 0.5 * x == 0.0:  # J_n(x) rounds to J_n(0)
         return 1.0 if n == 0 else 0.0
     return _series(n, x)
+
+
+def _tiny_row(n_max: int, x: float) -> np.ndarray:
+    # [J_0(x), ..., J_{n_max}(x)] by the series, for 0 <= x < TINY_ARG
+    return np.array([_near_zero(n, x) for n in range(n_max + 1)])
 
 
 def besselj(n: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -297,7 +278,8 @@ def besselj(n: int, x: float | np.ndarray) -> float | np.ndarray:
 
 
 def besselj_batch(n_max: int, x: float | np.ndarray) -> np.ndarray:
-    """Evaluate [J_0(x), ..., J_{n_max}(x)] in a single downward pass.
+    """Evaluate [J_0(x), ..., J_{n_max}(x)] in a single downward pass
+    (by the power series for x below TINY_ARG).
 
     For a 1-D array of x the result has one such row per entry, each
     bitwise the row of the float call at that entry.  Entries agree
@@ -305,16 +287,17 @@ def besselj_batch(n_max: int, x: float | np.ndarray) -> np.ndarray:
     """
     n_max = check_int(n_max, "n_max", 0, MAX_ORDER)
     if np.ndim(x) == 0:
-        _validate(float(x))
-        if float(x) > 0.0:
-            return _miller(n_max, float(x))
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
+        x = float(x)
+        _validate(x)
+        if x < TINY_ARG:
+            return _tiny_row(n_max, x)
+        return _miller(n_max, x)
     xs = _validate_lanes(x)
-    out = np.zeros((xs.size, n_max + 1))
-    out[xs == 0.0, 0] = 1.0
-    out[xs > 0.0] = _miller_lanes(n_max, xs[xs > 0.0])
+    out = np.empty((xs.size, n_max + 1))
+    tiny = xs < TINY_ARG
+    for i in np.flatnonzero(tiny):
+        out[i] = _tiny_row(n_max, float(xs[i]))
+    out[~tiny] = _miller_lanes(n_max, xs[~tiny])
     return out
 
 

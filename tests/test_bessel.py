@@ -18,6 +18,7 @@ from lacuna.bessel import (
     MAX_ORDER,
     MAX_ZEROS,
     SERIES_SWITCH,
+    TINY_ARG,
     ZERO_TOL,
     _j0_j1,
     _mcmahon_j1,
@@ -142,15 +143,18 @@ def test_array_besselj_is_bitwise_float_calls(n):
     assert np.array_equal(np.signbit(got), np.signbit(want))  # signed zeros too
 
 
-# x on (1e-3, 1e4]; below 1 a lane passes the rescale threshold every few steps
+# x on [1e-100, 1e4].  Below 1 a lane passes the rescale threshold every few
+# steps and is scaled at its block's end; below 1e-3 the blocks shrink, to
+# one step below about 1e-44, where p grows past 2**155 in a step
 LANE_X = st.one_of(
     st.floats(min_value=1.0e-3, max_value=1.0, exclude_min=True),
     st.floats(min_value=1.0e-3, max_value=MAX_ARG, exclude_min=True),
+    st.floats(min_value=-100.0, max_value=-3.0).map(lambda e: 10.0**e),
 )
 
 
 @settings(max_examples=20, deadline=None)
-@given(n_max=st.sampled_from([0, 1, 40, 532]), data=st.data())
+@given(n_max=st.sampled_from([0, 1, 40, 532, 1200]), data=st.data())
 def test_lane_pass_is_bitwise_one_x_pass(n_max, data):
     lanes = data.draw(st.integers(min_value=1, max_value=300))
     xs = data.draw(st.lists(LANE_X, min_size=(lanes + 1) // 2, max_size=lanes))
@@ -161,6 +165,29 @@ def test_lane_pass_is_bitwise_one_x_pass(n_max, data):
     one_x = {x: _miller(n_max, x).tobytes() for x in set(xs)}
     for x, row in zip(xs, rows):
         assert row.tobytes() == one_x[x]
+
+
+def test_rescale_is_exact_and_keeps_squares_finite():
+    # scaling by a power of two is exact, so a lane may take its rescale at
+    # its block's end; a block's squares stay finite, and above TINY_ARG one
+    # rescale per step brings p back under the threshold
+    for v in (bessel._RESCALE, bessel._SHRINK):
+        assert math.frexp(v)[0] == 0.5
+    assert math.isfinite(bessel._RESCALE**2 * 2.0 ** (2 * bessel._GROWTH_BITS))
+    assert 2.0**bessel._GROWTH_BITS < 1.0 / bessel._SHRINK
+    n_start = MAX_ORDER + 1 + bessel.START_OFFSET  # for x <= 1
+    assert 2.0 * n_start / TINY_ARG < 1.0 / bessel._SHRINK
+
+
+def test_batch_evaluates_tiny_x():
+    # x = 10**(e/2) down to the smallest subnormal: the batch takes the
+    # series below TINY_ARG, where one recurrence step can outgrow a rescale
+    xs = np.array([10.0 ** (e / 2) for e in range(-646, -4)] + [5.0e-324, TINY_ARG])
+    for n_max in (0, 1, 40, 532, 1200):
+        rows = besselj_batch(n_max, xs)
+        for x, row in zip(xs[::7], rows[::7]):
+            assert np.array_equal(row, besselj_batch(n_max, float(x)))
+        assert np.max(np.abs(rows - scipy.special.jv(np.arange(n_max + 1), xs[:, None]))) <= 1.0e-12
 
 
 def test_array_argument_out_of_range():
