@@ -9,6 +9,7 @@ the final comparison on a handful of random coefficient vectors.
 import random
 
 from lacuna import certificate as ct
+from lacuna import integrals as ig
 from lacuna import spectrum as sp
 
 A = sp.make_spectrum(base=5, depth=4)
@@ -21,8 +22,9 @@ for p in sp.classify_brute_force(A):
         reps = "  =  ".join(" + ".join(f"{v:d}" for v in r) for r in p.reps)
         print(f"  D = {p.point:4d}  [{p.subtype.value:11s}]  {reps}")
 
-window = ct.feasible_b_interval()
-print(f"\npaper's b window at F(1,1,0) >= 7.94: [{window.lo:.4f}, {window.hi:.4f}]"
+window = ct.feasible_b_interval()  # at F(1,1,0)'s floor in the table
+print(f"\npaper's b window at F(1,1,0) >= {ig.F_FLOOR_PAIR0:g}: "
+      f"[{window.lo:.4f}, {window.hi:.4f}]"
       f"  (exact {window.lo_exact}, {window.hi_exact})")
 
 params, reports = ct.derive_params(A)

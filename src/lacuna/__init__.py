@@ -4,7 +4,7 @@ the circle with lacunary frequency sets.
 Subpackages by capability:
 
 * ``bessel``      -- integer-order J_n evaluation and zeros of J1
-* ``integrals``   -- six-fold Bessel product integrals, two ways
+* ``integrals``   -- six-fold Bessel product integrals, two ways; F and its floors
 * ``spectrum``    -- lacunary sets and triple-sum classification
 * ``certificate`` -- norm expansions, exception systems, final check
 * ``cli``         -- command line front end

@@ -24,14 +24,15 @@ integrals the literal sums look up, and ``evaluate_forms`` checks many
 vectors with numpy, a fixed block of vectors at a time. The literal sums
 stay as the oracle the tests compare the forms against.
 
-One function, ``f_lower``, gives every lower bound for the ratio F the
-systems read: the larger of a recorded analytic floor and the proven
-``lo`` of ``integrals.f_ratio``, the program's one F interval. The
-floors are strict inequalities on finite windows, trusted as assumptions
-(the pair and distinct floors only on 3-separated moduli, as in a
-lacunary spectrum) and corroborated by the integrals test suite. Every
-verdict consumes interval endpoints, so "holds" survives worst-case
-quadrature error.
+One function, ``integrals.f_lower``, gives every lower bound for the
+ratio F the systems read: the larger of the floor of the triple's shape
+and the proven ``lo`` of ``integrals.f_ratio``, the program's one F
+interval. The floors live in one table beside ``f_ratio``, whose
+comments name the finite window on which each is checked; beyond it a
+floor is trusted as an assumption, and the member floors apply to
+3-separated moduli only, as in a lacunary spectrum. This module
+re-exports ``f_lower`` and the floors it reads. Every verdict consumes
+interval endpoints, so "holds" survives worst-case quadrature error.
 """
 
 from __future__ import annotations
@@ -48,9 +49,14 @@ import numpy as np
 from .errors import CertificateError, RangeError, StructureViolation, check_int
 from .integrals import (
     DEFAULT_R_MAX,
-    MAX_SEXTET_ORDER,
+    F_FLOOR_DISTINCT_MEMBER,
+    F_FLOOR_PAIR0,
+    F_FLOOR_PAIR0_HIGH,
+    F_FLOOR_PAIR_MEMBER,
+    F_FLOOR_SINGLE,
+    F_FLOOR_TRIPLE,
     IntegralValue,
-    f_ratio,
+    f_lower,
     fill_grid_rows,
     i_direct,
 )
@@ -68,18 +74,6 @@ MAX_SUPPORT = 11        # cap of the literal compute_S_exact: O(support^6) group
 IMAG_REL_TOL = 1.0e-9   # conjugate symmetry makes S real; larger is a bug
 DEFAULT_B = 6.66
 FORM_BLOCK = 16         # vectors per numpy pass: temporaries stay near 1 MB
-
-# Analytic window floors for F(a, b, c) = I(0,0,0) / I(a,b,c), recorded
-# as assumptions. The integrals tests corroborate each on a finite
-# window; none is re-derived here. The pair and distinct floors hold on
-# 3-separated moduli: each nonzero modulus more than three times the
-# next, as in every lacunary spectrum.
-F_FLOOR_SINGLE = 5.0           # (n,0,0), n >= 1; equality at n = 1
-F_FLOOR_PAIR0 = 7.94           # (n,n,0), n >= 1
-F_FLOOR_PAIR0_HIGH = 10.8      # (n,n,0), n >= 3
-F_FLOOR_TRIPLE = 3.2           # (n,n,n), n >= 1
-F_FLOOR_PAIR_MEMBER = 13.2     # (n,n,m), n != m >= 1, 3-separated
-F_FLOOR_DISTINCT_MEMBER = 21.0  # (n,m,k), n > m > k >= 0, 3-separated
 
 
 # ---------------------------------------------------------------------------
@@ -614,41 +608,6 @@ def evaluate_forms(
             _check_real(total)
             out.append((SextetSum(total.real, se), SextetSum(u, ue)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# lower bounds for F
-
-
-def f_lower(m1: int, m2: int, m3: int, r_max: float = DEFAULT_R_MAX) -> float:
-    """A lower bound for F on these moduli; signs and order do not matter.
-
-    The larger of the recorded floor of the triple's shape and, up to the
-    direct route's order cap, ``f_ratio(n, m, k).lo``, which is proven
-    even where F's interval has no finite upper end.
-    The pair and distinct floors are recorded for 3-separated moduli only;
-    elsewhere the floor is 0, as F > 0.
-    """
-    n, m, k = sorted((abs(m1), abs(m2), abs(m3)), reverse=True)
-    if n == 0:
-        floor = 1.0
-    elif m == 0:                         # (n, 0, 0)
-        floor = F_FLOOR_SINGLE
-    elif n == m == k:
-        floor = F_FLOOR_TRIPLE
-    elif n == m and k == 0:
-        floor = F_FLOOR_PAIR0_HIGH if n >= 3 else F_FLOOR_PAIR0
-    else:                                # a pair (p, p, q) or a distinct triple
-        mods = sorted({n, m, k} - {0})
-        if not all(hi > 3 * lo for lo, hi in zip(mods, mods[1:])):
-            floor = 0.0
-        elif n == m or m == k:
-            floor = F_FLOOR_PAIR_MEMBER
-        else:
-            floor = F_FLOOR_DISTINCT_MEMBER
-    if n > MAX_SEXTET_ORDER:
-        return floor
-    return max(floor, f_ratio(n, m, k, r_max=r_max).lo)
 
 
 # ---------------------------------------------------------------------------

@@ -278,43 +278,32 @@ def cmd_integrals_direct(args: argparse.Namespace) -> Report:
     )
 
 
-# The paper's pair and distinct thresholds for any moduli, checked by the
-# sweep only; the certificate reads its floors for 3-separated moduli.
-F_FLOOR_PAIR = 10.0            # (n,n,m), n != m >= 1, except {n,m} = {1,2}
-F_FLOOR_DISTINCT = 18.0        # (n,m,k), n > m > k >= 0, except (3,2,0)
-
-
 def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
     if args.suite != "bounds-f":
         raise RangeError(f"unknown suite {args.suite!r}; available: bounds-f")
-    # n_max 0 would leave every family empty, and a pass would check nothing
-    n_max = check_int(args.n_max, "n_max", 1, ig.SWEEP_MAX_N)
+    # below SWEEP_MIN_N some family's window is empty, and its floor unchecked
+    n_max = check_int(args.n_max, "n_max", ig.SWEEP_MIN_N, ig.SWEEP_MAX_N)
     sweep = ig.sweep_diagonal(n_max, r_max=args.r_max)
     rows: list[dict] = []
-
-    def family(label: str, points: list[tuple[int, int, int]], threshold: float) -> None:
-        # label is a format string; the threshold fills its one {} field
-        name = label.format(threshold)
-        if not points:
-            rows.append({"family": name, "status": "skipped"})
-            return
-        lo, point = min((sweep.ratio_lo(*p), p) for p in points)
+    for label, floor, window in ig.SWEEP_FLOORS:
+        lo, point = min((sweep.ratio_lo(*p), p) for p in window(n_max))
         rows.append(
             {
-                "family": name,
-                "threshold": threshold,
+                "family": label.format(floor),
+                "threshold": floor,
                 "worst_point": list(point),
                 "worst_lo": lo,
-                "margin": lo - threshold,
-                "status": "pass" if lo > threshold else "fail",
+                "margin": lo - floor,
+                "status": "pass" if lo > floor else "fail",
             }
         )
-
-    single = ct.F_FLOOR_SINGLE
-    family("single (n,0,0) > {:g}, 2 <= n", [(n, 0, 0) for n in range(2, n_max + 1)], single)
+    # F(1,0,0) equals the single floor, which no strict check can clear, so
+    # the report's second row checks that it lies within 2e-2 of it instead
+    single = ig.F_FLOOR_SINGLE
     f100 = sweep.value(0, 0, 0) / sweep.value(1, 0, 0)
     dev = abs(f100 - single)
-    rows.append(
+    rows.insert(
+        1,
         {
             "family": f"single (1,0,0) within 2e-2 of {single:g}",
             "threshold": 2e-2,
@@ -322,54 +311,16 @@ def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
             "worst_lo": f100,
             "margin": 2e-2 - dev,
             "status": "pass" if dev <= 2e-2 else "fail",
-        }
+        },
     )
-    family(
-        "pair-zero (n,n,0) > {:g}",
-        [(n, n, 0) for n in range(1, min(20, n_max) + 1)],
-        ct.F_FLOOR_PAIR0,
-    )
-    family(
-        "pair-zero (n,n,0) > {:g}, 3 <= n",
-        [(n, n, 0) for n in range(3, min(21, n_max) + 1)],
-        ct.F_FLOOR_PAIR0_HIGH,
-    )
-    family("diagonal (n,n,n) > {:g}", [(n, n, n) for n in range(1, n_max + 1)], ct.F_FLOOR_TRIPLE)
-    cap = min(30, n_max)
-    family(
-        "pair (n,n,m) > {:g}, n != m, not {{1,1,2}}",
-        [
-            (n, n, m)
-            for n in range(1, cap + 1)
-            for m in range(1, cap + 1)
-            if n != m and (n, m) != (1, 2)
-        ],
-        F_FLOOR_PAIR,
-    )
-    family(
-        "distinct (n,m,k) > {:g}, not (3,2,0)",
-        [
-            (n, m, k)
-            for n in range(1, cap + 1)
-            for m in range(0, n)
-            for k in range(0, m)
-            if (n, m, k) != (3, 2, 0)
-        ],
-        F_FLOOR_DISTINCT,
-    )
-    passed = all(r["status"] != "fail" for r in rows)
+    passed = all(r["status"] == "pass" for r in rows)
 
     def text() -> str:
-        lines = []
-        for r in rows:
-            if r["status"] == "skipped":
-                lines.append(f"SKIP  {r['family']}")
-            else:
-                lines.append(
-                    f"{r['status'].upper():4}  {r['family']}: worst "
-                    f"{tuple(r['worst_point'])} -> {r['worst_lo']:.4f} "
-                    f"(margin {r['margin']:+.4f})"
-                )
+        lines = [
+            f"{r['status'].upper():4}  {r['family']}: worst "
+            f"{tuple(r['worst_point'])} -> {r['worst_lo']:.4f} (margin {r['margin']:+.4f})"
+            for r in rows
+        ]
         lines.append("suite: " + ("pass" if passed else "FAIL"))
         return "\n".join(lines)
 

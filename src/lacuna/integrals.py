@@ -32,6 +32,13 @@ routes:
 
 The two routes share no Bessel code, so their agreement is a genuine
 cross-check rather than a reproducibility statement.
+
+Beside ``f_ratio``, the interval of F(a,b,c) = I(0,...,0) /
+I(a,a,b,b,c,c), sits the one table of F's floors: the ``F_FLOOR_*``
+lower bounds by shape, ``f_lower``, which takes the larger of the shape's
+floor and the proven ``f_ratio(...).lo``, and ``SWEEP_FLOORS``, the
+window on which ``integrals sweep`` checks each floor it reports. The
+floors' comments name the check behind each one.
 """
 from __future__ import annotations
 
@@ -569,6 +576,85 @@ def f_ratio(
         lo=num.lo / den.hi,
         hi=num.hi / den.lo if den.lo > 0.0 else math.inf,
     )
+
+
+# F's floors: strict lower bounds for F(a,b,c) by the shape of (a,b,c),
+# recorded from the paper. Each is checked on a finite window only, named
+# in its comment, and is an assumption beyond it: `integrals sweep` checks
+# the first six on the windows of SWEEP_FLOORS, and only the test
+# test_member_floors_from_sweep checks the two member floors, on orders
+# <= 40. Those hold on 3-separated moduli (each nonzero modulus more than
+# three times the next, as in every lacunary spectrum). `f_lower` reads
+# every floor but the pair and distinct ones, which only the sweep reads.
+F_FLOOR_SINGLE = 5.0            # (n,0,0), n >= 1, equal at n = 1; sweep, n <= n_max
+F_FLOOR_PAIR0 = 7.94            # (n,n,0), n >= 1; sweep, n <= 20
+F_FLOOR_PAIR0_HIGH = 10.8       # (n,n,0), n >= 3; sweep, n <= 21
+F_FLOOR_TRIPLE = 3.2            # (n,n,n), n >= 1; sweep, n <= n_max
+F_FLOOR_PAIR = 10.0             # (n,n,m), n != m >= 1, not (1,1,2); sweep, n, m <= 30
+F_FLOOR_DISTINCT = 18.0         # (n,m,k), n > m > k >= 0, not (3,2,0); sweep, n <= 30
+F_FLOOR_PAIR_MEMBER = 13.2      # (n,n,m), n != m >= 1, 3-separated; test, n, m <= 40
+F_FLOOR_DISTINCT_MEMBER = 21.0  # (n,m,k), n > m > k >= 0, 3-separated; test, n <= 40
+
+# The sweep's families in report order: a label whose one {} field the floor
+# fills, the floor, and the window of triples checked at n_max = top, which
+# holds a point for every top >= SWEEP_MIN_N.
+SWEEP_MIN_N = 3
+SWEEP_FLOORS = (
+    ("single (n,0,0) > {:g}, 2 <= n", F_FLOOR_SINGLE,
+     lambda top: [(n, 0, 0) for n in range(2, top + 1)]),
+    ("pair-zero (n,n,0) > {:g}", F_FLOOR_PAIR0,
+     lambda top: [(n, n, 0) for n in range(1, min(20, top) + 1)]),
+    ("pair-zero (n,n,0) > {:g}, 3 <= n", F_FLOOR_PAIR0_HIGH,
+     lambda top: [(n, n, 0) for n in range(3, min(21, top) + 1)]),
+    ("diagonal (n,n,n) > {:g}", F_FLOOR_TRIPLE,
+     lambda top: [(n, n, n) for n in range(1, top + 1)]),
+    ("pair (n,n,m) > {:g}, n != m, not {{1,1,2}}", F_FLOOR_PAIR,
+     lambda top: [
+         (n, n, m)
+         for n in range(1, min(30, top) + 1)
+         for m in range(1, min(30, top) + 1)
+         if n != m and (n, m) != (1, 2)
+     ]),
+    ("distinct (n,m,k) > {:g}, not (3,2,0)", F_FLOOR_DISTINCT,
+     lambda top: [
+         (n, m, k)
+         for n in range(1, min(30, top) + 1)
+         for m in range(n)
+         for k in range(m)
+         if (n, m, k) != (3, 2, 0)
+     ]),
+)
+
+
+def f_lower(m1: int, m2: int, m3: int, r_max: float = DEFAULT_R_MAX) -> float:
+    """A lower bound for F on these moduli; signs and order do not matter.
+
+    The larger of the floor of the triple's shape and, up to the direct
+    route's order cap, ``f_ratio(n, m, k).lo``, which is proven even
+    where F's interval has no finite upper end. A pair or distinct triple
+    takes its member floor on 3-separated moduli only; elsewhere the
+    floor is 0, as F > 0.
+    """
+    n, m, k = sorted((abs(m1), abs(m2), abs(m3)), reverse=True)
+    if n == 0:
+        floor = 1.0
+    elif m == 0:                         # (n, 0, 0)
+        floor = F_FLOOR_SINGLE
+    elif n == m == k:
+        floor = F_FLOOR_TRIPLE
+    elif n == m and k == 0:
+        floor = F_FLOOR_PAIR0_HIGH if n >= 3 else F_FLOOR_PAIR0
+    else:                                # a pair (p, p, q) or a distinct triple
+        mods = sorted({n, m, k} - {0})
+        if not all(hi > 3 * lo for lo, hi in zip(mods, mods[1:])):
+            floor = 0.0
+        elif n == m or m == k:
+            floor = F_FLOOR_PAIR_MEMBER
+        else:
+            floor = F_FLOOR_DISTINCT_MEMBER
+    if n > MAX_SEXTET_ORDER:
+        return floor
+    return max(floor, f_ratio(n, m, k, r_max=r_max).lo)
 
 
 def c_opt(*, r_max: float = DEFAULT_R_MAX) -> IntegralValue:

@@ -629,15 +629,16 @@ def test_random_vector_adversarial_targets_exceptions():
 
 def test_certificate_reaches_direct_values_through_i_direct_only():
     # no side door to the memo: the only functions of lacuna.integrals
-    # bound in the certificate are i_direct, f_ratio, which reads it, and
-    # fill_grid_rows, which builds Bessel rows and returns no value
+    # bound in the certificate are i_direct, f_lower, which reads it
+    # through f_ratio, and fill_grid_rows, which builds Bessel rows and
+    # returns no value
     from_integrals = {
         name
         for name, value in vars(ct).items()
         if callable(value) and not isinstance(value, type)
         and getattr(value, "__module__", None) == ig.__name__
     }
-    assert from_integrals == {"f_ratio", "fill_grid_rows", "i_direct"}
+    assert from_integrals == {"f_lower", "fill_grid_rows", "i_direct"}
     assert ct.fill_grid_rows([0, 1], ig.DEFAULT_R_MAX) is None
     assert not hasattr(ct, "_diag")
     tree = ast.parse(Path(ct.__file__).read_text(encoding="utf-8"))

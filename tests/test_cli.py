@@ -232,14 +232,38 @@ def test_integrals_sweep_refuses_past_its_ceiling(capsys, monkeypatch):
     monkeypatch.setattr(ig, "_grid_blocks", forbidden)
     argv = ("integrals", "sweep", "--suite", "bounds-f", "--n-max", str(ig.SWEEP_MAX_N + 1))
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and "n_max 201 outside [1, 200]" in err
+    assert code == 2 and out == "" and "n_max 201 outside [3, 200]" in err
 
 
 def test_integrals_sweep_needs_an_order(capsys):
-    # n_max 0 leaves every family empty: a pass would check nothing
-    code, out, err = run(capsys, "integrals", "sweep", "--suite", "bounds-f", "--n-max", "0")
-    assert code == 2 and out == ""
-    assert "n_max 0 outside [1, 200]" in err
+    # n_max 0 leaves every family empty, and below 3 the (n,n,0), 3 <= n
+    # window is: a report could read "suite: pass" with a floor unchecked
+    for n_max in ("0", "1", "2"):
+        code, out, err = run(capsys, "integrals", "sweep", "--suite", "bounds-f", "--n-max", n_max)
+        assert code == 2 and out == "", n_max
+        assert f"n_max {n_max} outside [3, 200]" in err
+
+
+def test_integrals_sweep_text_report(capsys):
+    # every family's name, order, floor, worst point and status, pinned
+    code, out, _ = run(
+        capsys,
+        "integrals", "sweep", "--suite", "bounds-f",
+        "--n-max", "3", "--r-max", "4000", "--format", "text",
+    )
+    assert code == 1
+    assert out == (
+        "PASS  single (n,0,0) > 5, 2 <= n: worst (2, 0, 0) -> 9.1043 (margin +4.1043)\n"
+        "PASS  single (1,0,0) within 2e-2 of 5: worst (1, 0, 0) -> 5.0000 (margin +0.0200)\n"
+        "FAIL  pair-zero (n,n,0) > 7.94: worst (1, 1, 0) -> 7.9354 (margin -0.0046)\n"
+        "PASS  pair-zero (n,n,0) > 10.8, 3 <= n: worst (3, 3, 0) -> 10.8538 (margin +0.0538)\n"
+        "PASS  diagonal (n,n,n) > 3.2: worst (1, 1, 1) -> 3.2103 (margin +0.0103)\n"
+        "PASS  pair (n,n,m) > 10, n != m, not {1,1,2}: worst (2, 2, 1) -> 10.0470 "
+        "(margin +0.0470)\n"
+        "PASS  distinct (n,m,k) > 18, not (3,2,0): worst (2, 1, 0) -> 24.2022 "
+        "(margin +6.2022)\n"
+        "suite: FAIL\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +765,7 @@ _PROBE = (
         ("spectrum", "classify", "--base", "5", "--depth", "3"),
         ("integrals", "tilde", "1", "0", "0", "--order-cap", "8"),
         ("integrals", "direct", "1", "1", "0", "0", "1", "1"),
-        ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "2"),
+        ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "3"),
         ("certify", "--base", "4", "--depth", "3", "--trials", "2"),
     ],
     ids=["import", "classify", "tilde", "direct", "sweep", "certify"],
@@ -808,7 +832,7 @@ _LEAVES = [
         # at r_max 4000 the pair-zero family fails, so the suite exits 1
         (
             "integrals", "sweep", "--suite", "bounds-f",
-            "--n-max", "2", "--r-max", "4000",
+            "--n-max", "3", "--r-max", "4000",
         ),
         ["family", "threshold", "worst_point", "worst_lo", "margin", "status"],
         1,

@@ -8,8 +8,10 @@ on the in-house Bessel backend while the direct route has its own numpy
 kernel, so the two share no evaluation code. scipy and mpmath values
 check that kernel; the mpmath ones are literals, so mpmath is not needed.
 """
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +323,39 @@ def test_f_permutation_and_sign_invariance():
     base = ig.f_ratio(3, -1, 0)
     for trip in [(3, 1, 0), (-3, 1, 0), (0, 1, 3), (1, 0, -3)]:
         assert ig.f_ratio(*trip).value == base.value
+
+
+def test_f_floors_have_one_home():
+    # each floor is assigned in lacuna.integrals alone; the certificate
+    # re-exports the ones f_lower reads, and the cli reads the table
+    from lacuna import certificate, cli
+
+    src = Path(ig.__file__).parent
+    assigned = [
+        (path.name, target.id)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("F_FLOOR_")
+    ]
+    names = [name for _, name in assigned]
+    assert {path for path, _ in assigned} == {"integrals.py"}
+    assert len(names) == len(set(names)) == 8
+    for mod in (certificate, cli):
+        for name, value in vars(mod).items():
+            if name.startswith("F_FLOOR_"):
+                assert value is getattr(ig, name), (mod.__name__, name)
+    assert not [name for name in vars(cli) if name.startswith("F_FLOOR_")]
+
+
+def test_sweep_windows_hold_a_point_from_sweep_min_n():
+    windows = [window for _, _, window in ig.SWEEP_FLOORS]
+    assert all(window(ig.SWEEP_MIN_N) for window in windows)
+    assert not all(window(ig.SWEEP_MIN_N - 1) for window in windows)
+    # the pair window leaves out (1,1,2) alone: (2,2,1), its worst point, stays
+    pair = next(window for label, _, window in ig.SWEEP_FLOORS if label.startswith("pair ("))
+    assert (1, 1, 2) not in pair(3) and (2, 2, 1) in pair(3)
 
 
 def test_copt_values_and_consistency():
