@@ -60,8 +60,8 @@ TABLE_GAP = 1.0e-2                   # one-sided gap bound of the table route
 MAX_SEXTET_ORDER = 532
 DEFAULT_R_MAX = 4000.0
 SWEEP_N_MAX = 40                     # the diagonal sweep's default grid
-# the sweep's ceiling: n_max 200 takes 75 s and 865 MB peak RSS (2-vCPU Xeon);
-# its (n+1)(n+2)/2-row products and (n+1)^3 cube would need ~6.5 GB at 532
+# the sweep's ceiling, set by time: n_max 200 takes 68 s and 108 MB peak RSS
+# (2-vCPU Xeon; 94 s on one BLAS thread); its (n+1)^3 cube is 1.2 GB at 532
 SWEEP_MAX_N = 200
 SWEEP_R_MAX = 40000.0
 MIN_R_MAX = 100.0
@@ -700,30 +700,24 @@ def _diagonal_stack(n_max: int, r_max: float) -> np.ndarray:
     """G[k, m, n] = sum_r w_r r_r J_k^2 J_m^2 J_n^2 on the panel grid.
 
     One BESSEL_BLOCK of nodes at a time: the Bessel rows of the block,
-    the weighted products J_k^2 J_m^2 of the sorted pairs k <= m only,
-    and their product with every J_n^2 added into a small accumulator,
-    which is mirrored in (k, m) at the end. No array spans the grid, here
-    or anywhere in the sweep: nodes and weights come a block at a time
-    from ``_grid_blocks``, and the one grid-length array, the terms of
-    ``_eval_bound``, is freed once summed, before this runs.
+    then one order k at a time, the weighted products J_k^2 J_m^2 for
+    m >= k only, whose product with every J_n^2 is added into out[k, k:].
+    The half m < k is copied from m > k once, at the end. No array spans
+    the grid, here or anywhere in the sweep: nodes and weights come a
+    block at a time from ``_grid_blocks``, and the one grid-length array,
+    the terms of ``_eval_bound``, is freed once summed, before this runs.
+    Beside the cube, no array holds more than one block's n_max + 1 rows.
     """
     count = n_max + 1
     orders = list(range(count))
-    pairs = [(k, m) for k in orders for m in orders[k:]]
-    acc = np.zeros((len(pairs), count))
-    prod = np.empty((len(pairs), BESSEL_BLOCK))
+    out = np.zeros((count, count, count))
     for _, nodes, w in _grid_blocks(r_max):
         j2 = _bessel_rows(orders, nodes)
         np.multiply(j2, j2, out=j2)
-        p = prod[:, :w.size]
-        row = 0
-        for k in orders:  # rows row.. hold the pairs (k, k..n_max)
-            np.multiply(j2[k:], j2[k] * w, out=p[row:row + count - k])
-            row += count - k
-        acc += p @ j2.T
-    out = np.empty((count, count, count))
-    for (k, m), g in zip(pairs, acc):
-        out[k, m] = out[m, k] = g
+        for k in orders:
+            out[k, k:] += (j2[k:] * (j2[k] * w)) @ j2.T
+    for k in orders:
+        out[k + 1:, k] = out[k, k + 1:]
     return out
 
 
@@ -735,9 +729,9 @@ def sweep_diagonal(
     """Direct-route quadrature of all diagonal triples with orders <= n_max.
 
     One pi/4 pass, bounded as in i_direct before any grid is built,
-    with one matrix product of the sorted order pairs per block of nodes
-    in place of ~n_max^3/6 independent quadratures. Computed on every
-    call and never stored: the result depends on the arguments alone.
+    with one matrix product per order per block of nodes in place of
+    ~n_max^3/6 independent quadratures. Computed on every call and never
+    stored: the result depends on the arguments alone.
     """
     n_max = check_int(n_max, "n_max", 0, SWEEP_MAX_N)
     quad = quad_bound(r_max, n_max)

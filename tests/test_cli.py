@@ -254,7 +254,7 @@ def test_integrals_sweep_text_report(capsys):
     assert code == 1
     assert out == (
         "PASS  single (n,0,0) > 5, 2 <= n: worst (2, 0, 0) -> 9.1043 (margin +4.1043)\n"
-        "PASS  single (1,0,0) within 2e-2 of 5: worst (1, 0, 0) -> 5.0000 (margin +0.0200)\n"
+        "PASS  single (1,0,0) within 2e-2 of 5: worst (1, 0, 0) -> 4.9943 (margin +0.0142)\n"
         "FAIL  pair-zero (n,n,0) > 7.94: worst (1, 1, 0) -> 7.9354 (margin -0.0046)\n"
         "PASS  pair-zero (n,n,0) > 10.8, 3 <= n: worst (3, 3, 0) -> 10.8538 (margin +0.0538)\n"
         "PASS  diagonal (n,n,n) > 3.2: worst (1, 1, 1) -> 3.2103 (margin +0.0103)\n"
@@ -264,6 +264,20 @@ def test_integrals_sweep_text_report(capsys):
         "(margin +6.2022)\n"
         "suite: FAIL\n"
     )
+
+
+def test_integrals_sweep_f100_row_reads_the_enclosure(capsys):
+    # at r_max 100 the point ratio F(1,0,0) is 5.0000, within 2e-2 of 5, but
+    # the sweep's enclosure of it is [4.7781, 5.2397]: the row must fail
+    sweep = ("integrals", "sweep", "--suite", "bounds-f", "--format", "json")
+    code, out, _ = run(capsys, *sweep, "--n-max", "3", "--r-max", "100")
+    row = json.loads(out)["rows"][1]
+    assert code == 1 and row["worst_point"] == [1, 0, 0] and row["status"] == "fail"
+    assert row["worst_lo"] == pytest.approx(4.7781, abs=1e-4)
+    # an error bound past I(1,1,0,0,0,0) leaves the enclosure no upper end
+    code, out, _ = run(capsys, *sweep, "--n-max", "100", "--r-max", "100.01")
+    row = json.loads(out)["rows"][1]
+    assert code == 1 and row["status"] == "fail" and row["margin"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -748,12 +762,14 @@ def test_main_restores_the_callers_gc_state(monkeypatch, capsys):
         gc.enable()
 
 
-# a fresh interpreter runs the command and reports whether scipy got loaded
+# a fresh interpreter runs the command and reports whether scipy and the
+# certificate got loaded
 _PROBE = (
     "import sys\n"
     "import lacuna.cli\n"
     "code = lacuna.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-    "sys.stderr.write(f'scipy loaded: {\"scipy\" in sys.modules}')\n"
+    "sys.stderr.write(f'scipy loaded: {\"scipy\" in sys.modules}, '\n"
+    "                 f'certificate loaded: {\"lacuna.certificate\" in sys.modules}')\n"
     "sys.exit(code)\n"
 )
 
@@ -780,7 +796,9 @@ def test_no_command_imports_scipy(tmp_path, argv):
         command += [*argv, "--output", str(tmp_path / "report")]
     proc = subprocess.run(command, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "scipy loaded: False"
+    # only certify runs the certificate, so only certify imports it
+    loaded = argv[:1] == ("certify",)
+    assert proc.stderr == f"scipy loaded: False, certificate loaded: {loaded}"
 
 
 def test_closed_stdout_keeps_the_exit_code(tmp_path):

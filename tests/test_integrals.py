@@ -620,19 +620,22 @@ def test_grid_blocks_are_the_whole_grid_bit_for_bit():
 def test_sweep_holds_no_grid_sized_array():
     # one array of the r_max 40000 grid's 509,300 nodes is 3.9 MiB, and
     # numpy reports its buffers to tracemalloc; the caches start empty, so
-    # a grid the sweep built and kept would count in both figures
-    for fn in vars(ig).values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
-    tracemalloc.start()
-    try:
-        sweep = ig.sweep_diagonal(8)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sweep.direct.shape == (9, 9, 9)
-    assert peak < 8 * 2**20, peak
-    assert held < 2**20, held
+    # a grid the sweep built and kept would count in both figures. At
+    # n_max 40 one block's 41 rows take 1.3 MiB, where rows of the 861
+    # sorted order pairs would take 26.9 MiB
+    for n_max, r_max in ((8, 40000.0), (40, 4000.0)):
+        for fn in vars(ig).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        tracemalloc.start()
+        try:
+            sweep = ig.sweep_diagonal(n_max, r_max=r_max)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sweep.direct.shape == (n_max + 1,) * 3
+        assert peak < 8 * 2**20, (n_max, peak)
+        assert held < 2**20, (n_max, held)
 
 
 def test_diagonal_stack_matches_whole_grid_sum():
