@@ -1,30 +1,27 @@
 """Integer-order Bessel functions of the first kind, and zeros of J1.
 
-Two evaluation regimes, chosen per call:
+One evaluation path: every J_n(x) is an entry of a row [J_0(x), ...,
+J_{n_max}(x)] from Miller's downward recurrence, normalized through the
+identity J0(x)^2 + 2*sum_{k>=1} Jk(x)^2 = 1, with periodic rescaling by
+a power of two so the unnormalized recurrence never overflows.  Below
+TINY_ARG the row is closed-form: J_0 rounds to 1, J_1 to x/2, and every
+higher order lies below 1.3e-281.
 
-* ascending power series for small argument (x <= max(12, n/2); in
-  ``besselj_batch`` only below TINY_ARG), summed with compensated
-  (Kahan) accumulation;
-* Miller's downward recurrence for everything else, normalized through
-  the identity J0(x)^2 + 2*sum_{k>=1} Jk(x)^2 = 1, with periodic
-  rescaling by a power of two so the unnormalized recurrence never
-  overflows.
-
-One recurrence records J_0..J_n in a single pass, in two forms:
+The recurrence records J_0..J_n in a single pass, in two forms:
 ``_miller`` runs it for one x, and ``_miller_lanes`` for a 1-D array of
 x, one lane per x with its own start, rescaling and normalisation.  A
 rescale by a power of two is exact, so its step does not change the
 bits: the lane pass scales a lane at the end of the block of steps in
 which its values passed the threshold, and every lane is bitwise the
-one-x pass's result without being rerun.  ``besselj`` takes entry n,
-``besselj_batch`` returns the whole row, and the J1 zero finder reads
-entries 0 and 1; both entry points take a float or a 1-D array of x, so
-a scalar value in the recurrence regime is bitwise equal to its batch
-entry and to its entry in an array call.  A float argument keeps the
-one-x loop: a lane pass pays numpy's per-call cost at every step (three
-calls per step plus one add, the rest once per block of up to 32
-steps), so a single lane runs 30 to 40 times slower than the loop and
-only pays off across many x (the quadrature table, the zero finder).
+one-x pass's result without being rerun.  ``besselj_batch`` returns the
+whole row, ``besselj`` takes entry |n| of it, and the J1 zero finder
+reads entries 0 and 1; both entry points take a float or a 1-D array of
+x, so a scalar value is bitwise equal to its batch entry and to its
+entry in an array call.  A float argument keeps the one-x loop: a lane
+pass pays numpy's per-call cost at every step (three calls per step plus
+one add, the rest once per block of up to 32 steps), so a single lane
+runs 30 to 40 times slower than the loop and only pays off across many
+x (the quadrature table, the zero finder).
 
 The guaranteed box is |n| <= 1200, 0 <= x <= 1e4, with absolute error
 at most 1e-12.  Negative orders reduce through J_{-n} = (-1)^n J_n and
@@ -43,13 +40,9 @@ MAX_ORDER = 1200
 MAX_ARG = 1.0e4
 MAX_ZEROS = 3182                     # positive J1 zeros up to MAX_ARG; the next is 10000.47
 
-# Power series below this argument (or below half the order: for
-# x <= n/2 the series has no damaging cancellation in absolute terms).
-SERIES_SWITCH = 12.0
-
-# besselj_batch takes the power series below this argument.  Above it,
-# Miller's growth per step, 2 * n_start / x with n_start <= 1241, stays
-# below 1 / _SHRINK = 2**498, so one rescale brings p back under _RESCALE.
+# The closed-form row below this argument.  Above it, Miller's growth per
+# step, 2 * n_start / x with n_start <= 1241, stays below 1 / _SHRINK =
+# 2**498, so one rescale brings p back under _RESCALE.
 TINY_ARG = 1.0e-140
 
 # Downward recurrence starts at n_max + ceil(START_SLOPE*x) + START_OFFSET.
@@ -74,35 +67,6 @@ def _validate(x: float) -> None:
         raise RangeError(f"argument must be finite, got {x!r}")
     if x < 0.0 or x > MAX_ARG:
         raise RangeError(f"argument {x} outside [0, {MAX_ARG:g}]")
-
-
-def _series(n: int, x: float) -> float:
-    # J_n(x) = sum_j (-1)^j (x/2)^{n+2j} / (j! (n+j)!), n >= 0.
-    # First term in log space so large n cannot overflow the power.
-    half = 0.5 * x
-    log_t0 = n * math.log(half) - math.lgamma(n + 1.0)
-    if log_t0 < -400.0:
-        # |J_n| < 1e-170 in this regime; well below the 1e-12 contract.
-        return 0.0
-    t = math.exp(log_t0)
-    q = half * half
-    s = t
-    comp = 0.0  # Kahan compensation
-    t_peak = abs(t)
-    for j in range(1, 1001):
-        t *= -q / (j * (n + j))
-        y = t - comp
-        u = s + y
-        comp = (u - s) - y
-        s = u
-        at = abs(t)
-        if at > t_peak:
-            t_peak = at
-        elif at <= 1.0e-17 * t_peak:
-            # Terms are past their peak and negligible; the omitted
-            # tail is below |t| because the ratio keeps shrinking.
-            return s
-    raise EvaluationError(f"series for J_{n}({x}) did not settle in 1000 terms")
 
 
 def _miller(n_max: int, x: float) -> np.ndarray:
@@ -228,75 +192,52 @@ def _validate_lanes(x: object) -> np.ndarray:
     return xs
 
 
-def _j0_j1(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # J0 and J1 for zero refinement, per entry as besselj(1, x) does it:
-    # series up to SERIES_SWITCH, else one n_max = 1 recurrence; x > 0.
-    j = np.empty((xs.size, 2))
-    small = xs <= SERIES_SWITCH
-    for i in np.flatnonzero(small):
-        j[i] = _series(0, float(xs[i])), _series(1, float(xs[i]))
-    j[~small] = _miller_lanes(1, xs[~small])
-    return j[:, 0], j[:, 1]
-
-
-def _near_zero(n: int, x: float) -> float:
-    # J_n(x) for n >= 0 and 0 <= x <= max(SERIES_SWITCH, n/2)
-    if 0.5 * x == 0.0:  # J_n(x) rounds to J_n(0)
-        return 1.0 if n == 0 else 0.0
-    return _series(n, x)
-
-
-def _tiny_row(n_max: int, x: float) -> np.ndarray:
-    # [J_0(x), ..., J_{n_max}(x)] by the series, for 0 <= x < TINY_ARG
-    return np.array([_near_zero(n, x) for n in range(n_max + 1)])
+def _tiny_rows(n_max: int, xs: np.ndarray) -> np.ndarray:
+    # [J_0(x), ..., J_{n_max}(x)] for each 0 <= x < TINY_ARG: J_0 rounds to
+    # 1 and J_1 to x/2, and every higher order is below x**2/8 < 1.3e-281
+    rows = np.zeros((xs.size, n_max + 1))
+    rows[:, 0] = 1.0
+    rows[:, 1:2] = 0.5 * xs[:, None]
+    return rows
 
 
 def besselj(n: int, x: float | np.ndarray) -> float | np.ndarray:
     """Evaluate J_n(x) for integer n, at a float x or a 1-D array of x.
 
     Absolute error is at most 1e-12 inside the box |n| <= 1200,
-    0 <= x <= 1e4.  J_{-n}(x) returns exactly (-1)^n * J_n(x).  An array
-    entry is bitwise the value of the float call at that entry.
+    0 <= x <= 1e4.  The value is bitwise the sign times entry |n| of
+    ``besselj_batch(|n|, x)``, so J_{-n}(x) returns exactly
+    (-1)^n * J_n(x), and an array entry is bitwise the value of the float
+    call at that entry.
     """
     n = check_int(n, "order", -MAX_ORDER, MAX_ORDER)
     n_abs = abs(n)
     sign = -1.0 if (n < 0 and n_abs % 2 == 1) else 1.0
-    switch = max(SERIES_SWITCH, 0.5 * n_abs)
-    if np.ndim(x) == 0:
-        x = float(x)
-        _validate(x)
-        if x <= switch:
-            return sign * _near_zero(n_abs, x)
-        return sign * float(_miller(n_abs, x)[n_abs])
-    xs = _validate_lanes(x)
-    out = np.empty(xs.size)
-    small = xs <= switch
-    for i in np.flatnonzero(small):
-        out[i] = _near_zero(n_abs, float(xs[i]))
-    out[~small] = _miller_lanes(n_abs, xs[~small])[:, n_abs]
-    return sign * out
+    rows = besselj_batch(n_abs, x)
+    if rows.ndim == 1:
+        return sign * float(rows[n_abs])
+    return sign * rows[:, n_abs]
 
 
 def besselj_batch(n_max: int, x: float | np.ndarray) -> np.ndarray:
     """Evaluate [J_0(x), ..., J_{n_max}(x)] in a single downward pass
-    (by the power series for x below TINY_ARG).
+    (in closed form for x below TINY_ARG).
 
-    For a 1-D array of x the result has one such row per entry, each
-    bitwise the row of the float call at that entry.  Entries agree
-    with ``besselj`` to 1e-12 absolute.
+    Absolute error is at most 1e-12 inside the box n_max <= 1200,
+    0 <= x <= 1e4.  For a 1-D array of x the result has one such row per
+    entry, each bitwise the row of the float call at that entry.
     """
     n_max = check_int(n_max, "n_max", 0, MAX_ORDER)
     if np.ndim(x) == 0:
         x = float(x)
         _validate(x)
         if x < TINY_ARG:
-            return _tiny_row(n_max, x)
+            return _tiny_rows(n_max, np.array([x]))[0]
         return _miller(n_max, x)
     xs = _validate_lanes(x)
     out = np.empty((xs.size, n_max + 1))
     tiny = xs < TINY_ARG
-    for i in np.flatnonzero(tiny):
-        out[i] = _tiny_row(n_max, float(xs[i]))
+    out[tiny] = _tiny_rows(n_max, xs[tiny])
     out[~tiny] = _miller_lanes(n_max, xs[~tiny])
     return out
 
@@ -328,7 +269,7 @@ def j1_zeros(count: int) -> np.ndarray:
     guess = _mcmahon_j1(r)
     a, b = guess - 0.2, guess + 0.2
     # one pass for both bracket ends and the first Newton point
-    j0, j1 = _j0_j1(np.concatenate([a, b, guess]))
+    j0, j1 = besselj_batch(1, np.concatenate([a, b, guess])).T
     fa, fb = j1[: r.size], j1[r.size : 2 * r.size]
     # |J1| >= 1.585e-3 at every bracket end of the supported zeros, so no
     # end is itself a zero and each bracket must change sign strictly
@@ -341,7 +282,7 @@ def j1_zeros(count: int) -> np.ndarray:
         if not r.size:
             break
         if step:
-            j0, j1 = _j0_j1(x)
+            j0, j1 = besselj_batch(1, x).T
         done = np.abs(j1) <= ZERO_TOL
         zeros[r[done]] = x[done]
         live = ~done
@@ -367,5 +308,5 @@ def sign_change_certificate(zeros: np.ndarray, delta: float = 1.0e-8) -> bool:
     """Check J1 flips sign across [z - delta, z + delta] at every
     positive zero in ``zeros``.  Returns True when all flips hold."""
     z = zeros[1:]
-    j1 = _j0_j1(np.concatenate([z - delta, z + delta]))[1]
+    j1 = besselj(1, np.concatenate([z - delta, z + delta]))
     return bool(np.all(j1[: z.size] * j1[z.size :] < 0.0))

@@ -288,7 +288,7 @@ def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
     sweep = ig.sweep_diagonal(n_max, r_max=args.r_max)
     rows: list[dict] = []
     for label, floor, window in ig.SWEEP_FLOORS:
-        lo, point = min((sweep.ratio_lo(*p), p) for p in window(n_max))
+        lo, point = min((sweep.ratio(*p).lo, p) for p in window(n_max))
         rows.append(
             {
                 "family": label.format(floor),
@@ -302,17 +302,15 @@ def cmd_integrals_sweep(args: argparse.Namespace) -> Report:
     # F(1,0,0) equals the single floor, which no strict check can clear, so
     # the report's second row checks that F's whole enclosure lies within
     # 2e-2 of it instead; its upper end is unbounded where den - e <= 0
-    single, e, den = ig.F_FLOOR_SINGLE, sweep.error_bound, sweep.value(1, 0, 0)
-    lo = sweep.ratio_lo(1, 0, 0)
-    hi = (sweep.value(0, 0, 0) + e) / (den - e) if den > e else math.inf
-    margin = 2e-2 - max(single - lo, hi - single)
+    single, f100 = ig.F_FLOOR_SINGLE, sweep.ratio(1, 0, 0)
+    margin = 2e-2 - max(single - f100.lo, f100.hi - single)
     rows.insert(
         1,
         {
             "family": f"single (1,0,0) within 2e-2 of {single:g}",
             "threshold": 2e-2,
             "worst_point": [1, 0, 0],
-            "worst_lo": lo,
+            "worst_lo": f100.lo,
             "margin": margin,
             "status": "pass" if margin >= 0.0 else "fail",
         },

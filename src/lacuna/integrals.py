@@ -551,6 +551,15 @@ class RatioValue:
     hi: float
 
 
+def _ratio(num: IntegralValue, den: IntegralValue) -> RatioValue:
+    # F's one enclosure formula; hi is unbounded where den's interval reaches 0
+    return RatioValue(
+        value=num.value / den.value,
+        lo=num.lo / den.hi,
+        hi=num.hi / den.lo if den.lo > 0.0 else math.inf,
+    )
+
+
 def f_ratio(
     n1: int,
     n2: int,
@@ -571,11 +580,7 @@ def f_ratio(
     """
     den = i_direct((n1, n1, n2, n2, n3, n3), r_max=r_max)
     num = i_direct((0, 0, 0, 0, 0, 0), r_max=r_max)
-    return RatioValue(
-        value=num.value / den.value,
-        lo=num.lo / den.hi,
-        hi=num.hi / den.lo if den.lo > 0.0 else math.inf,
-    )
+    return _ratio(num, den)
 
 
 # F's floors: strict lower bounds for F(a,b,c) by the shape of (a,b,c),
@@ -689,11 +694,10 @@ class DiagonalSweep:
         a, b, c = sorted(abs(check_int(v, "order", -self.n_max, self.n_max)) for v in (k, m, n))
         return float(self.direct[a, b, c])
 
-    def ratio_lo(self, k: int, m: int, n: int) -> float:
-        """Worst-case lower end of F(k,m,n) from this sweep's enclosures."""
-        num = self.direct[0, 0, 0]
+    def ratio(self, k: int, m: int, n: int) -> RatioValue:
+        """F(k,m,n) with its interval from this sweep's enclosures, as f_ratio builds it."""
         e = self.error_bound
-        return (num - e) / (self.value(k, m, n) + e)
+        return _ratio(IntegralValue(self.value(0, 0, 0), e), IntegralValue(self.value(k, m, n), e))
 
 
 def _diagonal_stack(n_max: int, r_max: float) -> np.ndarray:

@@ -68,7 +68,9 @@ def test_criterion_2_equality_ratio():
 
 
 def test_criterion_3_threshold_table(sweep40):
-    lo = sweep40.ratio_lo
+    def lo(k, m, n):
+        return sweep40.ratio(k, m, n).lo
+
     worst = math.inf
     for n in range(1, 21):
         assert lo(n, n, 0) > 7.94, (n, n, 0)

@@ -17,10 +17,8 @@ from lacuna.bessel import (
     MAX_ARG,
     MAX_ORDER,
     MAX_ZEROS,
-    SERIES_SWITCH,
     TINY_ARG,
     ZERO_TOL,
-    _j0_j1,
     _mcmahon_j1,
     _miller,
     _miller_lanes,
@@ -80,7 +78,7 @@ def test_frozen_anchor(n, x, expected):
 
 
 def test_scipy_cross_check():
-    # independent implementation, dense grid across both evaluation regimes
+    # independent implementation, dense grid from small x to the box's edge
     rng = np.random.default_rng(20260819)
     xs = np.concatenate([rng.uniform(0.01, 30.0, 40), rng.uniform(30.0, 10000.0, 40)])
     ns = rng.integers(0, 200, xs.size)
@@ -107,21 +105,35 @@ def test_x_zero_special_case():
     assert b[0] == 1.0 and not b[1:].any()
 
 
-def test_batch_matches_scalar():
+def test_batch_matches_scipy():
     for x in (0.5, 7.0, 12.0, 13.0, 250.0, 1047.5):
         b = besselj_batch(540, x)
         for k in (0, 1, 3, 17, 250, 540):
-            assert b[k] == pytest.approx(besselj(k, x), abs=1.0e-12)
+            assert b[k] == pytest.approx(scipy.special.jv(k, x), abs=1.0e-12)
 
 
 def test_scalar_is_bitwise_batch_entry():
-    # past the series range both entry points read the same recurrence
-    for n, x in ((0, 12.5), (1, 13.0), (5, 250.0), (40, 1047.5), (532, 1047.5), (1200, 9999.0)):
-        assert x > max(SERIES_SWITCH, 0.5 * n)
-        assert besselj(n, x) == besselj_batch(n, x)[n]
+    # one evaluation path: a scalar value is the sign times an entry of the
+    # batch row, below TINY_ARG, at small x and past x = n alike
+    cases = (
+        (0, 0.0), (1, 5.0e-324), (2, 1.0e-150), (0, 0.5), (1, 7.0), (40, 20.0),
+        (532, 100.0), (1200, 400.0), (1200, 1.0e-3), (0, 12.5), (1, 13.0),
+        (5, 250.0), (40, 1047.5), (532, 1047.5), (1200, 9999.0),
+    )
+    for n, x in cases:
+        for order, sign in ((n, 1.0), (-n, -1.0 if n % 2 else 1.0)):
+            got, want = besselj(order, x), sign * besselj_batch(n, x)[n]
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (order, x)
 
 
-# x in both regimes and at their edges, for the array entry points
+@pytest.mark.parametrize("x", [5.0e-324, 1.0e-200, 1.0e-150, TINY_ARG / 2])
+def test_j1_below_tiny_arg_is_half_x(x):
+    # J_1(x) = x/2 (1 - x^2/8 + ...) rounds to x/2 for x < TINY_ARG
+    assert besselj(1, x) == 0.5 * x
+    assert besselj(0, x) == 1.0 and besselj(2, x) == 0.0
+
+
+# x below and above x = n/2 and at 12, for the array entry points
 ARRAY_XS = (0.0, 0.5, 7.25, 11.999, 12.0, 13.0, 250.0, 1047.5, 9999.0)
 
 
@@ -181,7 +193,8 @@ def test_rescale_is_exact_and_keeps_squares_finite():
 
 def test_batch_evaluates_tiny_x():
     # x = 10**(e/2) down to the smallest subnormal: the batch takes the
-    # series below TINY_ARG, where one recurrence step can outgrow a rescale
+    # closed-form row below TINY_ARG, where one recurrence step can outgrow
+    # a rescale
     xs = np.array([10.0 ** (e / 2) for e in range(-646, -4)] + [5.0e-324, TINY_ARG])
     for n_max in (0, 1, 40, 532, 1200):
         rows = besselj_batch(n_max, xs)
@@ -268,8 +281,6 @@ def test_zeros_match_scipy(zeros_1001):
 def _one_x_zero(r):
     # the zero finder's steps for one zero, through float calls only
     def j0_j1(x):
-        if x <= SERIES_SWITCH:
-            return besselj(0, x), besselj(1, x)
         row = besselj_batch(1, x)
         return float(row[0]), float(row[1])
 
@@ -302,7 +313,7 @@ def test_no_bracket_end_is_a_zero():
     # strict sign change there: no end of any supported zero's bracket
     # lies near a zero of J1 (the smallest |J1|, 1.585e-3, is at the last)
     guess = _mcmahon_j1(np.arange(1, MAX_ZEROS + 1))
-    ends = _j0_j1(np.concatenate([guess - 0.2, guess + 0.2]))[1]
+    ends = besselj(1, np.concatenate([guess - 0.2, guess + 0.2]))
     assert ends.size == 2 * MAX_ZEROS
     assert np.min(np.abs(ends)) > 1.0e-3
 
@@ -326,7 +337,7 @@ def test_zero_search_lane_passes(monkeypatch):
     assert len(calls) == 3
     guess = _mcmahon_j1(np.arange(1, 1001))
     first = np.concatenate([guess - 0.2, guess + 0.2, guess])
-    assert calls[0] == np.count_nonzero(first > SERIES_SWITCH)  # the rest take the series
+    assert calls[0] == first.size  # every entry, the first zero's bracket too
 
 
 def test_zeros_refuse_a_bracket_without_sign_change(monkeypatch):

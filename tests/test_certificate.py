@@ -436,7 +436,7 @@ def test_member_floors_from_sweep(sweep40):
     # every modulus can belong to one lambda sequence, lambda_{n+1} > 3 lambda_n
     sw = sweep40
     lo, point = min(
-        (sw.ratio_lo(p, p, q), (p, q))
+        (sw.ratio(p, p, q).lo, (p, q))
         for p in range(1, 41)
         for q in range(1, 41)
         if max(p, q) > 3 * min(p, q)
@@ -444,7 +444,7 @@ def test_member_floors_from_sweep(sweep40):
     assert lo > ct.F_FLOOR_PAIR_MEMBER == 13.2, point
     assert point == (4, 1)  # the tightest row, (4,4,1)
     lo, point = min(
-        (sw.ratio_lo(n, m, k), (n, m, k))
+        (sw.ratio(n, m, k).lo, (n, m, k))
         for n in range(1, 41)
         for m in range(1, n)
         for k in range(0, m)

@@ -29,7 +29,8 @@ REF_000_COARSE = 0.33680780419262046
 REF_000_FINE = 0.3368259460831131
 REF_000_FINE_ERR = 6.450366230456916e-06
 TILDE_000 = 0.3367587529549453
-TILDE_100 = 0.06734252275225694
+# the exact 1001-node sum of I~(1,0,0): mpmath at 30 digits on exact J1 zeros
+TILDE_100 = 0.067342522752255859884
 COPT_COARSE = 524.9302729529828
 COPT_FINE = 524.9585479139832
 F_100 = 4.999999992181918
@@ -70,6 +71,12 @@ def test_tilde_reference_value(table12):
     assert got.value == pytest.approx(TILDE_000, rel=1.0e-12)
     assert got.error_bound == 0.01
     assert got.lo < got.value < got.hi
+
+
+def test_tilde_is_the_exact_discrete_sum():
+    # the table's rounding error, not its 1e-2 gap to the integral
+    got = ig.i_tilde(1, 0, 0, ig.build_table(40))
+    assert abs(got.value - TILDE_100) <= 2.0e-16
 
 
 def test_tilde_permutation_invariance(table12):
@@ -393,33 +400,33 @@ def test_threshold_window_from_sweep(sweep40):
     assert sw.error_bound < 1.0e-5
     # ratio families on their stated windows, worst-margin rows included
     for n in range(1, 21):
-        assert sw.ratio_lo(n, n, 0) > 7.94, n
+        assert sw.ratio(n, n, 0).lo > 7.94, n
     for n in range(3, 22):
-        assert sw.ratio_lo(n, n, 0) > 10.8, n
+        assert sw.ratio(n, n, 0).lo > 10.8, n
     for n in range(1, 41):
-        assert sw.ratio_lo(n, n, n) > 3.2, n
+        assert sw.ratio(n, n, n).lo > 3.2, n
     for n in range(1, 31):
         for m in range(1, 31):
             if n != m and (n, m) != (1, 2):
-                assert sw.ratio_lo(n, n, m) > 10.0, (n, m)
+                assert sw.ratio(n, n, m).lo > 10.0, (n, m)
     for n in range(2, 31):
         for m in range(1, n):
             for k in range(0, m):
                 if (n, m, k) != (3, 2, 0):
-                    assert sw.ratio_lo(n, m, k) > 18.0, (n, m, k)
+                    assert sw.ratio(n, m, k).lo > 18.0, (n, m, k)
     # the equality case n = 1 cannot be certified strictly above 5 from
     # below; every later index clears 5 with room
-    assert sw.ratio_lo(1, 0, 0) > 4.999
+    assert sw.ratio(1, 0, 0).lo > 4.999
     for n in range(2, 41):
-        assert sw.ratio_lo(n, 0, 0) > 5.0, n
+        assert sw.ratio(n, 0, 0).lo > 5.0, n
 
 
 def test_excluded_rows_really_sit_below(sweep40):
     # the two window exclusions are genuine: both ratios fall short of
     # their family thresholds, matching the equal-integral coincidence
     sw = sweep40
-    assert sw.ratio_lo(1, 1, 2) < 10.0
-    assert sw.ratio_lo(3, 2, 0) < 18.0
+    assert sw.ratio(1, 1, 2).lo < 10.0
+    assert sw.ratio(3, 2, 0).lo < 18.0
     d110 = ig.i_direct((1, 1, 1, 1, 0, 0))
     d112 = ig.i_direct((1, 1, 1, 1, 2, 2))
     assert abs(d110.value - d112.value) < 1.0e-15
