@@ -256,12 +256,13 @@ def j1_zeros(count: int) -> np.ndarray:
     r-th zero, and every positive entry satisfies |J1(zero)| <= ZERO_TOL.
 
     Newton iteration (J1' = J0 - J1/x) from the large-root expansion,
-    safeguarded by a sign-change bracket and bisection fallback.  The
-    first lane pass evaluates both ends of every bracket and every
-    expansion guess, and checks each bracket's sign change before any
-    Newton step reads it; after that, every zero still being refined takes
-    its next step in one lane pass.  Each zero follows exactly the
-    iterates it would follow alone.
+    inside a proven sign-change bracket: a step that leaves it is a
+    ``ZeroFindingError``, and no supported zero takes one.  The first
+    lane pass evaluates both ends of every bracket and every expansion
+    guess, and checks each bracket's sign change before any Newton step;
+    after that, every zero still being refined takes its next step in one
+    lane pass.  Each zero follows exactly the iterates it would follow
+    alone.
     """
     count = check_int(count, "count", 1, MAX_ZEROS + 1)
     zeros = np.zeros(count)
@@ -286,18 +287,13 @@ def j1_zeros(count: int) -> np.ndarray:
         done = np.abs(j1) <= ZERO_TOL
         zeros[r[done]] = x[done]
         live = ~done
-        r, a, b, fa, x, j0, j1 = (v[live] for v in (r, a, b, fa, x, j0, j1))
-        # Maintain the bracket, then try Newton inside it.
-        right = j1 * fa < 0.0
-        b = np.where(right, x, b)
-        a = np.where(right, a, x)
-        fa = np.where(right, fa, j1)
-        deriv = j0 - j1 / x
-        x_next = 0.5 * (a + b)
+        r, a, b, x, j0, j1 = (v[live] for v in (r, a, b, x, j0, j1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - j1 / deriv
-        inside = (deriv != 0.0) & (a < newton) & (newton < b)
-        x = np.where(inside, newton, x_next)
+            x = x - j1 / (j0 - j1 / x)
+        outside = ~((a < x) & (x < b))
+        if outside.any():
+            i = np.argmax(outside)
+            raise ZeroFindingError(f"Newton step of zero {r[i]} left [{a[i]}, {b[i]}]")
     if r.size:
         raise ZeroFindingError(f"zero {r[0]} did not refine to |J1| <= {ZERO_TOL}")
     zeros.setflags(write=False)

@@ -7,22 +7,23 @@ The object under test is the sextic interaction sum
 
 where p counts permutations of a triple and I is the six-fold Bessel
 product integral. ``compute_S_exact`` evaluates S literally on a finite
-support. ``compute_S_upper_bound`` evaluates the eleven grouped sums
-that dominate S after every cross term has been split by Cauchy-Schwarz,
-a weighted AM-GM with one free weight b, and one free weight eps_D per
-exception point. ``check_systems`` certifies, per exception shape, that
-the grouped coefficients stay below the interaction margin 3F, which is
-what makes the grouped bound at most I(0,0,0) times the cubed mass.
-``verdict_of`` compares both ends with a three-valued verdict, and
-``verify_theorem`` applies it to the literal S of one vector.
+support. The eleven grouped sums that dominate S, after every cross term
+has been split by Cauchy-Schwarz, a weighted AM-GM with one free weight
+b, and one free weight eps_D per exception point, are one cubic form in
+x = |fhat|^2, built as one (n, n, n) tensor; ``compute_S_upper_bound``
+evaluates it on one vector's support. ``check_systems`` certifies, per
+exception shape, that the grouped coefficients stay below the
+interaction margin 3F, which is what makes the grouped bound at most
+I(0,0,0) times the cubed mass. ``verdict_of`` compares both ends with a
+three-valued verdict, and ``verify_theorem`` applies it to the literal S
+of one vector.
 
-For a fixed spectrum both sides are fixed forms in the amplitudes: S is
-the Hermitian form sum over D of v_D^H M_D v_D, with v_D[R] = p(R) times
-the product of fhat over R, and the grouped bound is a cubic form in
-x = |fhat|^2. ``assemble_forms`` builds both once, from the same direct
-integrals the literal sums look up, and ``evaluate_forms`` checks many
-vectors with numpy, a fixed block of vectors at a time. The literal sums
-stay as the oracle the tests compare the forms against.
+S is also a fixed Hermitian form in the amplitudes, sum over D of
+v_D^H M_D v_D with v_D[R] = p(R) times the product of fhat over R.
+``assemble_forms`` builds it and the bound's tensor once, and
+``evaluate_forms`` checks many vectors with numpy, a fixed block at a
+time. Every sum is an ``IntegralValue``, so an error bound that
+underflowed to zero is refused. The literal S is the forms' oracle.
 
 One function, ``integrals.f_lower``, gives every lower bound for the
 ratio F the systems read: the larger of the floor of the triple's shape
@@ -289,14 +290,6 @@ def compute_norm6(f: CoefficientVector) -> NormSixth:
 # exact sextic sum
 
 
-@dataclass(frozen=True)
-class SextetSum:
-    """S or its grouped upper bound, with the propagated quadrature error."""
-
-    value: float
-    error_bound: float
-
-
 def _fprod(f: CoefficientVector, rep: Triple) -> complex:
     z = 1.0 + 0.0j
     for n in rep:
@@ -315,7 +308,7 @@ def compute_S_exact(
     f: CoefficientVector,
     *,
     r_max: float = DEFAULT_R_MAX,
-) -> SextetSum:
+) -> IntegralValue:
     """Evaluate S literally, grouped by the shared triple sum D.
 
     Each unordered support triple R carries weight p(R); a pair
@@ -347,7 +340,7 @@ def compute_S_exact(
                 total += term * ival.value
                 err += abs(term) * ival.error_bound
     _check_real(total)
-    return SextetSum(value=total.real, error_bound=err)
+    return IntegralValue(total.real, err)
 
 
 # ---------------------------------------------------------------------------
@@ -383,34 +376,37 @@ class CertificateParams:
             raise CertificateError(f"no eps assigned for exception point {d}") from None
 
 
-BoundTerm = tuple[float, tuple[int, int, int], IntegralValue]
-
-
-def _bound_terms(
+def _bound_tensor(
     spectrum: SpectrumSet,
     params: CertificateParams,
     support: Sequence[int],
     r_max: float,
-) -> list[BoundTerm]:
-    """The eleven grouped sums as terms (coeff, (n1, n2, n3), integral).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The eleven grouped sums as one cubic form T over ``support``, with its error.
 
-    A term contributes coeff * x[n1] x[n2] x[n3] * integral, x = |fhat|^2,
-    and is listed only when all three frequencies lie in ``support``, where
-    x can be nonzero. Each exception's system comes from ``_exceptions``,
-    the table the systems read, so eps lands on the writing they assume;
-    eps weights are looked up per fired exception and a missing one is a
-    hard error.
+    Index k stands for ``support[k]``. A term adds coeff * integral to
+    T[k1, k2, k3] and |coeff| times its error bound to the error tensor,
+    so the bound is sum T[a, b, c] x_a x_b x_c with x = |fhat|^2. Each
+    exception's system comes from ``_exceptions``, the table the systems
+    read, so eps lands on the writing they assume; eps weights are looked
+    up per fired exception and a missing one is a hard error.
     """
     system = {d: s for d, (s, _) in _exceptions(spectrum).items()}
     supp = tuple(support)
+    col = {n: k for k, n in enumerate(supp)}
     present = set(supp)
     b = params.b
-    terms: list[BoundTerm] = []
+    value = np.zeros((len(supp),) * 3)
+    error = np.zeros((len(supp),) * 3)
 
     def add(coeff: float, mono: tuple[int, int, int], moduli: tuple[int, int, int]) -> None:
-        # each modulus appears twice, so the sextet's sign is always +
+        # added only where x can be nonzero; each modulus appears twice,
+        # so the sextet's sign is always +
         if present.issuperset(mono):
-            terms.append((coeff, mono, i_direct(moduli + moduli, r_max=r_max)))
+            ival = i_direct(moduli + moduli, r_max=r_max)
+            k = tuple(col[m] for m in mono)
+            value[k] += coeff * ival.value
+            error[k] += abs(coeff) * ival.error_bound
 
     # distinct-moduli triples: 15, plus 6/eps when the sum lies in S2 or S3
     for n1 in supp:
@@ -471,7 +467,7 @@ def _bound_terms(
             add(coeff, (n1, n2, -n2), (n1, n2, n2))
     # the constant-mode cube
     add(1.0, (0, 0, 0), (0, 0, 0))
-    return terms
+    return value, error
 
 
 def compute_S_upper_bound(
@@ -479,20 +475,14 @@ def compute_S_upper_bound(
     params: CertificateParams,
     *,
     r_max: float = DEFAULT_R_MAX,
-) -> SextetSum:
-    """The eleven grouped sums dominating S, summed literally on f's support.
+) -> IntegralValue:
+    """The grouped bound of f: the tensor of ``_bound_tensor`` on f's support.
 
-    The propagated error adds |coefficient| times each integral's bound.
     A fired exception without an eps weight is a ``CertificateError``.
     """
-    x = {n: abs(z) ** 2 for n, z in f.entries}
-    total = 0.0
-    err = 0.0
-    for coeff, (n1, n2, n3), ival in _bound_terms(f.spectrum, params, f.support, r_max):
-        monomial = x[n1] * x[n2] * x[n3]
-        total += coeff * monomial * ival.value
-        err += abs(coeff) * monomial * ival.error_bound
-    return SextetSum(value=total, error_bound=err)
+    x = np.array([abs(z) ** 2 for _, z in f.entries])
+    tensors = _bound_tensor(f.spectrum, params, f.support, r_max)
+    return IntegralValue(*(float(np.einsum("a,b,c,abc->", x, x, x, t)) for t in tensors))
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +540,7 @@ def assemble_forms(
                 values.append(ival.value)
                 errors.append(ival.error_bound)
 
-    n = len(supp)
-    bound_value = np.zeros((n, n, n))
-    bound_error = np.zeros((n, n, n))
-    for coeff, mono, ival in _bound_terms(spectrum, params, supp, r_max):
-        k = tuple(col[m] for m in mono)
-        bound_value[k] += coeff * ival.value
-        bound_error[k] += abs(coeff) * ival.error_bound
+    bound_value, bound_error = _bound_tensor(spectrum, params, supp, r_max)
     triples = [[col[m] for m in r] for r in reps]
     return AssembledForms(
         support=supp,
@@ -572,7 +556,7 @@ def assemble_forms(
 
 def evaluate_forms(
     forms: AssembledForms, vectors: Sequence[CoefficientVector]
-) -> list[tuple[SextetSum, SextetSum]]:
+) -> list[tuple[IntegralValue, IntegralValue]]:
     """S and the grouped bound of each vector, as ``compute_S_exact`` and
     ``compute_S_upper_bound`` give them up to summation order.
 
@@ -583,7 +567,7 @@ def evaluate_forms(
     n = len(forms.support)
     t1, t2, t3 = forms.triples.T
     i, j = forms.pairs
-    out: list[tuple[SextetSum, SextetSum]] = []
+    out: list[tuple[IntegralValue, IntegralValue]] = []
     for lo in range(0, len(vectors), FORM_BLOCK):
         block = vectors[lo:lo + FORM_BLOCK]
         amp = np.zeros((len(block), n), dtype=complex)
@@ -606,7 +590,7 @@ def evaluate_forms(
         ub_err = np.einsum("va,vb,vc,abc->v", x, x, x, forms.bound_error)
         for total, se, u, ue in zip(*(c.tolist() for c in (s, s_err, ub, ub_err))):
             _check_real(total)
-            out.append((SextetSum(total.real, se), SextetSum(u, ue)))
+            out.append((IntegralValue(total.real, se), IntegralValue(u, ue)))
     return out
 
 
@@ -821,7 +805,7 @@ class TheoremVerdict:
 
 
 def verdict_of(
-    s: SextetSum,
+    s: IntegralValue,
     f: CoefficientVector,
     *,
     r_max: float = DEFAULT_R_MAX,

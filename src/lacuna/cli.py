@@ -512,8 +512,8 @@ def _trial_dict(
     index: int,
     label: str,
     vec: ct.CoefficientVector,
-    s: ct.SextetSum,
-    ub: ct.SextetSum,
+    s: ig.IntegralValue,
+    ub: ig.IntegralValue,
     verdict: ct.TheoremVerdict,
 ) -> dict:
     grouped_ok = s.value <= ub.value + ub.error_bound + s.error_bound

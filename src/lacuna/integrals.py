@@ -391,16 +391,14 @@ def fill_grid_rows(orders: Iterable[int], r_max: float) -> None:
         _grid_rows(sorted(n for n in moduli if n <= MAX_SEXTET_ORDER and n < r_max), r_max)
 
 
-def _order_on_grid(order: int, r_max: float) -> np.ndarray:
-    return _grid_rows([order], r_max)[0]
-
-
 def _product_on_grid(orders: tuple[int, ...], r_max: float) -> float:
     _, rw = _panel_grid(r_max)
+    distinct = list(dict.fromkeys(orders))
+    row = dict(zip(distinct, _grid_rows(distinct, r_max)))
     first, *rest = orders
-    prod = np.multiply(rw, _order_on_grid(first, r_max))
+    prod = np.multiply(rw, row[first])
     for n in rest:
-        prod *= _order_on_grid(n, r_max)
+        prod *= row[n]
     return float(np.sum(prod))
 
 

@@ -352,6 +352,25 @@ def test_zeros_refuse_a_bracket_without_sign_change(monkeypatch):
     assert len(calls) == 1  # refused from the first pass, before any Newton step
 
 
+def test_zeros_refuse_a_newton_step_that_leaves_its_bracket(monkeypatch):
+    # J1 read as 0.5 at zero 7's expansion guess sends its first Newton
+    # step about 3 away, far past the bracket's half-width 0.2
+    batch = bessel.besselj_batch
+    passes = []
+
+    def skewed(n_max, xs):
+        out = batch(n_max, xs).copy()
+        if not passes:
+            out[2 * 59 + 6, 1] = 0.5  # lane 6 of the guesses is zero 7
+        passes.append(xs.size)
+        return out
+
+    monkeypatch.setattr(bessel, "besselj_batch", skewed)
+    with pytest.raises(ZeroFindingError, match="Newton step of zero 7 left"):
+        j1_zeros(60)
+    assert passes == [3 * 59]  # refused before a second pass
+
+
 def test_zeros_refuse_a_zero_that_does_not_refine(monkeypatch):
     monkeypatch.setattr(bessel, "ZERO_TOL", 0.0)
     with pytest.raises(ZeroFindingError, match="zero 1 did not refine to"):

@@ -352,6 +352,34 @@ def test_forms_on_a_partial_support():
     assert v.verdict == "holds" and v.margin == pytest.approx(MARGIN_PAIR_ONES, rel=1e-12)
 
 
+def test_bound_tensor_restricts_to_a_sub_support():
+    # an entry sums the same terms in the same order on any support holding
+    # its three frequencies, so the restriction keeps every bit
+    params, _ = ct.derive_params(A4)
+    full = ct.assemble_forms(A4, params, A4.elements)
+    sub = ct.assemble_forms(A4, params, (-16, -1, 0, 1, 4, 64))
+    cols = np.searchsorted(full.support, sub.support)
+    grid = np.ix_(cols, cols, cols)
+    assert full.bound_value[grid].tobytes() == sub.bound_value.tobytes()
+    assert full.bound_error[grid].tobytes() == sub.bound_error.tobytes()
+
+
+def test_sums_whose_error_bound_underflows_are_refused():
+    # every product of six amplitudes is 1e-360, below the smallest float,
+    # so S, the bound and both error bounds would all come back 0.0
+    params, _ = ct.derive_params(A5)
+    f = ct.CoefficientVector.from_dict(A5, {1: 1e-60, -1: 1e-60})
+    forms = ct.assemble_forms(A5, params, f.support)
+    for call in (
+        lambda: ct.compute_S_exact(f),
+        lambda: ct.compute_S_upper_bound(f, params),
+        lambda: ct.verify_theorem(f),
+        lambda: ct.evaluate_forms(forms, [f]),
+    ):
+        with pytest.raises(RangeError, match="error bound must be finite and positive"):
+            call()
+
+
 def test_forms_require_eps_when_built():
     with pytest.raises(CertificateError, match="no eps assigned"):
         ct.assemble_forms(A5, ct.CertificateParams(), A5.elements)

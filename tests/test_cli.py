@@ -566,8 +566,17 @@ def test_certify_deterministic_bytes(capsys):
             ("--lambdas", "0,5,20,70,222", "--trials", "60", "--format", "csv"),
             "cf877dde81f1abe011b1615d1b932962d1c67b327e3818b3eaa29fd35db5107f",
         ),
+        # the benchmark's two certify commands at seed 0
+        (
+            ("--base", "4", "--depth", "5", "--trials", "400", "--seed", "0"),
+            "61351b94a4084c73869cbd0b7463202fc798583a8407ce58a2240c837bb9f726",
+        ),
+        (
+            ("--lambdas", "0,1,4,13,40,121,364", "--trials", "20", "--seed", "0"),
+            "4d792115b2949e0897dd93b10c1aef27af640fbbf7c7a4b9c964161a0d207a55",
+        ),
     ],
-    ids=["json", "csv"],
+    ids=["json", "csv", "certify-trials", "certify-wide"],
 )
 def test_certify_five_system_bytes(capsys, argv, digest):
     code, out, _ = run(capsys, "certify", *argv)

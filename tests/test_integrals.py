@@ -503,8 +503,8 @@ def test_grid_rows_keep_the_48_most_recently_used(monkeypatch):
     monkeypatch.setattr(ig, "_GRID_ROWS", {})
     ig.fill_grid_rows(range(50), 100.0)
     assert sorted(n for n, _ in ig._GRID_ROWS) == list(range(2, 50))
-    ig._order_on_grid(2, 100.0)  # a hit becomes the most recent
-    row = ig._order_on_grid(0, 100.0)  # a miss evicts the least recent, 3
+    ig._grid_rows([2], 100.0)  # a hit becomes the most recent
+    [row] = ig._grid_rows([0], 100.0)  # a miss evicts the least recent, 3
     assert [n for n, _ in ig._GRID_ROWS][-2:] == [2, 0] and (3, 100.0) not in ig._GRID_ROWS
     assert len(ig._GRID_ROWS) == 48 and not row.flags.writeable
 
