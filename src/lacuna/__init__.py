@@ -12,7 +12,6 @@ Subpackages by capability:
 
 from .errors import (
     CertificateError,
-    EvaluationError,
     LacunaError,
     RangeError,
     SpectrumError,
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificateError",
-    "EvaluationError",
     "LacunaError",
     "RangeError",
     "SpectrumError",

@@ -12,11 +12,12 @@ has been split by Cauchy-Schwarz, a weighted AM-GM with one free weight
 b, and one free weight eps_D per exception point, are one cubic form in
 x = |fhat|^2, built as one (n, n, n) tensor; ``compute_S_upper_bound``
 evaluates it on one vector's support. ``check_systems`` certifies, per
-exception shape, that the grouped coefficients stay below the
+exception writing, that the grouped coefficients stay below the
 interaction margin 3F, which is what makes the grouped bound at most
-I(0,0,0) times the cubed mass. ``verdict_of`` compares both ends with a
-three-valued verdict, and ``verify_theorem`` applies it to the literal S
-of one vector.
+I(0,0,0) times the cubed mass. One table, ``_EPS_POWER``, tells both
+which writing of an exception point carries eps_D and which 1/eps_D.
+``verdict_of`` compares both ends with a three-valued verdict, and
+``verify_theorem`` applies it to the literal S of one vector.
 
 S is also a fixed Hermitian form in the amplitudes, sum over D of
 v_D^H M_D v_D with v_D[R] = p(R) times the product of fhat over R.
@@ -130,42 +131,64 @@ class CoefficientVector:
 
 
 # ---------------------------------------------------------------------------
-# the exception table: each exception point's system, decided once for the
-# grouped bound and the systems
+# the exception table: each exception point's system and where its eps
+# lands, read alike by the grouped bound and the systems
 
 SYSTEMS = ("trivial", "S2", "S3", "S4", "S5")
 
+# Where eps lands. The grouped bound splits the cross term of an exception
+# point's two writings by a weighted AM-GM: one writing carries eps_D and the
+# other 1/eps_D, or, at a "trivial" point, each carries a second flat share. A
+# writing of each kind asks mult * F >= flat + coeff * eps^power:
+#   distinct (n,m,k):   F >= 15 + 6 eps^power
+#   pair (p,p,q):      3F >= 18 + 9 eps^power
+#   zero pair (p,p,0): 3F >= 9(b+1)/(b-1) + 9 + 9 eps^power
+#   cube (m,m,m):       F >= 1 + eps^power
+# Power -1 bounds eps below, +1 above, and 0 gives an eps-free margin row.
+_EPS_POWER = {
+    ("S2", "distinct"): -1, ("S2", "pair"): 1, ("S2", "zero pair"): 1,
+    ("S3", "distinct"): -1, ("S3", "cube"): 1,
+    ("S4", "pair"): -1, ("S4", "zero pair"): 1,
+    ("S5", "pair"): -1, ("S5", "cube"): 1,
+    ("trivial", "pair"): 0,
+}
+# kind: (mult, flat, coeff, the row's text at each power the kind takes)
+_WRITING = {
+    "distinct": (1.0, 15.0, 6.0, {-1: "15 + 6/eps <= F({}, {}, {})"}),
+    "pair": (3.0, 18.0, 9.0, {-1: "9(2 + 1/eps) <= 3F({},{},{})", 0: "27 <= 3F({},{},{})",
+                              1: "9(..) + 9 eps <= 3F({},{},{})"}),
+    "zero pair": (3.0, 9.0, 9.0, {1: "9(b+1)/(b-1) + 9(1+eps) <= 3F({},{},{})"}),
+    "cube": (1.0, 1.0, 1.0, {1: "1 + eps <= F({},{},{})"}),
+}
+# The system of a point's two writings, by sorted kinds. (cube, zero pair)
+# would need 2p = 3m on 3-separated moduli and (zero pair, zero pair) would
+# be one writing, so neither occurs.
+_SYSTEM_OF_KINDS = {
+    ("distinct", "pair"): "S2", ("distinct", "zero pair"): "S2", ("cube", "distinct"): "S3",
+    ("pair", "zero pair"): "S4", ("cube", "pair"): "S5", ("pair", "pair"): "trivial",
+}
 
-def _shape(rep: Triple) -> tuple:
+
+def _kind(rep: Triple) -> tuple[str, tuple[int, int, int]]:
+    """A writing's kind and its F moduli: a repeated modulus first, else descending."""
     a, b, c = rep
     if a == b == c:
-        return ("triple", a)
-    if a == b:
-        return ("pair", a, c)
-    if b == c:
-        return ("pair", b, a)
-    return ("distinct", rep)
+        return "cube", (abs(a),) * 3
+    if a == b or b == c:
+        p, q = (a, c) if a == b else (c, a)
+        return ("pair" if q else "zero pair"), (abs(p), abs(p), abs(q))
+    return "distinct", tuple(sorted((abs(v) for v in rep), reverse=True))
 
 
 def _system_of(point: ClassifiedPoint) -> str:
-    """The system of an exception point, read from its two writings' shapes.
+    """The system of an exception point, looked up by its writings' sorted kinds.
 
-    A repeat-free writing against a squared one is S2, against a cube S3;
-    a squared writing against a cube is S5; two squared writings are S4
-    when one pairs with zero, and "trivial" (no eps fires) otherwise.
+    A pair of kinds outside ``_SYSTEM_OF_KINDS`` is a hard error.
     """
-    shapes = [_shape(r) for r in point.reps]
-    kinds = tuple(sorted(s[0] for s in shapes))
-    if kinds == ("pair", "pair"):
-        return "S4" if sum(s[2] == 0 for s in shapes) == 1 else "trivial"
-    system = {
-        ("distinct", "pair"): "S2",
-        ("distinct", "triple"): "S3",
-        ("pair", "triple"): "S5",
-    }.get(kinds)
-    if system is None:
+    kinds = tuple(sorted(_kind(r)[0] for r in point.reps))
+    if kinds not in _SYSTEM_OF_KINDS:
         raise StructureViolation(f"exception {point.point} writings {kinds} match no known system")
-    return system
+    return _SYSTEM_OF_KINDS[kinds]
 
 
 @functools.lru_cache(maxsize=64)
@@ -386,10 +409,11 @@ def _bound_tensor(
 
     Index k stands for ``support[k]``. A term adds coeff * integral to
     T[k1, k2, k3] and |coeff| times its error bound to the error tensor,
-    so the bound is sum T[a, b, c] x_a x_b x_c with x = |fhat|^2. Each
-    exception's system comes from ``_exceptions``, the table the systems
-    read, so eps lands on the writing they assume; eps weights are looked
-    up per fired exception and a missing one is a hard error.
+    so the bound is sum T[a, b, c] x_a x_b x_c with x = |fhat|^2. An
+    exception writing adds its share coeff * eps^power from ``_EPS_POWER``,
+    the table the systems read, so eps lands on the writing they assume;
+    eps weights are looked up per fired exception and a missing one is a
+    hard error.
     """
     system = {d: s for d, (s, _) in _exceptions(spectrum).items()}
     supp = tuple(support)
@@ -408,7 +432,16 @@ def _bound_tensor(
             value[k] += coeff * ival.value
             error[k] += abs(coeff) * ival.error_bound
 
-    # distinct-moduli triples: 15, plus 6/eps when the sum lies in S2 or S3
+    def split(d: int, kind: str) -> tuple[float, float]:
+        # a writing's flat coefficient and its eps share, 0 off the exceptions
+        _, flat, coeff, _ = _WRITING[kind]
+        power = _EPS_POWER.get((system.get(d), kind))
+        if power is None:
+            return flat, 0.0
+        eps = params.eps_for(d) if power else 1.0
+        return flat, coeff / eps if power < 0 else coeff * eps
+
+    # distinct-moduli triples: the flat and the eps share in one coefficient
     for n1 in supp:
         for n2 in supp:
             if abs(n1) == abs(n2):
@@ -416,43 +449,26 @@ def _bound_tensor(
             for n3 in supp:
                 if abs(n3) == abs(n1) or abs(n3) == abs(n2):
                     continue
-                d = n1 + n2 + n3
-                coeff = 15.0
-                if system.get(d) in ("S2", "S3"):
-                    coeff += 6.0 / params.eps_for(d)
-                add(coeff, (n1, n2, n3), (n1, n2, n3))
+                add(sum(split(n1 + n2 + n3, "distinct")), (n1, n2, n3), (n1, n2, n3))
 
     for n1 in supp:
         if n1 == 0:
             continue
-        # quartic cross sums over n2 with a different modulus
+        # quartic cross sums over n2 with a different modulus: the flat,
+        # then the eps share as a term of its own
         for n2 in supp:
             if abs(n1) == abs(n2):
                 continue
-            d = 2 * n1 + n2
-            s = system.get(d)
             quartic = (n1, n1, n2)
-            coeff = 9.0 * (1.0 + (1.0 if n2 != 0 else 0.0))
-            if s == "S2":
-                coeff += 9.0 * params.eps_for(d)
-            add(coeff, quartic, quartic)
-            # the second writing's share: 1/eps against a cube; in S4 eps
-            # on the zero-paired writing and 1/eps on the other
-            if s == "S5":
-                add(9.0 / params.eps_for(d), quartic, quartic)
-            elif s == "S4":
-                add(9.0 * params.eps_for(d) ** (1 if n2 == 0 else -1), quartic, quartic)
-            elif s == "trivial":
-                add(9.0, quartic, quartic)
+            flat, share = split(2 * n1 + n2, "pair" if n2 else "zero pair")
+            add(flat, quartic, quartic)
+            if share:
+                add(share, quartic, quartic)
             # paired-conjugate cross sum, nonzero opposite modulus only
             if n2 != 0:
                 add(9.0, (n1, -n1, n2), quartic)
-        # pure sixth powers: 1, plus eps when 3 n1 lies in S3 or S5
-        d3 = 3 * n1
-        coeff = 1.0
-        if system.get(d3) in ("S3", "S5"):
-            coeff += params.eps_for(d3)
-        add(coeff, (n1, n1, n1), (n1, n1, n1))
+        # pure sixth powers
+        add(sum(split(3 * n1, "cube")), (n1, n1, n1), (n1, n1, n1))
         add(9.0, (n1, n1, -n1), (n1, n1, n1))
         # rows against the zero frequency
         add(9.0 * (b + 1.0) / (b - 1.0), (n1, n1, 0), (n1, n1, 0))
@@ -634,10 +650,6 @@ class SystemReport:
         return min((r.margin for r in self.instances), default=math.inf)
 
 
-def _eps_instance(system_id: str, point: int, desc: str, lo: float, hi: float) -> SystemInstance:
-    return SystemInstance(system_id, point, desc, margin=hi - lo, eps_lo=lo, eps_hi=hi)
-
-
 def _global_rows(spectrum: SpectrumSet, b: float, r_max: float) -> list[SystemInstance]:
     rows: list[SystemInstance] = []
     pos = [v for v in spectrum.lambdas if v > 0]
@@ -675,67 +687,40 @@ def _global_rows(spectrum: SpectrumSet, b: float, r_max: float) -> list[SystemIn
 def _dispatch_exception(
     system: str, point: ClassifiedPoint, b: float, r_max: float
 ) -> list[SystemInstance]:
-    """The rows of one exception point under its system from ``_exceptions``."""
+    """The rows of one exception point, one writing at a time.
+
+    Each writing's power of eps comes from ``_EPS_POWER``, the table the
+    grouped bound reads. With room = mult * F - flat, power -1 bounds eps
+    below by coeff / room (inf where room <= 0) and power +1 bounds it
+    above by room / coeff; the window's row names the lower end's writing
+    first. Power 0, at a "trivial" point, gives each writing the margin
+    row mult * F - (flat + coeff).
+    """
     d = point.point
-    shapes = sorted((_shape(r) for r in point.reps), key=lambda s: s[0])
-    quartic = 9.0 * (b + 1.0) / (b - 1.0)
-
-    def dist_eps_lo(entries: tuple[int, int, int]) -> tuple[float, str]:
-        f_lo = f_lower(*entries, r_max)
-        lo = 6.0 / (f_lo - 15.0) if f_lo > 15.0 else math.inf
-        mods = tuple(sorted((abs(v) for v in entries), reverse=True))
-        return lo, f"15 + 6/eps <= F{mods} [F_lo={f_lo:.4f}]"
-
-    def pair_eps_lo(p: int, q: int) -> tuple[float, str]:
-        f_lo = f_lower(p, p, q, r_max)
-        lo = 9.0 / (3.0 * f_lo - 18.0) if 3.0 * f_lo > 18.0 else math.inf
-        return lo, f"9(2 + 1/eps) <= 3F({abs(p)},{abs(p)},{abs(q)}) [F_lo={f_lo:.4f}]"
-
-    if system == "S2":
-        # one repeat-free writing against a squared one
-        entries = shapes[0][1]
-        _, m1, m2 = shapes[1]
-        lo, lo_desc = dist_eps_lo(entries)
-        f2 = f_lower(m1, m1, m2, r_max)
-        base = (quartic if m2 == 0 else 0.0) + 9.0 * (1.0 + (1.0 if m2 != 0 else 0.0))
-        hi = (3.0 * f2 - base) / 9.0
-        desc = (
-            f"{lo_desc}; 9(..) + 9 eps <= 3F({abs(m1)},{abs(m1)},{abs(m2)}) "
-            f"[F_lo={f2:.4f}]"
-        )
-        return [_eps_instance("S2", d, desc, lo, hi)]
-    if system in ("S3", "S5"):
-        # a repeat-free (S3) or squared (S5) writing against the cube 3 m1
-        other, (_, m1) = shapes
-        lo, lo_desc = dist_eps_lo(other[1]) if system == "S3" else pair_eps_lo(*other[1:])
-        f2 = f_lower(m1, m1, m1, r_max)
-        hi = f2 - 1.0
-        desc = f"{lo_desc}; 1 + eps <= F({abs(m1)},{abs(m1)},{abs(m1)}) [F_lo={f2:.4f}]"
-        return [_eps_instance(system, d, desc, lo, hi)]
-    if system == "S4":
-        [(_, n1, _)] = [s for s in shapes if s[2] == 0]
-        [(_, m1, m2)] = [s for s in shapes if s[2] != 0]
-        f1 = f_lower(n1, n1, 0, r_max)
-        hi = (3.0 * f1 - quartic - 9.0) / 9.0
-        lo, lo_desc = pair_eps_lo(m1, m2)
-        desc = (
-            f"9(b+1)/(b-1) + 9(1+eps) <= 3F({abs(n1)},{abs(n1)},0) "
-            f"[F_lo={f1:.4f}]; {lo_desc}"
-        )
-        return [_eps_instance("S4", d, desc, lo, hi)]
-    # no eps fires: each squared writing must clear the flat row
-    out = []
-    for _, p, q in shapes:
-        f_lo = f_lower(p, p, q, r_max)
-        out.append(
-            SystemInstance(
-                "trivial",
-                d,
-                f"27 <= 3F({abs(p)},{abs(p)},{abs(q)}) [F_lo={f_lo:.4f}]",
-                3.0 * f_lo - 27.0,
-            )
-        )
-    return out
+    rows: list[SystemInstance] = []
+    ends: dict[int, tuple[float, str]] = {}
+    for rep in point.reps:
+        kind, moduli = _kind(rep)
+        power = _EPS_POWER[system, kind]
+        mult, flat, coeff, texts = _WRITING[kind]
+        f_lo = f_lower(*moduli, r_max)
+        text = f"{texts[power].format(*moduli)} [F_lo={f_lo:.4f}]"
+        if power == 0:
+            rows.append(SystemInstance(system, d, text, mult * f_lo - (flat + coeff)))
+            continue
+        room = mult * f_lo
+        if kind == "zero pair":
+            room -= 9.0 * (b + 1.0) / (b - 1.0)
+        room -= flat
+        if power < 0:
+            ends[power] = (coeff / room if room > 0.0 else math.inf), text
+        else:
+            ends[power] = room / coeff, text
+    if ends:
+        (lo, lo_text), (hi, hi_text) = ends[-1], ends[1]
+        text = f"{lo_text}; {hi_text}"
+        rows.append(SystemInstance(system, d, text, margin=hi - lo, eps_lo=lo, eps_hi=hi))
+    return rows
 
 
 def check_systems(
@@ -746,12 +731,12 @@ def check_systems(
 ) -> list[SystemReport]:
     """Check the global rows once and one system per exception point.
 
-    Each exception's system comes from ``_exceptions``, the table the
-    grouped bound reads, so both assume the same eps split; a shape pair
-    outside the known families is a hard error. Feasibility of an eps
-    window uses interval lower bounds for every F, so a reported window
-    survives quadrature error. The direct route's grid rows of every
-    modulus come from one Bessel pass before the first F.
+    Each exception's system comes from ``_exceptions`` and each writing's
+    power of eps from ``_EPS_POWER``, the tables the grouped bound reads,
+    so both assume the same eps split. Feasibility of an eps window uses
+    interval lower bounds for every F, so a reported window survives
+    quadrature error. The direct route's grid rows of every modulus come
+    from one Bessel pass before the first F.
     """
     if not b > 1:
         raise RangeError(f"weight b must exceed 1, got {b}")

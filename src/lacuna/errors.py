@@ -11,11 +11,6 @@ class RangeError(LacunaError, ValueError):
     """An argument fell outside the validated evaluation box."""
 
 
-class EvaluationError(LacunaError, ArithmeticError):
-    """A numerical routine lost its accuracy guarantee (e.g. a
-    normalization sum underflowed or went non-finite)."""
-
-
 class ZeroFindingError(LacunaError, ArithmeticError):
     """Root bracketing or refinement failed for a requested zero."""
 

@@ -191,6 +191,17 @@ def test_rescale_is_exact_and_keeps_squares_finite():
     assert 2.0 * n_start / TINY_ARG < 1.0 / bessel._SHRINK
 
 
+def test_miller_normalises_at_the_ends_of_its_range():
+    # the recurrence's normalising sum stays finite and positive from
+    # TINY_ARG, where a step grows p the most, to MAX_ARG, where the pass
+    # is longest: every row is finite, with |J| <= 1
+    xs = [TINY_ARG, 1.0e-139, MAX_ARG]
+    rows = [besselj_batch(MAX_ORDER, x) for x in xs] + list(besselj_batch(MAX_ORDER, np.array(xs)))
+    for row in rows:
+        assert row.shape == (MAX_ORDER + 1,)
+        assert np.all(np.isfinite(row)) and np.max(np.abs(row)) <= 1.0
+
+
 def test_batch_evaluates_tiny_x():
     # x = 10**(e/2) down to the smallest subnormal: the batch takes the
     # closed-form row below TINY_ARG, where one recurrence step can outgrow

@@ -595,6 +595,58 @@ def test_dispatch_rejects_unknown_shape():
         ct._system_of(bogus)
 
 
+def _row_sides(kind, f_lo, e, b):
+    # the paper's row of one exception writing, as (left, right) with
+    # e = eps^power: mult * F against the flat terms plus the eps share
+    return {
+        "distinct": (f_lo, 15.0 + 6.0 * e),
+        "pair": (3.0 * f_lo, 18.0 + 9.0 * e),
+        "zero pair": (3.0 * f_lo, 9.0 * (b + 1.0) / (b - 1.0) + 9.0 + 9.0 * e),
+        "cube": (f_lo, 1.0 + e),
+    }[kind]
+
+
+def test_tensor_and_rows_read_one_split():
+    # together the two spectra reach all five systems and both kinds of
+    # squared writing under S2. At each end of an eps window the writing
+    # that sets it holds its row with equality, and doubling one point's
+    # eps moves the tensor only at that point's writings: up where the
+    # writing carries eps, down where it carries 1/eps
+    seen = set()
+    for lambdas in ([0, 5, 22, 88, 274], [0, 1, 4, 13, 40, 121, 364]):
+        spectrum = make_spectrum(lambdas=lambdas)
+        params, reports = ct.derive_params(spectrum)
+        eps = dict(params.eps)
+        windows = {i.point: i for r in reports for i in r.instances if i.point in eps}
+        supp = tuple(sorted(spectrum.elements))
+        base, _ = ct._bound_tensor(spectrum, params, supp, ig.DEFAULT_R_MAX)
+        for d, (system, point) in ct._exceptions(spectrum).items():
+            seen.add(system)
+            if system == "trivial":
+                assert d not in eps
+                continue
+            inst = windows[d]
+            powers = {}
+            for rep in point.reps:
+                kind, moduli = ct._kind(rep)
+                power = ct._EPS_POWER[system, kind]
+                powers[rep] = power
+                seen.add((system, kind))
+                end = inst.eps_lo if power < 0 else inst.eps_hi
+                left, right = _row_sides(kind, ct.f_lower(*moduli), end**power, params.b)
+                assert math.isclose(left, right, rel_tol=1e-12), (d, rep)
+            assert sorted(powers.values()) == [-1, 1], d
+            doubled = ct.CertificateParams.from_mapping(params.b, {**eps, d: 2.0 * eps[d]})
+            value, _ = ct._bound_tensor(spectrum, doubled, supp, ig.DEFAULT_R_MAX)
+            moved = collections.defaultdict(set)
+            for k in zip(*np.nonzero(value - base)):
+                rep = tuple(sorted(supp[i] for i in k))
+                assert rep in powers, (d, rep)
+                moved[rep].add(np.sign(value[k] - base[k]) == powers[rep])
+            assert moved == {rep: {True} for rep in point.reps}, d
+    assert seen >= set(ct.SYSTEMS) | {("S2", "pair"), ("S2", "zero pair")}
+
+
 def test_derive_params_midpoints():
     params, reports = ct.derive_params(A5)
     eps = dict(params.eps)

@@ -20,7 +20,7 @@ import lacuna
 from lacuna import cli
 from lacuna import spectrum as sp
 from lacuna.cli import main
-from lacuna.errors import EvaluationError, StructureViolation
+from lacuna.errors import CertificateError, StructureViolation
 
 
 def run(capsys, *argv):
@@ -550,36 +550,102 @@ def test_certify_deterministic_bytes(capsys):
     assert out1 == out2
 
 
-# sha256 of certify's stdout before the exception table decided each
-# system once; both spectra reach all five systems. The json digest is of
-# that stdout without its former "b_interval" block: json.loads, delete the
-# key, json.dumps(sort_keys=True, indent=2) plus a newline (the round trip
-# without the delete gives the old stdout back byte for byte)
+def _without_descriptions(out):
+    # the report with every "description" key removed, rendered as certify
+    # renders json: json.dumps(sort_keys=True, indent=2) plus a newline
+    def strip(node):
+        if isinstance(node, dict):
+            return {k: strip(v) for k, v in node.items() if k != "description"}
+        if isinstance(node, list):
+            return [strip(v) for v in node]
+        return node
+
+    return json.dumps(strip(json.loads(out)), sort_keys=True, indent=2) + "\n"
+
+
+# sha256 of certify's stdout and, for json, of the same report without its
+# descriptions. Both spectra reach all five systems. The second digests are
+# those of the reports from before the rows read each writing's power of
+# eps from one table: only the descriptions of S2 rows with a zero pair and
+# the order within S4 rows moved, and no number did
 @pytest.mark.parametrize(
-    "argv, digest",
+    "argv, digest, numbers",
     [
         (
             ("--lambdas", "0,5,22,88,274", "--trials", "60", "--seed", "2"),
-            "2a61082ffc7160ae2c818eb758345995b7b612480d7daeb28621245a4362e0b6",
+            "5f58d559f35873f32e6ee5c96dae41caf8feb89dbd07bac7000fd34047150ab3",
+            "346dff9c0fdadb69f03dc094476ee054e2c07f68c033550a7126689715dbfc3e",
         ),
         (
             ("--lambdas", "0,5,20,70,222", "--trials", "60", "--format", "csv"),
             "cf877dde81f1abe011b1615d1b932962d1c67b327e3818b3eaa29fd35db5107f",
+            None,
         ),
         # the benchmark's two certify commands at seed 0
         (
             ("--base", "4", "--depth", "5", "--trials", "400", "--seed", "0"),
-            "61351b94a4084c73869cbd0b7463202fc798583a8407ce58a2240c837bb9f726",
+            "30595a8c0333d9a1ecd42e578084500c5b2518f26e3576763c83ab73607b2ead",
+            "d7cf1512e08ba9d0df1dbff4b937b50e7e836686df655b0cf438da826cf3d8df",
         ),
         (
             ("--lambdas", "0,1,4,13,40,121,364", "--trials", "20", "--seed", "0"),
-            "4d792115b2949e0897dd93b10c1aef27af640fbbf7c7a4b9c964161a0d207a55",
+            "876043e68e537ed4d494e50b61e23fafdfaad2366b8f33da799d104a9fe379cf",
+            "161a49180f658eef824fd39050f1c241d1620754dfc381bd76863e86fcda0e73",
         ),
     ],
     ids=["json", "csv", "certify-trials", "certify-wide"],
 )
-def test_certify_five_system_bytes(capsys, argv, digest):
+def test_certify_five_system_bytes(capsys, argv, digest, numbers):
     code, out, _ = run(capsys, "certify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if numbers is not None:
+        assert hashlib.sha256(_without_descriptions(out).encode()).hexdigest() == numbers
+
+
+def test_certify_wide_names_the_lower_end_first(capsys):
+    # every eps row names the writing that bounds eps below first, and a
+    # zero pair's row names both of its flat terms
+    code, out, _ = run(
+        capsys, "certify", "--lambdas", "0,1,4,13,40,121,364", "--trials", "1", "--seed", "0"
+    )
+    rows = {
+        (r["system"], i["point"]): i["description"]
+        for r in json.loads(out)["system_reports"]
+        for i in r["instances"]
+    }
+    assert code == 0
+    assert rows["S4", 2] == (
+        "9(2 + 1/eps) <= 3F(1,1,4) [F_lo=17.2539]; "
+        "9(b+1)/(b-1) + 9(1+eps) <= 3F(1,1,0) [F_lo=7.9400]"
+    )
+    assert rows["S2", 242] == (
+        "15 + 6/eps <= F(364, 121, 1) [F_lo=1718.4207]; "
+        "9(b+1)/(b-1) + 9(1+eps) <= 3F(121,121,0) [F_lo=278.3046]"
+    )
+
+
+# sha256 of the stdout of the benchmark's other three commands
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("integrals", "tilde", "1", "0", "0", "--order-cap", "40", "--format", "json"),
+            "9b1f7960d8dd14798b0f60ba1a1480d33fb73151be5faa7874bffcdfe1f72a44",
+        ),
+        (
+            ("integrals", "sweep", "--suite", "bounds-f", "--n-max", "8", "--format", "json"),
+            "f3ba661d8fe0875e29b4a7f1184eede93b2f19e79b3fd438efb4ae74ceadec81",
+        ),
+        (
+            ("spectrum", "classify", "--base", "5", "--depth", "40", "--cross-check"),
+            "275fe92e1c3c7c932268108eafd9eae44fd2000a1dc9699f47890a61a98e1344",
+        ),
+    ],
+    ids=["tilde", "sweep", "classify-deep"],
+)
+def test_benchmark_command_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -753,7 +819,7 @@ def test_thread_count_validation(capsys):
 
 def test_main_restores_the_callers_gc_state(monkeypatch, capsys):
     def broken(args):
-        raise EvaluationError("lost accuracy")
+        raise CertificateError("lost accuracy")
 
     assert gc.isenabled()
     assert run(capsys, "bessel", "eval", "-n", "0", "-x", "1")[0] == 0
