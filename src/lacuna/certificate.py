@@ -14,8 +14,11 @@ x = |fhat|^2, built as one (n, n, n) tensor; ``compute_S_upper_bound``
 evaluates it on one vector's support. ``check_systems`` certifies, per
 exception writing, that the grouped coefficients stay below the
 interaction margin 3F, which is what makes the grouped bound at most
-I(0,0,0) times the cubed mass. One table, ``_EPS_POWER``, tells both
-which writing of an exception point carries eps_D and which 1/eps_D.
+I(0,0,0) times the cubed mass. The global rows are F-free templates
+that name F's arguments; ``check_systems`` reads each distinct F triple
+once into one table and decides every row against it. The table
+``_EPS_POWER`` tells both the bound and the systems which writing of
+an exception point carries eps_D and which 1/eps_D.
 ``verdict_of`` compares both ends with a three-valued verdict, and
 ``verify_theorem`` applies it to the literal S of one vector.
 
@@ -27,14 +30,15 @@ time. Every sum is an ``IntegralValue``, so an error bound that
 underflowed to zero is refused. The literal S is the forms' oracle.
 
 One function, ``integrals.f_lower``, gives every lower bound for the
-ratio F the systems read: the larger of the floor of the triple's shape
-and the proven ``lo`` of ``integrals.f_ratio``, the program's one F
-interval. The floors live in one table beside ``f_ratio``, whose
-comments name the finite window on which each is checked; beyond it a
-floor is trusted as an assumption, and the member floors apply to
-3-separated moduli only, as in a lacunary spectrum. This module
-re-exports ``f_lower`` and the floors it reads. Every verdict consumes
-interval endpoints, so "holds" survives worst-case quadrature error.
+ratio F the systems read, and ``check_systems`` is its one caller here:
+the larger of the floor of the triple's shape and the proven ``lo`` of
+``integrals.f_ratio``, the program's one F interval. The floors live in
+one table beside ``f_ratio``, whose comments name the finite window on
+which each is checked; beyond it a floor is trusted as an assumption,
+and the member floors apply to 3-separated moduli only, as in a
+lacunary spectrum. This module re-exports ``f_lower`` and the floors it
+reads. Every verdict consumes interval endpoints, so "holds" survives
+worst-case quadrature error.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -156,7 +160,7 @@ _EPS_POWER = {
 _WRITING = {
     "distinct": (1.0, 15.0, 6.0, {-1: "15 + 6/eps <= F({}, {}, {})"}),
     "pair": (3.0, 18.0, 9.0, {-1: "9(2 + 1/eps) <= 3F({},{},{})", 0: "27 <= 3F({},{},{})",
-                              1: "9(..) + 9 eps <= 3F({},{},{})"}),
+                              1: "9(2 + eps) <= 3F({},{},{})"}),
     "zero pair": (3.0, 9.0, 9.0, {1: "9(b+1)/(b-1) + 9(1+eps) <= 3F({},{},{})"}),
     "cube": (1.0, 1.0, 1.0, {1: "1 + eps <= F({},{},{})"}),
 }
@@ -254,59 +258,6 @@ def feasible_b_interval(f_pair_zero_lo: float = F_FLOOR_PAIR0) -> BWindow:
         hi = Fraction(10**9)  # the cross row is vacuous for b > 1
     feasible = 1 < lo <= hi
     return BWindow(float(lo), float(hi), lo, hi, feasible)
-
-
-# ---------------------------------------------------------------------------
-# norm expansion
-
-
-@dataclass(frozen=True)
-class NormSixth:
-    """(sum |fhat|^2)^3 next to its grouped nine-sum expansion."""
-
-    mass_cubed: float
-    grouped: float
-
-
-def compute_norm6(f: CoefficientVector) -> NormSixth:
-    """Cube of the squared l2 mass, plus the grouped expansion.
-
-    The grouped form splits ordered frequency triples by modulus
-    pattern; the two results must agree to 1e-12 relative (tested).
-    """
-    x = {n: abs(z) ** 2 for n, z in f.entries}
-    supp = f.support
-    mass = sum(x.values())
-    x0 = x.get(0, 0.0)
-
-    def xm(n: int) -> float:
-        return x.get(n, 0.0)
-
-    grouped = x0**3                                               # 0,0,0
-    g_distinct = 0.0
-    for u in supp:
-        for v in supp:
-            if abs(u) == abs(v):
-                continue
-            for w in supp:
-                if abs(w) == abs(u) or abs(w) == abs(v):
-                    continue
-                g_distinct += x[u] * x[v] * x[w]
-    grouped += g_distinct
-    for u in supp:
-        if u == 0:
-            continue
-        grouped += x[u] ** 3                                      # n,n,n
-        grouped += 3.0 * x[u] ** 2 * x0                           # n,n,0
-        grouped += 3.0 * x[u] * x[u] * xm(-u)                     # n,n,-n
-        grouped += 3.0 * x[u] * xm(-u) * x0                       # n,-n,0
-        grouped += 3.0 * x[u] * x0**2                             # n,0,0
-        for v in supp:
-            if v == 0 or abs(v) == abs(u):
-                continue
-            grouped += 3.0 * x[u] ** 2 * x[v]                     # n,n,m
-            grouped += 3.0 * x[u] * x[v] * xm(-v)                 # n,m,-m
-    return NormSixth(mass_cubed=mass**3, grouped=grouped)
 
 
 # ---------------------------------------------------------------------------
@@ -650,47 +601,33 @@ class SystemReport:
         return min((r.margin for r in self.instances), default=math.inf)
 
 
-def _global_rows(spectrum: SpectrumSet, b: float, r_max: float) -> list[SystemInstance]:
-    rows: list[SystemInstance] = []
+def _global_rows(
+    spectrum: SpectrumSet, b: float
+) -> Iterator[tuple[str, float, tuple[int, ...], float]]:
+    """The global rows as F-free templates (text, mult, F moduli, rhs): mult * F >= rhs."""
     pos = [v for v in spectrum.lambdas if v > 0]
     quartic = 9.0 * (b + 1.0) / (b - 1.0)
     cross = 9.0 * (b - 3.0) / (b - 1.0)
     for mu in pos:
-        lo = 3.0 * f_lower(mu, mu, mu, r_max)
-        rows.append(SystemInstance("trivial", None, f"9 <= 3F({mu},{mu},{mu})", lo - 9.0))
-        lo = 3.0 * f_lower(mu, 0, 0, r_max)
-        rows.append(SystemInstance("trivial", None, f"15 <= 3F({mu},0,0)", lo - 15.0))
-        lo = 3.0 * f_lower(mu, mu, 0, r_max)
-        rows.append(
-            SystemInstance(
-                "trivial", None, f"9(b-3)/(b-1) + 18 <= 3F({mu},{mu},0)", lo - (cross + 18.0)
-            )
-        )
-        rows.append(
-            SystemInstance(
-                "trivial", None, f"9(b+1)/(b-1) + 9 <= 3F({mu},{mu},0)", lo - (quartic + 9.0)
-            )
-        )
-    for m1 in pos:
-        for m2 in pos:
-            if m1 == m2:
-                continue
-            lo = 3.0 * f_lower(m1, m1, m2, r_max)
-            rows.append(SystemInstance("trivial", None, f"27 <= 3F({m1},{m1},{m2})", lo - 27.0))
+        yield f"9 <= 3F({mu},{mu},{mu})", 3.0, (mu, mu, mu), 9.0
+        yield f"15 <= 3F({mu},0,0)", 3.0, (mu, 0, 0), 15.0
+        yield f"9(b-3)/(b-1) + 18 <= 3F({mu},{mu},0)", 3.0, (mu, mu, 0), cross + 18.0
+        yield f"9(b+1)/(b-1) + 9 <= 3F({mu},{mu},0)", 3.0, (mu, mu, 0), quartic + 9.0
+    for m1, m2 in itertools.permutations(pos, 2):
+        yield f"27 <= 3F({m1},{m1},{m2})", 3.0, (m1, m1, m2), 27.0
     # make_spectrum keeps the lambdas strictly increasing
     for n3, n2, n1 in itertools.combinations(spectrum.lambdas, 3):
-        lo = f_lower(n1, n2, n3, r_max)
-        rows.append(SystemInstance("trivial", None, f"15 <= F({n1},{n2},{n3})", lo - 15.0))
-    return rows
+        yield f"15 <= F({n1},{n2},{n3})", 1.0, (n1, n2, n3), 15.0
 
 
 def _dispatch_exception(
-    system: str, point: ClassifiedPoint, b: float, r_max: float
+    system: str, point: ClassifiedPoint, b: float, f_table: Mapping[tuple[int, ...], float]
 ) -> list[SystemInstance]:
     """The rows of one exception point, one writing at a time.
 
     Each writing's power of eps comes from ``_EPS_POWER``, the table the
-    grouped bound reads. With room = mult * F - flat, power -1 bounds eps
+    grouped bound reads, and its F lower end from ``f_table``, keyed by
+    sorted moduli. With room = mult * F - flat, power -1 bounds eps
     below by coeff / room (inf where room <= 0) and power +1 bounds it
     above by room / coeff; the window's row names the lower end's writing
     first. Power 0, at a "trivial" point, gives each writing the margin
@@ -703,7 +640,7 @@ def _dispatch_exception(
         kind, moduli = _kind(rep)
         power = _EPS_POWER[system, kind]
         mult, flat, coeff, texts = _WRITING[kind]
-        f_lo = f_lower(*moduli, r_max)
+        f_lo = f_table[tuple(sorted(moduli))]
         text = f"{texts[power].format(*moduli)} [F_lo={f_lo:.4f}]"
         if power == 0:
             rows.append(SystemInstance(system, d, text, mult * f_lo - (flat + coeff)))
@@ -718,8 +655,7 @@ def _dispatch_exception(
             ends[power] = room / coeff, text
     if ends:
         (lo, lo_text), (hi, hi_text) = ends[-1], ends[1]
-        text = f"{lo_text}; {hi_text}"
-        rows.append(SystemInstance(system, d, text, margin=hi - lo, eps_lo=lo, eps_hi=hi))
+        rows.append(SystemInstance(system, d, f"{lo_text}; {hi_text}", hi - lo, lo, hi))
     return rows
 
 
@@ -731,20 +667,31 @@ def check_systems(
 ) -> list[SystemReport]:
     """Check the global rows once and one system per exception point.
 
-    Each exception's system comes from ``_exceptions`` and each writing's
-    power of eps from ``_EPS_POWER``, the tables the grouped bound reads,
-    so both assume the same eps split. Feasibility of an eps window uses
-    interval lower bounds for every F, so a reported window survives
-    quadrature error. The direct route's grid rows of every modulus come
-    from one Bessel pass before the first F.
+    The global templates and every exception writing name F triples;
+    ``f_lower`` reads each distinct sorted triple once, in first-use
+    order, into one table that decides every row. Each exception's system
+    comes from ``_exceptions`` and each writing's power of eps from
+    ``_EPS_POWER``, the tables the grouped bound reads, so both assume
+    the same eps split. Every row reads interval lower bounds for F, so a
+    reported window survives quadrature error. The direct route's grid
+    rows of every modulus come from one Bessel pass before the first F.
     """
     if not b > 1:
         raise RangeError(f"weight b must exceed 1, got {b}")
     fill_grid_rows((0, *A.elements), r_max)
+    templates = list(_global_rows(A, b))
+    exceptions = _exceptions(A).values()
+    named = [moduli for _, _, moduli, _ in templates]
+    named += [_kind(rep)[1] for _, point in exceptions for rep in point.reps]
+    keys = dict.fromkeys(tuple(sorted(moduli)) for moduli in named)
+    f_table = {key: f_lower(*key, r_max) for key in keys}
     instances: dict[str, list[SystemInstance]] = {system_id: [] for system_id in SYSTEMS}
-    instances["trivial"].extend(_global_rows(A, b, r_max))
-    for system, point in _exceptions(A).values():
-        instances[system].extend(_dispatch_exception(system, point, b, r_max))
+    instances["trivial"].extend(
+        SystemInstance("trivial", None, text, mult * f_table[tuple(sorted(moduli))] - rhs)
+        for text, mult, moduli, rhs in templates
+    )
+    for system, point in exceptions:
+        instances[system].extend(_dispatch_exception(system, point, b, f_table))
     return [SystemReport(system_id, tuple(instances[system_id])) for system_id in SYSTEMS]
 
 
@@ -786,7 +733,7 @@ class TheoremVerdict:
     verdict: str            # "holds" | "fails" | "indeterminate"
     margin: float           # I(0,0,0) mass^3 - S
     error_budget: float
-    equality_case: bool     # within budget of equality with support in {0}
+    equality_case: bool     # indeterminate, with support in {0}
 
 
 def verdict_of(
@@ -805,19 +752,14 @@ def verdict_of(
     mass3 = f.mass() ** 3
     budget = s.error_bound + i000.error_bound * mass3
     margin = i000.value * mass3 - s.value
-    on_zero = all(n == 0 for n in f.support)
     if margin > budget:
         verdict = "holds"
     elif margin < -budget:
         verdict = "fails"
     else:
         verdict = "indeterminate"
-    return TheoremVerdict(
-        verdict=verdict,
-        margin=margin,
-        error_budget=budget,
-        equality_case=(verdict != "fails" and abs(margin) <= budget and on_zero),
-    )
+    on_zero = all(n == 0 for n in f.support)
+    return TheoremVerdict(verdict, margin, budget, verdict == "indeterminate" and on_zero)
 
 
 def verify_theorem(

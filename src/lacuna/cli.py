@@ -517,10 +517,7 @@ def _trial_dict(
     verdict: ct.TheoremVerdict,
 ) -> dict:
     grouped_ok = s.value <= ub.value + ub.error_bound + s.error_bound
-    passed = grouped_ok and (
-        verdict.verdict == "holds"
-        or (verdict.verdict == "indeterminate" and verdict.equality_case)
-    )
+    passed = grouped_ok and (verdict.verdict == "holds" or verdict.equality_case)
     return {
         "index": index,
         "source": label,

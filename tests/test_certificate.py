@@ -54,12 +54,49 @@ def test_constant_vector():
 # norm expansion
 
 
+def _grouped_norm6(f):
+    # the paper's grouped nine-sum expansion of mass^3: ordered frequency
+    # triples split by modulus pattern
+    x = {n: abs(z) ** 2 for n, z in f.entries}
+    supp = f.support
+    x0 = x.get(0, 0.0)
+
+    def xm(n):
+        return x.get(n, 0.0)
+
+    grouped = x0**3                                               # 0,0,0
+    g_distinct = 0.0
+    for u in supp:
+        for v in supp:
+            if abs(u) == abs(v):
+                continue
+            for w in supp:
+                if abs(w) == abs(u) or abs(w) == abs(v):
+                    continue
+                g_distinct += x[u] * x[v] * x[w]
+    grouped += g_distinct
+    for u in supp:
+        if u == 0:
+            continue
+        grouped += x[u] ** 3                                      # n,n,n
+        grouped += 3.0 * x[u] ** 2 * x0                           # n,n,0
+        grouped += 3.0 * x[u] * x[u] * xm(-u)                     # n,n,-n
+        grouped += 3.0 * x[u] * xm(-u) * x0                       # n,-n,0
+        grouped += 3.0 * x[u] * x0**2                             # n,0,0
+        for v in supp:
+            if v == 0 or abs(v) == abs(u):
+                continue
+            grouped += 3.0 * x[u] ** 2 * x[v]                     # n,n,m
+            grouped += 3.0 * x[u] * x[v] * xm(-v)                 # n,m,-m
+    return grouped
+
+
 def test_norm6_examples():
     one = ct.CoefficientVector.from_dict(A5, {0: 1.0})
-    r = ct.compute_norm6(one)
-    assert r.mass_cubed == 1.0 and r.grouped == 1.0
+    assert one.mass() ** 3 == 1.0 and _grouped_norm6(one) == 1.0
     pair = ct.CoefficientVector.from_dict(A5, {1: 1.0, -1: 1.0})
-    assert ct.compute_norm6(pair).mass_cubed == pytest.approx(8.0, rel=1e-15)
+    assert pair.mass() ** 3 == pytest.approx(8.0, rel=1e-15)
+    assert _grouped_norm6(pair) == pytest.approx(8.0, rel=1e-15)
 
 
 def test_norm6_identity_random():
@@ -67,8 +104,8 @@ def test_norm6_identity_random():
     for _ in range(1000):
         size = rng.randint(1, 9)
         f = ct.random_vector(A5 if rng.random() < 0.5 else A4, rng, size=size)
-        r = ct.compute_norm6(f)
-        assert abs(r.grouped - r.mass_cubed) <= 1e-12 * max(r.mass_cubed, 1.0)
+        mass_cubed = f.mass() ** 3
+        assert abs(_grouped_norm6(f) - mass_cubed) <= 1e-12 * max(mass_cubed, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,8 +119,8 @@ def test_norm6_identity_random():
 def test_norm6_identity_property(amps):
     elements = sorted(A5.elements)[: len(amps)]
     f = ct.CoefficientVector.from_dict(A5, dict(zip(elements, amps)))
-    r = ct.compute_norm6(f)
-    assert abs(r.grouped - r.mass_cubed) <= 1e-11 * max(r.mass_cubed, 1.0)
+    mass_cubed = f.mass() ** 3
+    assert abs(_grouped_norm6(f) - mass_cubed) <= 1e-11 * max(mass_cubed, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +236,7 @@ def test_s_exact_zero_support_chain():
     direct = ig.i_direct((0,) * 6)
     assert s0.value == pytest.approx(direct.value, rel=1e-15)
     # (2pi)^7 S / ((2pi)^3 norm6) equals the conjectured constant
-    norm6 = ct.compute_norm6(f0).mass_cubed
-    chain = (2 * math.pi) ** 7 * s0.value / ((2 * math.pi) ** 3 * norm6)
+    chain = (2 * math.pi) ** 7 * s0.value / ((2 * math.pi) ** 3 * f0.mass() ** 3)
     assert chain == pytest.approx(ig.c_opt().value, rel=1e-12)
 
 
@@ -576,6 +612,58 @@ def test_systems_global_row_equality_case():
     trivial = [r for r in reports if r.system_id == "trivial"][0]
     eq_rows = [i for i in trivial.instances if i.description == "15 <= 3F(1,0,0)"]
     assert len(eq_rows) == 1 and eq_rows[0].feasible and eq_rows[0].margin == 0.0
+
+
+WIDE = make_spectrum(lambdas=[0, 1, 4, 13, 40, 121, 364])
+
+
+@pytest.mark.parametrize(
+    "spectrum, distinct",
+    [(A4, 55), (WIDE, 83), (make_spectrum(lambdas=[0, 1, 5, 17]), 19)],
+    ids=["base4-depth5", "wide", "0-1-5-17"],
+)
+def test_systems_read_each_f_triple_once(monkeypatch, spectrum, distinct):
+    # one f_lower per distinct sorted triple that a global row or an
+    # exception writing names; 0,1,5,17 has eps-free exception rows
+    reads = []
+    original = ct.f_lower
+
+    def counted(*args):
+        reads.append(tuple(sorted(args[:3])))
+        return original(*args)
+
+    monkeypatch.setattr(ct, "f_lower", counted)
+    ct.check_systems(spectrum)
+    assert len(reads) == len(set(reads)) == distinct
+
+
+@pytest.mark.parametrize("spectrum, rows", [(A4, 60), (WIDE, 89)], ids=["base4-depth5", "wide"])
+def test_global_rows_are_templates_that_read_no_f(monkeypatch, spectrum, rows):
+    def refuse(*args):
+        raise AssertionError("a template read F")
+
+    monkeypatch.setattr(ct, "f_lower", refuse)
+    templates = list(ct._global_rows(spectrum, ct.DEFAULT_B))
+    p = sum(1 for v in spectrum.lambdas if v > 0)
+    assert len(templates) == 4 * p + p * (p - 1) + math.comb(p + 1, 3) == rows
+    monkeypatch.undo()
+    # the system's global rows are the templates, in order, against F's lower ends
+    trivial = ct.check_systems(spectrum)[0].instances[:rows]
+    assert [i.description for i in trivial] == [text for text, *_ in templates]
+    for inst, (_, mult, moduli, rhs) in zip(trivial, templates):
+        assert inst.margin == mult * ct.f_lower(*moduli) - rhs
+
+
+def test_check_systems_is_the_one_reader_of_f():
+    tree = ast.parse(Path(ct.__file__).read_text(encoding="utf-8"))
+    readers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "f_lower"
+    }
+    assert readers == {"check_systems"}
 
 
 def test_dispatch_rejects_unknown_shape():

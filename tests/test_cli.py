@@ -567,13 +567,14 @@ def _without_descriptions(out):
 # descriptions. Both spectra reach all five systems. The second digests are
 # those of the reports from before the rows read each writing's power of
 # eps from one table: only the descriptions of S2 rows with a zero pair and
-# the order within S4 rows moved, and no number did
+# the order within S4 rows moved, and no number did. Since then only the
+# text of an S2 pair writing moved, from "9(..) + 9 eps" to "9(2 + eps)"
 @pytest.mark.parametrize(
     "argv, digest, numbers",
     [
         (
             ("--lambdas", "0,5,22,88,274", "--trials", "60", "--seed", "2"),
-            "5f58d559f35873f32e6ee5c96dae41caf8feb89dbd07bac7000fd34047150ab3",
+            "6514546d589ac0606c6aea1c59e49c7a91d3f146c7c713849c16f03013df52d8",
             "346dff9c0fdadb69f03dc094476ee054e2c07f68c033550a7126689715dbfc3e",
         ),
         (
@@ -589,7 +590,7 @@ def _without_descriptions(out):
         ),
         (
             ("--lambdas", "0,1,4,13,40,121,364", "--trials", "20", "--seed", "0"),
-            "876043e68e537ed4d494e50b61e23fafdfaad2366b8f33da799d104a9fe379cf",
+            "8d4bcf750904799c37fc6aff9503fed4f00c99f383efaca5bc7624d0c0eb0e4b",
             "161a49180f658eef824fd39050f1c241d1620754dfc381bd76863e86fcda0e73",
         ),
     ],
@@ -605,7 +606,7 @@ def test_certify_five_system_bytes(capsys, argv, digest, numbers):
 
 def test_certify_wide_names_the_lower_end_first(capsys):
     # every eps row names the writing that bounds eps below first, and a
-    # zero pair's row names both of its flat terms
+    # pair's or zero pair's row names every flat term it checks
     code, out, _ = run(
         capsys, "certify", "--lambdas", "0,1,4,13,40,121,364", "--trials", "1", "--seed", "0"
     )
@@ -622,6 +623,10 @@ def test_certify_wide_names_the_lower_end_first(capsys):
     assert rows["S2", 242] == (
         "15 + 6/eps <= F(364, 121, 1) [F_lo=1718.4207]; "
         "9(b+1)/(b-1) + 9(1+eps) <= 3F(121,121,0) [F_lo=278.3046]"
+    )
+    assert rows["S2", -243] == (
+        "15 + 6/eps <= F(364, 121, 0) [F_lo=1652.6255]; "
+        "9(2 + eps) <= 3F(121,121,1) [F_lo=269.2163]"
     )
 
 
