@@ -14,11 +14,12 @@ x = |fhat|^2, built as one (n, n, n) tensor; ``compute_S_upper_bound``
 evaluates it on one vector's support. ``check_systems`` certifies, per
 exception writing, that the grouped coefficients stay below the
 interaction margin 3F, which is what makes the grouped bound at most
-I(0,0,0) times the cubed mass. The global rows are F-free templates
-that name F's arguments; ``check_systems`` reads each distinct F triple
-once into one table and decides every row against it. The table
-``_EPS_POWER`` tells both the bound and the systems which writing of
-an exception point carries eps_D and which 1/eps_D.
+I(0,0,0) times the cubed mass. One table, ``_SYSTEM_OF_KINDS``, gives
+each exception point its system and tells both the bound and the
+systems which writing carries eps_D and which 1/eps_D. Every row,
+global or exception, is an F-free template that names F's arguments;
+``check_systems`` reads each distinct F triple once into one table and
+decides every row against it in one loop.
 ``verdict_of`` compares both ends with a three-valued verdict, and
 ``verify_theorem`` applies it to the literal S of one vector.
 
@@ -149,13 +150,6 @@ SYSTEMS = ("trivial", "S2", "S3", "S4", "S5")
 #   zero pair (p,p,0): 3F >= 9(b+1)/(b-1) + 9 + 9 eps^power
 #   cube (m,m,m):       F >= 1 + eps^power
 # Power -1 bounds eps below, +1 above, and 0 gives an eps-free margin row.
-_EPS_POWER = {
-    ("S2", "distinct"): -1, ("S2", "pair"): 1, ("S2", "zero pair"): 1,
-    ("S3", "distinct"): -1, ("S3", "cube"): 1,
-    ("S4", "pair"): -1, ("S4", "zero pair"): 1,
-    ("S5", "pair"): -1, ("S5", "cube"): 1,
-    ("trivial", "pair"): 0,
-}
 # kind: (mult, flat, coeff, the row's text at each power the kind takes)
 _WRITING = {
     "distinct": (1.0, 15.0, 6.0, {-1: "15 + 6/eps <= F({}, {}, {})"}),
@@ -164,12 +158,16 @@ _WRITING = {
     "zero pair": (3.0, 9.0, 9.0, {1: "9(b+1)/(b-1) + 9(1+eps) <= 3F({},{},{})"}),
     "cube": (1.0, 1.0, 1.0, {1: "1 + eps <= F({},{},{})"}),
 }
-# The system of a point's two writings, by sorted kinds. (cube, zero pair)
-# would need 2p = 3m on 3-separated moduli and (zero pair, zero pair) would
-# be one writing, so neither occurs.
+# A point's sorted writing kinds give its system and each kind's power of
+# eps, in the same order. (cube, zero pair) would need 2p = 3m on 3-separated
+# moduli and (zero pair, zero pair) would be one writing, so neither occurs.
 _SYSTEM_OF_KINDS = {
-    ("distinct", "pair"): "S2", ("distinct", "zero pair"): "S2", ("cube", "distinct"): "S3",
-    ("pair", "zero pair"): "S4", ("cube", "pair"): "S5", ("pair", "pair"): "trivial",
+    ("distinct", "pair"): ("S2", (-1, 1)),
+    ("distinct", "zero pair"): ("S2", (-1, 1)),
+    ("cube", "distinct"): ("S3", (1, -1)),
+    ("pair", "zero pair"): ("S4", (-1, 1)),
+    ("cube", "pair"): ("S5", (1, -1)),
+    ("pair", "pair"): ("trivial", (0, 0)),
 }
 
 
@@ -184,22 +182,23 @@ def _kind(rep: Triple) -> tuple[str, tuple[int, int, int]]:
     return "distinct", tuple(sorted((abs(v) for v in rep), reverse=True))
 
 
-def _system_of(point: ClassifiedPoint) -> str:
-    """The system of an exception point, looked up by its writings' sorted kinds.
+def _system_of(point: ClassifiedPoint) -> tuple[str, dict[str, int]]:
+    """The system of an exception point and each writing kind's power of eps.
 
     A pair of kinds outside ``_SYSTEM_OF_KINDS`` is a hard error.
     """
     kinds = tuple(sorted(_kind(r)[0] for r in point.reps))
     if kinds not in _SYSTEM_OF_KINDS:
         raise StructureViolation(f"exception {point.point} writings {kinds} match no known system")
-    return _SYSTEM_OF_KINDS[kinds]
+    system, powers = _SYSTEM_OF_KINDS[kinds]
+    return system, dict(zip(kinds, powers))
 
 
 @functools.lru_cache(maxsize=64)
-def _exceptions(spectrum: SpectrumSet) -> dict[int, tuple[str, ClassifiedPoint]]:
-    """Each exception point of the spectrum with its system."""
+def _exceptions(spectrum: SpectrumSet) -> dict[int, tuple[str, dict[str, int], ClassifiedPoint]]:
+    """Each exception point of the spectrum with its system and its kinds' powers of eps."""
     return {
-        c.point: (_system_of(c), c)
+        c.point: (*_system_of(c), c)
         for c in classify_brute_force(spectrum)
         if c.kind is PointKind.EXCEPTION
     }
@@ -361,12 +360,12 @@ def _bound_tensor(
     Index k stands for ``support[k]``. A term adds coeff * integral to
     T[k1, k2, k3] and |coeff| times its error bound to the error tensor,
     so the bound is sum T[a, b, c] x_a x_b x_c with x = |fhat|^2. An
-    exception writing adds its share coeff * eps^power from ``_EPS_POWER``,
-    the table the systems read, so eps lands on the writing they assume;
-    eps weights are looked up per fired exception and a missing one is a
-    hard error.
+    exception writing adds its share coeff * eps^power, its power read
+    from ``_exceptions`` as the systems read it, so eps lands on the
+    writing they assume; eps weights are looked up per fired exception and
+    a missing one is a hard error.
     """
-    system = {d: s for d, (s, _) in _exceptions(spectrum).items()}
+    powers = {d: p for d, (_, p, _) in _exceptions(spectrum).items()}
     supp = tuple(support)
     col = {n: k for k, n in enumerate(supp)}
     present = set(supp)
@@ -386,7 +385,7 @@ def _bound_tensor(
     def split(d: int, kind: str) -> tuple[float, float]:
         # a writing's flat coefficient and its eps share, 0 off the exceptions
         _, flat, coeff, _ = _WRITING[kind]
-        power = _EPS_POWER.get((system.get(d), kind))
+        power = powers.get(d, {}).get(kind)
         if power is None:
             return flat, 0.0
         eps = params.eps_for(d) if power else 1.0
@@ -601,62 +600,45 @@ class SystemReport:
         return min((r.margin for r in self.instances), default=math.inf)
 
 
-def _global_rows(
-    spectrum: SpectrumSet, b: float
-) -> Iterator[tuple[str, float, tuple[int, ...], float]]:
-    """The global rows as F-free templates (text, mult, F moduli, rhs): mult * F >= rhs."""
+# (system, point, text, mult, F moduli, rhs, coeff, power): the row
+# mult * F >= rhs + coeff * eps^power, its right-hand terms subtracted in order
+_Row = tuple[str, int | None, str, float, tuple[int, ...], tuple[float, ...], float, int]
+
+
+def _rows(spectrum: SpectrumSet, b: float) -> Iterator[_Row]:
+    """Every system row as an F-free template: the global rows, then each
+    exception point's writings, their powers of eps from ``_exceptions``.
+
+    A power-0 row folds its eps-free share into rhs and has coeff 0.
+    """
     pos = [v for v in spectrum.lambdas if v > 0]
     quartic = 9.0 * (b + 1.0) / (b - 1.0)
     cross = 9.0 * (b - 3.0) / (b - 1.0)
+
+    def global_row(text: str, mult: float, moduli: tuple[int, ...], rhs: float) -> _Row:
+        return "trivial", None, text, mult, moduli, (rhs,), 0.0, 0
+
     for mu in pos:
-        yield f"9 <= 3F({mu},{mu},{mu})", 3.0, (mu, mu, mu), 9.0
-        yield f"15 <= 3F({mu},0,0)", 3.0, (mu, 0, 0), 15.0
-        yield f"9(b-3)/(b-1) + 18 <= 3F({mu},{mu},0)", 3.0, (mu, mu, 0), cross + 18.0
-        yield f"9(b+1)/(b-1) + 9 <= 3F({mu},{mu},0)", 3.0, (mu, mu, 0), quartic + 9.0
+        yield global_row(f"9 <= 3F({mu},{mu},{mu})", 3.0, (mu, mu, mu), 9.0)
+        yield global_row(f"15 <= 3F({mu},0,0)", 3.0, (mu, 0, 0), 15.0)
+        yield global_row(f"9(b-3)/(b-1) + 18 <= 3F({mu},{mu},0)", 3.0, (mu, mu, 0), cross + 18.0)
+        yield global_row(f"9(b+1)/(b-1) + 9 <= 3F({mu},{mu},0)", 3.0, (mu, mu, 0), quartic + 9.0)
     for m1, m2 in itertools.permutations(pos, 2):
-        yield f"27 <= 3F({m1},{m1},{m2})", 3.0, (m1, m1, m2), 27.0
+        yield global_row(f"27 <= 3F({m1},{m1},{m2})", 3.0, (m1, m1, m2), 27.0)
     # make_spectrum keeps the lambdas strictly increasing
     for n3, n2, n1 in itertools.combinations(spectrum.lambdas, 3):
-        yield f"15 <= F({n1},{n2},{n3})", 1.0, (n1, n2, n3), 15.0
-
-
-def _dispatch_exception(
-    system: str, point: ClassifiedPoint, b: float, f_table: Mapping[tuple[int, ...], float]
-) -> list[SystemInstance]:
-    """The rows of one exception point, one writing at a time.
-
-    Each writing's power of eps comes from ``_EPS_POWER``, the table the
-    grouped bound reads, and its F lower end from ``f_table``, keyed by
-    sorted moduli. With room = mult * F - flat, power -1 bounds eps
-    below by coeff / room (inf where room <= 0) and power +1 bounds it
-    above by room / coeff; the window's row names the lower end's writing
-    first. Power 0, at a "trivial" point, gives each writing the margin
-    row mult * F - (flat + coeff).
-    """
-    d = point.point
-    rows: list[SystemInstance] = []
-    ends: dict[int, tuple[float, str]] = {}
-    for rep in point.reps:
-        kind, moduli = _kind(rep)
-        power = _EPS_POWER[system, kind]
-        mult, flat, coeff, texts = _WRITING[kind]
-        f_lo = f_table[tuple(sorted(moduli))]
-        text = f"{texts[power].format(*moduli)} [F_lo={f_lo:.4f}]"
-        if power == 0:
-            rows.append(SystemInstance(system, d, text, mult * f_lo - (flat + coeff)))
-            continue
-        room = mult * f_lo
-        if kind == "zero pair":
-            room -= 9.0 * (b + 1.0) / (b - 1.0)
-        room -= flat
-        if power < 0:
-            ends[power] = (coeff / room if room > 0.0 else math.inf), text
-        else:
-            ends[power] = room / coeff, text
-    if ends:
-        (lo, lo_text), (hi, hi_text) = ends[-1], ends[1]
-        rows.append(SystemInstance(system, d, f"{lo_text}; {hi_text}", hi - lo, lo, hi))
-    return rows
+        yield global_row(f"15 <= F({n1},{n2},{n3})", 1.0, (n1, n2, n3), 15.0)
+    for d, (system, powers, point) in _exceptions(spectrum).items():
+        for rep in point.reps:
+            kind, moduli = _kind(rep)
+            power = powers[kind]
+            mult, flat, coeff, texts = _WRITING[kind]
+            # 3F - quartic - 9 here against 3F - (quartic + 9) in the global
+            # row: the two round apart, and each window keeps its own bits
+            rhs = (quartic, flat) if kind == "zero pair" else (flat,)
+            if power == 0:
+                rhs, coeff = (flat + coeff,), 0.0
+            yield system, d, texts[power].format(*moduli), mult, moduli, rhs, coeff, power
 
 
 def check_systems(
@@ -667,31 +649,47 @@ def check_systems(
 ) -> list[SystemReport]:
     """Check the global rows once and one system per exception point.
 
-    The global templates and every exception writing name F triples;
-    ``f_lower`` reads each distinct sorted triple once, in first-use
-    order, into one table that decides every row. Each exception's system
-    comes from ``_exceptions`` and each writing's power of eps from
-    ``_EPS_POWER``, the tables the grouped bound reads, so both assume
-    the same eps split. Every row reads interval lower bounds for F, so a
-    reported window survives quadrature error. The direct route's grid
-    rows of every modulus come from one Bessel pass before the first F.
+    Every row is a template of ``_rows``; ``f_lower`` reads each distinct
+    sorted F triple they name once, in first-use order, into one table,
+    and one loop decides every row against it. With room = mult * F less
+    the rhs terms in order, power 0 gives the margin row room; power -1
+    bounds the point's eps below by coeff / room (inf where room <= 0)
+    and +1 bounds it above by room / coeff, and the window's row names
+    the lower end's writing first. An exception row also shows its F
+    lower end. The powers are the ones the grouped bound reads, so both
+    assume the same eps split. Every row reads interval lower bounds for
+    F, so a reported window survives quadrature error. The direct
+    route's grid rows of every modulus come from one Bessel pass before
+    the first F.
     """
     if not b > 1:
         raise RangeError(f"weight b must exceed 1, got {b}")
     fill_grid_rows((0, *A.elements), r_max)
-    templates = list(_global_rows(A, b))
-    exceptions = _exceptions(A).values()
-    named = [moduli for _, _, moduli, _ in templates]
-    named += [_kind(rep)[1] for _, point in exceptions for rep in point.reps]
-    keys = dict.fromkeys(tuple(sorted(moduli)) for moduli in named)
+    rows = list(_rows(A, b))
+    keys = dict.fromkeys(tuple(sorted(row[4])) for row in rows)
     f_table = {key: f_lower(*key, r_max) for key in keys}
     instances: dict[str, list[SystemInstance]] = {system_id: [] for system_id in SYSTEMS}
-    instances["trivial"].extend(
-        SystemInstance("trivial", None, text, mult * f_table[tuple(sorted(moduli))] - rhs)
-        for text, mult, moduli, rhs in templates
-    )
-    for system, point in exceptions:
-        instances[system].extend(_dispatch_exception(system, point, b, f_table))
+    ends: dict[int, dict[int, tuple[float, str]]] = {}
+    for system, d, text, mult, moduli, rhs, coeff, power in rows:
+        f_lo = f_table[tuple(sorted(moduli))]
+        if d is not None:
+            text = f"{text} [F_lo={f_lo:.4f}]"
+        room = mult * f_lo
+        for term in rhs:
+            room -= term
+        if power == 0:
+            instances[system].append(SystemInstance(system, d, text, room))
+            continue
+        if power > 0:
+            end = room / coeff
+        else:
+            end = coeff / room if room > 0.0 else math.inf
+        window = ends.setdefault(d, {})
+        window[power] = end, text
+        if len(window) == 2:
+            (lo, lo_text), (hi, hi_text) = window[-1], window[1]
+            row = SystemInstance(system, d, f"{lo_text}; {hi_text}", hi - lo, lo, hi)
+            instances[system].append(row)
     return [SystemReport(system_id, tuple(instances[system_id])) for system_id in SYSTEMS]
 
 
@@ -779,7 +777,7 @@ def verify_theorem(
 def exception_frequencies(spectrum: SpectrumSet) -> tuple[int, ...]:
     """Elements participating in some exception writing, sorted."""
     out: set[int] = set()
-    for _, point in _exceptions(spectrum).values():
+    for *_, point in _exceptions(spectrum).values():
         for rep in point.reps:
             out.update(rep)
     return tuple(sorted(out))

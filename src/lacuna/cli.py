@@ -469,9 +469,10 @@ def _read_coefficients(path: str, spectrum: sp.SpectrumSet) -> ct.CoefficientVec
         if not row or all(not cell.strip() for cell in row):
             continue
         try:
-            n = int(row[0])
-            z = complex(float(row[1]), float(row[2]))
-        except (ValueError, IndexError) as exc:
+            n_cell, re_cell, im_cell = row
+            n = int(n_cell)
+            z = complex(float(re_cell), float(im_cell))
+        except ValueError as exc:
             raise RangeError(f"bad coefficient row {lineno}: {exc}") from None
         if n in values:
             raise RangeError(f"duplicate frequency {n} in coefficient file")

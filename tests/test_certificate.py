@@ -429,22 +429,24 @@ def test_b5_coefficient_reduction():
     assert 5 / (2 * b - 2) == 5 / 8 and 1 / (2 * b - 2) == 1 / 8
 
 
+SUBTYPE_GRID = [
+    make_spectrum(base=base, depth=depth, scale=scale)
+    for base in range(4, 10) for depth in range(1, 7) for scale in range(1, 4)
+] + [
+    make_spectrum(lambdas=lams)
+    for lams in ([0, 5, 22, 88, 274], [0, 5, 20, 70, 222], [0, 1, 4, 13, 40, 121, 364])
+]
+
+
 def test_system_of_matches_the_subtype_rule():
     # the writing shapes give the system the grouped bound once read off the
     # subtype and the spectrum: one repeat-free writing is S2, or S3 when D
     # lies in 3A; two squared ones are S5 in 3A, S4 in 2A, else "trivial".
     # The systems rely on two facts checked here: every writing sums to its
     # point, and no "trivial" point lies in 2A or 3A
-    spectra = [
-        make_spectrum(base=base, depth=depth, scale=scale)
-        for base in range(4, 10) for depth in range(1, 7) for scale in range(1, 4)
-    ] + [
-        make_spectrum(lambdas=lams)
-        for lams in ([0, 5, 22, 88, 274], [0, 5, 20, 70, 222], [0, 1, 4, 13, 40, 121, 364])
-    ]
     seen = collections.Counter()
-    for spectrum in spectra:
-        for d, (system, point) in ct._exceptions(spectrum).items():
+    for spectrum in SUBTYPE_GRID:
+        for d, (system, powers, point) in ct._exceptions(spectrum).items():
             in_2a = d % 2 == 0 and d // 2 in spectrum
             in_3a = d % 3 == 0 and d // 3 in spectrum
             if point.subtype is ExceptionKind.ONE_DISTINCT:
@@ -453,11 +455,29 @@ def test_system_of_matches_the_subtype_rule():
                 rule = "S5"
             else:
                 rule = "S4" if in_2a else "trivial"
-            assert ct._system_of(point) == system == rule, (spectrum.lambdas, d)
+            assert ct._system_of(point) == (system, powers), (spectrum.lambdas, d)
+            assert system == rule, (spectrum.lambdas, d)
             assert all(sum(rep) == d for rep in point.reps), (spectrum.lambdas, d)
             assert system != "trivial" or not (in_2a or in_3a), (spectrum.lambdas, d)
             seen[system] += 1
     assert set(seen) == set(ct.SYSTEMS) and sum(seen.values()) > 300
+
+
+def test_system_table_gives_each_eps_point_one_window():
+    # each entry gives its two kinds the powers {-1, +1} or, at an eps-free
+    # "trivial" point, {0, 0}: so every eps point has exactly one lower and
+    # one upper end. The kind pairs the subtype grid meets are exactly the
+    # table's keys, so the table holds no entry that no spectrum reaches
+    for kinds, (system, powers) in ct._SYSTEM_OF_KINDS.items():
+        assert kinds == tuple(sorted(kinds)) and len(powers) == 2, kinds
+        assert sorted(powers) == ([0, 0] if system == "trivial" else [-1, 1]), kinds
+        assert all(p in ct._WRITING[kind][3] for kind, p in zip(kinds, powers)), kinds
+    met = {
+        tuple(sorted(ct._kind(rep)[0] for rep in point.reps))
+        for spectrum in SUBTYPE_GRID
+        for *_, point in ct._exceptions(spectrum).values()
+    }
+    assert met == set(ct._SYSTEM_OF_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -637,21 +657,57 @@ def test_systems_read_each_f_triple_once(monkeypatch, spectrum, distinct):
     assert len(reads) == len(set(reads)) == distinct
 
 
-@pytest.mark.parametrize("spectrum, rows", [(A4, 60), (WIDE, 89)], ids=["base4-depth5", "wide"])
+def _room(mult, moduli, rhs):
+    # mult * F's lower end less the right-hand terms, subtracted in order
+    room = mult * ct.f_lower(*moduli)
+    for term in rhs:
+        room -= term
+    return room
+
+
+def _shown(text, moduli):
+    # an exception row's text names its F lower end
+    return f"{text} [F_lo={ct.f_lower(*moduli):.4f}]"
+
+
+@pytest.mark.parametrize(
+    "spectrum, rows",
+    [(A4, 60), (WIDE, 89), (make_spectrum(lambdas=[0, 1, 5, 17]), 22)],
+    ids=["base4-depth5", "wide", "0-1-5-17"],
+)
 def test_global_rows_are_templates_that_read_no_f(monkeypatch, spectrum, rows):
+    # every system row, global or exception, is a template that reads no F;
+    # 0,1,5,17 has eps-free exception rows
     def refuse(*args):
         raise AssertionError("a template read F")
 
     monkeypatch.setattr(ct, "f_lower", refuse)
-    templates = list(ct._global_rows(spectrum, ct.DEFAULT_B))
+    templates = list(ct._rows(spectrum, ct.DEFAULT_B))
     p = sum(1 for v in spectrum.lambdas if v > 0)
-    assert len(templates) == 4 * p + p * (p - 1) + math.comb(p + 1, 3) == rows
+    assert rows == 4 * p + p * (p - 1) + math.comb(p + 1, 3)
+    points = [d for d, (*_, point) in ct._exceptions(spectrum).items() for _ in point.reps]
+    assert [t[1] for t in templates] == [None] * rows + points
     monkeypatch.undo()
-    # the system's global rows are the templates, in order, against F's lower ends
-    trivial = ct.check_systems(spectrum)[0].instances[:rows]
-    assert [i.description for i in trivial] == [text for text, *_ in templates]
-    for inst, (_, mult, moduli, rhs) in zip(trivial, templates):
-        assert inst.margin == mult * ct.f_lower(*moduli) - rhs
+    reports = ct.check_systems(spectrum)
+    # the margin rows are the power-0 templates, in order, against F's lower ends
+    margins = [t for t in templates if t[7] == 0]
+    trivial = reports[0].instances
+    assert len(trivial) == len(margins)
+    for inst, (system, d, text, mult, moduli, rhs, coeff, _) in zip(trivial, margins):
+        assert (inst.system_id, inst.point, coeff) == (system, d, 0.0)
+        assert inst.description == (text if d is None else _shown(text, moduli))
+        assert inst.margin == _room(mult, moduli, rhs)
+    # each eps point has one window, its ends coeff / room below and
+    # room / coeff above, the lower end's writing named first
+    windows = [i for r in reports[1:] for i in r.instances]
+    ends = {(t[1], t[7]): t[2:7] for t in templates if t[7]}
+    assert 2 * len(windows) == len(ends) == len(templates) - len(margins)
+    for inst in windows:
+        lo_text, *lo_row, lo_coeff = ends[inst.point, -1]
+        hi_text, *hi_row, hi_coeff = ends[inst.point, 1]
+        assert inst.description == f"{_shown(lo_text, lo_row[1])}; {_shown(hi_text, hi_row[1])}"
+        assert inst.eps_lo == lo_coeff / _room(*lo_row)
+        assert inst.eps_hi == _room(*hi_row) / hi_coeff
 
 
 def test_check_systems_is_the_one_reader_of_f():
@@ -708,7 +764,7 @@ def test_tensor_and_rows_read_one_split():
         windows = {i.point: i for r in reports for i in r.instances if i.point in eps}
         supp = tuple(sorted(spectrum.elements))
         base, _ = ct._bound_tensor(spectrum, params, supp, ig.DEFAULT_R_MAX)
-        for d, (system, point) in ct._exceptions(spectrum).items():
+        for d, (system, powers_of, point) in ct._exceptions(spectrum).items():
             seen.add(system)
             if system == "trivial":
                 assert d not in eps
@@ -717,7 +773,7 @@ def test_tensor_and_rows_read_one_split():
             powers = {}
             for rep in point.reps:
                 kind, moduli = ct._kind(rep)
-                power = ct._EPS_POWER[system, kind]
+                power = powers_of[kind]
                 powers[rep] = power
                 seen.add((system, kind))
                 end = inst.eps_lo if power < 0 else inst.eps_hi

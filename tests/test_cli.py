@@ -767,6 +767,17 @@ def test_certify_coefficient_file_validation(tmp_path, capsys):
         capsys, "certify", "--lambdas", "0,1,5", "--coeff", str(bad_header)
     )
     assert code == 2 and "header" in err
+    # a row of other than three cells is refused, not truncated or padded
+    for body in ("n,re,im\n1,0.5,0.2,99\n", "n,re,im\n1,0.5\n"):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text(body)
+        code, out, err = run(capsys, "certify", "--lambdas", "0,1,5", "--coeff", str(ragged))
+        assert code == 2 and out == "" and "bad coefficient row 2" in err, body
+    # the header is matched without case or surrounding spaces
+    loose = tmp_path / "loose.csv"
+    loose.write_text(" N, Re ,IM\n1,1,0\n")
+    code, out, _ = run(capsys, "certify", "--lambdas", "0,1,5", "--coeff", str(loose))
+    assert code == 0 and json.loads(out)["verdict"] == "holds"
     off_spectrum = tmp_path / "off.csv"
     off_spectrum.write_text("n,re,im\n2,1,0\n")
     code, _, err = run(
@@ -842,6 +853,9 @@ def test_main_restores_the_callers_gc_state(monkeypatch, capsys):
         gc.enable()
 
 
+# a child process imports the lacuna this suite imports, installed or not
+_CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(lacuna.__file__).resolve().parents[1])}
+
 # a fresh interpreter runs the command and reports whether scipy and the
 # certificate got loaded
 _PROBE = (
@@ -867,14 +881,10 @@ _PROBE = (
     ids=["import", "classify", "tilde", "direct", "sweep", "certify"],
 )
 def test_no_command_imports_scipy(tmp_path, argv):
-    env = {
-        **os.environ,
-        "PYTHONPATH": str(Path(lacuna.__file__).resolve().parents[1]),
-    }
     command = [sys.executable, "-c", _PROBE]
     if argv:
         command += [*argv, "--output", str(tmp_path / "report")]
-    proc = subprocess.run(command, capture_output=True, text=True, env=env)
+    proc = subprocess.run(command, capture_output=True, text=True, env=_CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     # only certify runs the certificate, so only certify imports it
     loaded = argv[:1] == ("certify",)
@@ -884,15 +894,11 @@ def test_no_command_imports_scipy(tmp_path, argv):
 def test_closed_stdout_keeps_the_exit_code(tmp_path):
     # the report is far larger than a pipe buffer, so the child is still
     # writing when the reader closes the pipe after one line
-    env = {
-        **os.environ,
-        "PYTHONPATH": str(Path(lacuna.__file__).resolve().parents[1]),
-    }
     argv = ["spectrum", "classify", "--base", "5", "--depth", "12"]
     with open(tmp_path / "stderr", "w+b") as err:
         proc = subprocess.Popen(
             [sys.executable, "-m", "lacuna.cli", *argv],
-            stdout=subprocess.PIPE, stderr=err, env=env,
+            stdout=subprocess.PIPE, stderr=err, env=_CHILD_ENV,
         )
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
@@ -906,6 +912,7 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "lacuna.cli", "bessel", "eval", "-n", "1", "-x", "1"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == pytest.approx(0.4400505857449335, rel=1e-12)
@@ -1011,8 +1018,7 @@ def test_nothing_is_written_outside_output(tmp_path):
     for d in (home, cache, reports):
         d.mkdir()
     env = {
-        **os.environ,
-        "PYTHONPATH": str(Path(lacuna.__file__).resolve().parents[1]),
+        **_CHILD_ENV,
         "HOME": str(home),
         "LACUNA_CACHE_DIR": str(cache),
     }
