@@ -6,7 +6,8 @@ Subpackages by capability:
 * ``bessel``      -- integer-order J_n evaluation and zeros of J1
 * ``integrals``   -- six-fold Bessel product integrals, two ways; F and its floors
 * ``spectrum``    -- lacunary sets and triple-sum classification
-* ``certificate`` -- sextic sums, grouped bound, exception systems, final check
+* ``systems``     -- exception table, row templates and their decision, numpy-free
+* ``certificate`` -- sextic sums, grouped bound, F for the systems, final check
 * ``cli``         -- command line front end
 """
 

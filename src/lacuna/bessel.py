@@ -51,6 +51,7 @@ START_OFFSET = 40
 
 # Refinement target for zeros of J1.
 ZERO_TOL = 1.0e-13
+SIGN_CHANGE_DELTA = 1.0e-8           # half-width of sign_change_certificate's brackets
 
 # Miller's rescale: once |p| passes _RESCALE, the recurrence's values are
 # multiplied by _SHRINK and its sum by _SHRINK**2.  Both are powers of two,
@@ -301,9 +302,9 @@ def j1_zeros(count: int) -> np.ndarray:
     return zeros
 
 
-def sign_change_certificate(zeros: np.ndarray, delta: float = 1.0e-8) -> bool:
-    """Check J1 flips sign across [z - delta, z + delta] at every
-    positive zero in ``zeros``.  Returns True when all flips hold."""
+def sign_change_certificate(zeros: np.ndarray) -> bool:
+    """Check J1 flips sign across [z - SIGN_CHANGE_DELTA, z + SIGN_CHANGE_DELTA]
+    at every positive zero in ``zeros``.  Returns True when all flips hold."""
     z = zeros[1:]
-    j1 = besselj(1, np.concatenate([z - delta, z + delta]))
+    j1 = besselj(1, np.concatenate([z - SIGN_CHANGE_DELTA, z + SIGN_CHANGE_DELTA]))
     return bool(np.all(j1[: z.size] * j1[z.size :] < 0.0))

@@ -11,15 +11,9 @@ support. The eleven grouped sums that dominate S, after every cross term
 has been split by Cauchy-Schwarz, a weighted AM-GM with one free weight
 b, and one free weight eps_D per exception point, are one cubic form in
 x = |fhat|^2, built as one (n, n, n) tensor; ``compute_S_upper_bound``
-evaluates it on one vector's support. ``check_systems`` certifies, per
-exception writing, that the grouped coefficients stay below the
-interaction margin 3F, which is what makes the grouped bound at most
-I(0,0,0) times the cubed mass. One table, ``_SYSTEM_OF_KINDS``, gives
-each exception point its system and tells both the bound and the
-systems which writing carries eps_D and which 1/eps_D. Every row,
-global or exception, is an F-free template that names F's arguments;
-``check_systems`` reads each distinct F triple once into one table and
-decides every row against it in one loop.
+evaluates it on one vector's support. ``check_systems`` reads F for
+the exception systems of ``lacuna.systems``, which make the grouped
+bound at most I(0,0,0) times the cubed mass, and decides them there.
 ``verdict_of`` compares both ends with a three-valued verdict, and
 ``verify_theorem`` applies it to the literal S of one vector.
 
@@ -37,49 +31,32 @@ the larger of the floor of the triple's shape and the proven ``lo`` of
 one table beside ``f_ratio``, whose comments name the finite window on
 which each is checked; beyond it a floor is trusted as an assumption,
 and the member floors apply to 3-separated moduli only, as in a
-lacunary spectrum. This module re-exports ``f_lower`` and the floors it
-reads. Every verdict consumes interval endpoints, so "holds" survives
-worst-case quadrature error.
+lacunary spectrum. Every verdict consumes interval endpoints, so
+"holds" survives worst-case quadrature error.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CertificateError, RangeError, StructureViolation, check_int
+from .errors import CertificateError, RangeError, check_int
 from .integrals import (
-    DEFAULT_R_MAX,
-    F_FLOOR_DISTINCT_MEMBER,
-    F_FLOOR_PAIR0,
-    F_FLOOR_PAIR0_HIGH,
-    F_FLOOR_PAIR_MEMBER,
-    F_FLOOR_SINGLE,
-    F_FLOOR_TRIPLE,
-    IntegralValue,
-    f_lower,
-    fill_grid_rows,
-    i_direct,
+    DEFAULT_R_MAX, F_FLOOR_PAIR0, IntegralValue, f_lower, fill_grid_rows, i_direct,
 )
-from .spectrum import (
-    ClassifiedPoint,
-    PointKind,
-    SpectrumSet,
-    Triple,
-    classify_brute_force,
-    perm_count,
-    triples_by_sum,
+from .spectrum import SpectrumSet, Triple, perm_count, triples_by_sum
+from .systems import (
+    _WRITING, DEFAULT_B, CertificateParams, SystemReport, _exceptions, _rows, decide,
+    params_from_reports,
 )
 
 MAX_SUPPORT = 11        # cap of the literal compute_S_exact: O(support^6) grouped by D
 IMAG_REL_TOL = 1.0e-9   # conjugate symmetry makes S real; larger is a bug
-DEFAULT_B = 6.66
 FORM_BLOCK = 16         # vectors per numpy pass: temporaries stay near 1 MB
 
 
@@ -133,75 +110,6 @@ class CoefficientVector:
 
     def mass(self) -> float:
         return sum(abs(z) ** 2 for _, z in self.entries)
-
-
-# ---------------------------------------------------------------------------
-# the exception table: each exception point's system and where its eps
-# lands, read alike by the grouped bound and the systems
-
-SYSTEMS = ("trivial", "S2", "S3", "S4", "S5")
-
-# Where eps lands. The grouped bound splits the cross term of an exception
-# point's two writings by a weighted AM-GM: one writing carries eps_D and the
-# other 1/eps_D, or, at a "trivial" point, each carries a second flat share. A
-# writing of each kind asks mult * F >= flat + coeff * eps^power:
-#   distinct (n,m,k):   F >= 15 + 6 eps^power
-#   pair (p,p,q):      3F >= 18 + 9 eps^power
-#   zero pair (p,p,0): 3F >= 9(b+1)/(b-1) + 9 + 9 eps^power
-#   cube (m,m,m):       F >= 1 + eps^power
-# Power -1 bounds eps below, +1 above, and 0 gives an eps-free margin row.
-# kind: (mult, flat, coeff, the row's text at each power the kind takes)
-_WRITING = {
-    "distinct": (1.0, 15.0, 6.0, {-1: "15 + 6/eps <= F({}, {}, {})"}),
-    "pair": (3.0, 18.0, 9.0, {-1: "9(2 + 1/eps) <= 3F({},{},{})", 0: "27 <= 3F({},{},{})",
-                              1: "9(2 + eps) <= 3F({},{},{})"}),
-    "zero pair": (3.0, 9.0, 9.0, {1: "9(b+1)/(b-1) + 9(1+eps) <= 3F({},{},{})"}),
-    "cube": (1.0, 1.0, 1.0, {1: "1 + eps <= F({},{},{})"}),
-}
-# A point's sorted writing kinds give its system and each kind's power of
-# eps, in the same order. (cube, zero pair) would need 2p = 3m on 3-separated
-# moduli and (zero pair, zero pair) would be one writing, so neither occurs.
-_SYSTEM_OF_KINDS = {
-    ("distinct", "pair"): ("S2", (-1, 1)),
-    ("distinct", "zero pair"): ("S2", (-1, 1)),
-    ("cube", "distinct"): ("S3", (1, -1)),
-    ("pair", "zero pair"): ("S4", (-1, 1)),
-    ("cube", "pair"): ("S5", (1, -1)),
-    ("pair", "pair"): ("trivial", (0, 0)),
-}
-
-
-def _kind(rep: Triple) -> tuple[str, tuple[int, int, int]]:
-    """A writing's kind and its F moduli: a repeated modulus first, else descending."""
-    a, b, c = rep
-    if a == b == c:
-        return "cube", (abs(a),) * 3
-    if a == b or b == c:
-        p, q = (a, c) if a == b else (c, a)
-        return ("pair" if q else "zero pair"), (abs(p), abs(p), abs(q))
-    return "distinct", tuple(sorted((abs(v) for v in rep), reverse=True))
-
-
-def _system_of(point: ClassifiedPoint) -> tuple[str, dict[str, int]]:
-    """The system of an exception point and each writing kind's power of eps.
-
-    A pair of kinds outside ``_SYSTEM_OF_KINDS`` is a hard error.
-    """
-    kinds = tuple(sorted(_kind(r)[0] for r in point.reps))
-    if kinds not in _SYSTEM_OF_KINDS:
-        raise StructureViolation(f"exception {point.point} writings {kinds} match no known system")
-    system, powers = _SYSTEM_OF_KINDS[kinds]
-    return system, dict(zip(kinds, powers))
-
-
-@functools.lru_cache(maxsize=64)
-def _exceptions(spectrum: SpectrumSet) -> dict[int, tuple[str, dict[str, int], ClassifiedPoint]]:
-    """Each exception point of the spectrum with its system and its kinds' powers of eps."""
-    return {
-        c.point: (*_system_of(c), c)
-        for c in classify_brute_force(spectrum)
-        if c.kind is PointKind.EXCEPTION
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -317,36 +225,7 @@ def compute_S_exact(
 
 
 # ---------------------------------------------------------------------------
-# certificate parameters and the grouped upper bound
-
-
-@dataclass(frozen=True)
-class CertificateParams:
-    """Weights of the grouped bound: one b, one eps per exception."""
-
-    b: float = DEFAULT_B
-    eps: tuple[tuple[int, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.b > 1:
-            raise RangeError(f"weight b must exceed 1, got {self.b}")
-        for d, e in self.eps:
-            if not (e > 0 and math.isfinite(e)):
-                raise RangeError(f"eps for exception {d} must be positive, got {e}")
-
-    @staticmethod
-    def from_mapping(b: float, eps: Mapping[int, float]) -> "CertificateParams":
-        return CertificateParams(b=b, eps=tuple(sorted(eps.items())))
-
-    @functools.cached_property
-    def _eps_map(self) -> dict[int, float]:
-        return dict(self.eps)
-
-    def eps_for(self, d: int) -> float:
-        try:
-            return self._eps_map[d]
-        except KeyError:
-            raise CertificateError(f"no eps assigned for exception point {d}") from None
+# the grouped upper bound
 
 
 def _bound_tensor(
@@ -561,84 +440,7 @@ def evaluate_forms(
 
 
 # ---------------------------------------------------------------------------
-# inequality systems
-
-
-@dataclass(frozen=True)
-class SystemInstance:
-    """One checked inequality instance, with its eps window if any.
-
-    Global rows and eps-free exception rows keep the default window
-    (0, inf) and carry the inequality slack in ``margin``; eps rows keep
-    the window endpoints and its width. Either way the row is feasible
-    exactly when its margin is nonnegative.
-    """
-
-    system_id: str
-    point: int | None
-    description: str
-    margin: float
-    eps_lo: float = 0.0
-    eps_hi: float = math.inf
-
-    @property
-    def feasible(self) -> bool:
-        return self.margin >= 0.0
-
-
-@dataclass(frozen=True)
-class SystemReport:
-    system_id: str
-    instances: tuple[SystemInstance, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.feasible for r in self.instances)
-
-    @property
-    def tightest_margin(self) -> float:
-        return min((r.margin for r in self.instances), default=math.inf)
-
-
-# (system, point, text, mult, F moduli, rhs, coeff, power): the row
-# mult * F >= rhs + coeff * eps^power, its right-hand terms subtracted in order
-_Row = tuple[str, int | None, str, float, tuple[int, ...], tuple[float, ...], float, int]
-
-
-def _rows(spectrum: SpectrumSet, b: float) -> Iterator[_Row]:
-    """Every system row as an F-free template: the global rows, then each
-    exception point's writings, their powers of eps from ``_exceptions``.
-
-    A power-0 row folds its eps-free share into rhs and has coeff 0.
-    """
-    pos = [v for v in spectrum.lambdas if v > 0]
-    quartic = 9.0 * (b + 1.0) / (b - 1.0)
-    cross = 9.0 * (b - 3.0) / (b - 1.0)
-
-    def global_row(text: str, mult: float, moduli: tuple[int, ...], rhs: float) -> _Row:
-        return "trivial", None, text, mult, moduli, (rhs,), 0.0, 0
-
-    for mu in pos:
-        yield global_row(f"9 <= 3F({mu},{mu},{mu})", 3.0, (mu, mu, mu), 9.0)
-        yield global_row(f"15 <= 3F({mu},0,0)", 3.0, (mu, 0, 0), 15.0)
-        yield global_row(f"9(b-3)/(b-1) + 18 <= 3F({mu},{mu},0)", 3.0, (mu, mu, 0), cross + 18.0)
-        yield global_row(f"9(b+1)/(b-1) + 9 <= 3F({mu},{mu},0)", 3.0, (mu, mu, 0), quartic + 9.0)
-    for m1, m2 in itertools.permutations(pos, 2):
-        yield global_row(f"27 <= 3F({m1},{m1},{m2})", 3.0, (m1, m1, m2), 27.0)
-    # make_spectrum keeps the lambdas strictly increasing
-    for n3, n2, n1 in itertools.combinations(spectrum.lambdas, 3):
-        yield global_row(f"15 <= F({n1},{n2},{n3})", 1.0, (n1, n2, n3), 15.0)
-    for d, (system, powers, point) in _exceptions(spectrum).items():
-        for rep in point.reps:
-            kind, moduli = _kind(rep)
-            power = powers[kind]
-            mult, flat, coeff, texts = _WRITING[kind]
-            # 3F - quartic - 9 here against 3F - (quartic + 9) in the global
-            # row: the two round apart, and each window keeps its own bits
-            rhs = (quartic, flat) if kind == "zero pair" else (flat,)
-            if power == 0:
-                rhs, coeff = (flat + coeff,), 0.0
-            yield system, d, texts[power].format(*moduli), mult, moduli, rhs, coeff, power
+# the systems, decided on F's lower ends
 
 
 def check_systems(
@@ -649,48 +451,20 @@ def check_systems(
 ) -> list[SystemReport]:
     """Check the global rows once and one system per exception point.
 
-    Every row is a template of ``_rows``; ``f_lower`` reads each distinct
-    sorted F triple they name once, in first-use order, into one table,
-    and one loop decides every row against it. With room = mult * F less
-    the rhs terms in order, power 0 gives the margin row room; power -1
-    bounds the point's eps below by coeff / room (inf where room <= 0)
-    and +1 bounds it above by room / coeff, and the window's row names
-    the lower end's writing first. An exception row also shows its F
-    lower end. The powers are the ones the grouped bound reads, so both
-    assume the same eps split. Every row reads interval lower bounds for
-    F, so a reported window survives quadrature error. The direct
-    route's grid rows of every modulus come from one Bessel pass before
-    the first F.
+    The direct route's grid rows of every modulus come from one Bessel
+    pass; ``f_lower`` then reads each distinct sorted F triple the
+    templates of ``systems._rows`` name once, in first-use order, and
+    ``systems.decide`` checks every row against that table. The powers
+    of eps are the ones the grouped bound reads, so both assume the same
+    eps split, and every row reads interval lower bounds for F, so a
+    reported window survives quadrature error.
     """
     if not b > 1:
         raise RangeError(f"weight b must exceed 1, got {b}")
     fill_grid_rows((0, *A.elements), r_max)
     rows = list(_rows(A, b))
     keys = dict.fromkeys(tuple(sorted(row[4])) for row in rows)
-    f_table = {key: f_lower(*key, r_max) for key in keys}
-    instances: dict[str, list[SystemInstance]] = {system_id: [] for system_id in SYSTEMS}
-    ends: dict[int, dict[int, tuple[float, str]]] = {}
-    for system, d, text, mult, moduli, rhs, coeff, power in rows:
-        f_lo = f_table[tuple(sorted(moduli))]
-        if d is not None:
-            text = f"{text} [F_lo={f_lo:.4f}]"
-        room = mult * f_lo
-        for term in rhs:
-            room -= term
-        if power == 0:
-            instances[system].append(SystemInstance(system, d, text, room))
-            continue
-        if power > 0:
-            end = room / coeff
-        else:
-            end = coeff / room if room > 0.0 else math.inf
-        window = ends.setdefault(d, {})
-        window[power] = end, text
-        if len(window) == 2:
-            (lo, lo_text), (hi, hi_text) = window[-1], window[1]
-            row = SystemInstance(system, d, f"{lo_text}; {hi_text}", hi - lo, lo, hi)
-            instances[system].append(row)
-    return [SystemReport(system_id, tuple(instances[system_id])) for system_id in SYSTEMS]
+    return decide(rows, {key: f_lower(*key, r_max) for key in keys})
 
 
 def derive_params(
@@ -702,22 +476,6 @@ def derive_params(
     """Solve the systems and take each eps at its window midpoint."""
     reports = check_systems(A, b, r_max=r_max)
     return params_from_reports(b, reports), tuple(reports)
-
-
-def params_from_reports(b: float, reports: list[SystemReport]) -> CertificateParams:
-    """Each eps at the midpoint of its window in already solved systems."""
-    eps: dict[int, float] = {}
-    for report in reports:
-        for inst in report.instances:
-            if inst.point is None or inst.eps_hi == math.inf:
-                continue
-            if not inst.feasible:
-                raise CertificateError(
-                    f"system {inst.system_id} infeasible at exception {inst.point}: "
-                    f"{inst.description}"
-                )
-            eps[inst.point] = 0.5 * (inst.eps_lo + inst.eps_hi)
-    return CertificateParams.from_mapping(b, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ from . import integrals as ig
 from . import spectrum as sp
 from .errors import LacunaError, RangeError, SpectrumError, check_int
 
-if TYPE_CHECKING:  # only certify imports it, when it runs
+if TYPE_CHECKING:  # only certify imports them, when it runs
     from . import certificate as ct
+    from . import systems as sy
 
 SCHEMA = "lacuna-verify/1"
 EXIT_OK = 0
@@ -489,7 +490,7 @@ def _read_coefficients(path: str, spectrum: sp.SpectrumSet) -> ct.CoefficientVec
     return vec
 
 
-def _instance_dict(inst: ct.SystemInstance) -> dict:
+def _instance_dict(inst: sy.SystemInstance) -> dict:
     return {
         "point": inst.point,
         "description": inst.description,
@@ -500,7 +501,7 @@ def _instance_dict(inst: ct.SystemInstance) -> dict:
     }
 
 
-def _report_dict(report: ct.SystemReport) -> dict:
+def _report_dict(report: sy.SystemReport) -> dict:
     return {
         "system": report.system_id,
         "passed": report.passed,
@@ -543,10 +544,11 @@ _CERTIFY_HEADER = [
 
 def cmd_certify(args: argparse.Namespace) -> Report:
     from . import certificate as ct
+    from .systems import DEFAULT_B
     check_int(args.trials, "trials", 0, math.inf)
     if args.trials == 0 and args.coeff is None:
         raise RangeError("trials must be >= 1 without --coeff: no vector would be checked")
-    b = ct.DEFAULT_B if args.b is None else args.b
+    b = DEFAULT_B if args.b is None else args.b
     if not math.isfinite(b):
         raise RangeError(f"b must be finite, got {b}")
     spectrum = _spectrum_from_args(args)

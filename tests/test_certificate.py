@@ -18,6 +18,7 @@ from scipy.special import jv
 from lacuna import certificate as ct
 from lacuna import cli
 from lacuna import integrals as ig
+from lacuna import systems as sy
 from lacuna.errors import CertificateError, RangeError, StructureViolation
 from lacuna.spectrum import ExceptionKind, PointKind, classify_brute_force, make_spectrum
 
@@ -446,7 +447,7 @@ def test_system_of_matches_the_subtype_rule():
     # point, and no "trivial" point lies in 2A or 3A
     seen = collections.Counter()
     for spectrum in SUBTYPE_GRID:
-        for d, (system, powers, point) in ct._exceptions(spectrum).items():
+        for d, (system, powers, point) in sy._exceptions(spectrum).items():
             in_2a = d % 2 == 0 and d // 2 in spectrum
             in_3a = d % 3 == 0 and d // 3 in spectrum
             if point.subtype is ExceptionKind.ONE_DISTINCT:
@@ -455,12 +456,12 @@ def test_system_of_matches_the_subtype_rule():
                 rule = "S5"
             else:
                 rule = "S4" if in_2a else "trivial"
-            assert ct._system_of(point) == (system, powers), (spectrum.lambdas, d)
+            assert sy._system_of(point) == (system, powers), (spectrum.lambdas, d)
             assert system == rule, (spectrum.lambdas, d)
             assert all(sum(rep) == d for rep in point.reps), (spectrum.lambdas, d)
             assert system != "trivial" or not (in_2a or in_3a), (spectrum.lambdas, d)
             seen[system] += 1
-    assert set(seen) == set(ct.SYSTEMS) and sum(seen.values()) > 300
+    assert set(seen) == set(sy.SYSTEMS) and sum(seen.values()) > 300
 
 
 def test_system_table_gives_each_eps_point_one_window():
@@ -468,16 +469,16 @@ def test_system_table_gives_each_eps_point_one_window():
     # "trivial" point, {0, 0}: so every eps point has exactly one lower and
     # one upper end. The kind pairs the subtype grid meets are exactly the
     # table's keys, so the table holds no entry that no spectrum reaches
-    for kinds, (system, powers) in ct._SYSTEM_OF_KINDS.items():
+    for kinds, (system, powers) in sy._SYSTEM_OF_KINDS.items():
         assert kinds == tuple(sorted(kinds)) and len(powers) == 2, kinds
         assert sorted(powers) == ([0, 0] if system == "trivial" else [-1, 1]), kinds
-        assert all(p in ct._WRITING[kind][3] for kind, p in zip(kinds, powers)), kinds
+        assert all(p in sy._WRITING[kind][3] for kind, p in zip(kinds, powers)), kinds
     met = {
-        tuple(sorted(ct._kind(rep)[0] for rep in point.reps))
+        tuple(sorted(sy._kind(rep)[0] for rep in point.reps))
         for spectrum in SUBTYPE_GRID
-        for *_, point in ct._exceptions(spectrum).values()
+        for *_, point in sy._exceptions(spectrum).values()
     }
-    assert met == set(ct._SYSTEM_OF_KINDS)
+    assert met == set(sy._SYSTEM_OF_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +526,7 @@ def test_member_floors_from_sweep(sweep40):
         for q in range(1, 41)
         if max(p, q) > 3 * min(p, q)
     )
-    assert lo > ct.F_FLOOR_PAIR_MEMBER == 13.2, point
+    assert lo > ig.F_FLOOR_PAIR_MEMBER == 13.2, point
     assert point == (4, 1)  # the tightest row, (4,4,1)
     lo, point = min(
         (sw.ratio(n, m, k).lo, (n, m, k))
@@ -534,12 +535,12 @@ def test_member_floors_from_sweep(sweep40):
         for k in range(0, m)
         if n > 3 * m and (m > 3 * k or k == 0)
     )
-    assert lo > ct.F_FLOOR_DISTINCT_MEMBER == 21.0, point
+    assert lo > ig.F_FLOOR_DISTINCT_MEMBER == 21.0, point
     assert point == (7, 2, 0)
     # the pair floor decides a row on every base-4 spectrum: at the
     # default r_max the quadrature interval of F(4,4,1) sits below it
-    assert ig.f_ratio(4, 4, 1).lo < ct.F_FLOOR_PAIR_MEMBER
-    assert ct.f_lower(4, 4, 1) == ct.F_FLOOR_PAIR_MEMBER
+    assert ig.f_ratio(4, 4, 1).lo < ig.F_FLOOR_PAIR_MEMBER
+    assert ct.f_lower(4, 4, 1) == ig.F_FLOOR_PAIR_MEMBER
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +552,13 @@ def test_systems_raise_nothing_on_the_generator_grid():
     # F(512,8,1), F(512,1,0) and F(375,3,0) among them; I > 0 still bounds F
     f = ig.f_ratio(512, 8, 1)
     assert f.hi == math.inf and f.lo > 0
-    assert ct.f_lower(512, 8, 1) >= ct.F_FLOOR_DISTINCT_MEMBER
+    assert ct.f_lower(512, 8, 1) >= ig.F_FLOOR_DISTINCT_MEMBER
     for base in range(4, 10):
         for depth in range(1, 6):
             for scale in range(1, 4):
                 spectrum = make_spectrum(base=base, depth=depth, scale=scale)
                 reports = ct.check_systems(spectrum)
-                assert [r.system_id for r in reports] == list(ct.SYSTEMS)
+                assert [r.system_id for r in reports] == list(sy.SYSTEMS)
     for base, depth, scale in ((8, 4, 1), (8, 5, 1), (5, 4, 3), (5, 5, 3)):
         reports = ct.check_systems(make_spectrum(base=base, depth=depth, scale=scale))
         assert all(r.passed for r in reports), (base, depth, scale)
@@ -682,10 +683,10 @@ def test_global_rows_are_templates_that_read_no_f(monkeypatch, spectrum, rows):
         raise AssertionError("a template read F")
 
     monkeypatch.setattr(ct, "f_lower", refuse)
-    templates = list(ct._rows(spectrum, ct.DEFAULT_B))
+    templates = list(sy._rows(spectrum, sy.DEFAULT_B))
     p = sum(1 for v in spectrum.lambdas if v > 0)
     assert rows == 4 * p + p * (p - 1) + math.comb(p + 1, 3)
-    points = [d for d, (*_, point) in ct._exceptions(spectrum).items() for _ in point.reps]
+    points = [d for d, (*_, point) in sy._exceptions(spectrum).items() for _ in point.reps]
     assert [t[1] for t in templates] == [None] * rows + points
     monkeypatch.undo()
     reports = ct.check_systems(spectrum)
@@ -736,7 +737,7 @@ def test_dispatch_rejects_unknown_shape():
         boundary_safe=True,
     )
     with pytest.raises(StructureViolation, match="match no known system"):
-        ct._system_of(bogus)
+        sy._system_of(bogus)
 
 
 def _row_sides(kind, f_lo, e, b):
@@ -764,7 +765,7 @@ def test_tensor_and_rows_read_one_split():
         windows = {i.point: i for r in reports for i in r.instances if i.point in eps}
         supp = tuple(sorted(spectrum.elements))
         base, _ = ct._bound_tensor(spectrum, params, supp, ig.DEFAULT_R_MAX)
-        for d, (system, powers_of, point) in ct._exceptions(spectrum).items():
+        for d, (system, powers_of, point) in sy._exceptions(spectrum).items():
             seen.add(system)
             if system == "trivial":
                 assert d not in eps
@@ -772,7 +773,7 @@ def test_tensor_and_rows_read_one_split():
             inst = windows[d]
             powers = {}
             for rep in point.reps:
-                kind, moduli = ct._kind(rep)
+                kind, moduli = sy._kind(rep)
                 power = powers_of[kind]
                 powers[rep] = power
                 seen.add((system, kind))
@@ -788,7 +789,7 @@ def test_tensor_and_rows_read_one_split():
                 assert rep in powers, (d, rep)
                 moved[rep].add(np.sign(value[k] - base[k]) == powers[rep])
             assert moved == {rep: {True} for rep in point.reps}, d
-    assert seen >= set(ct.SYSTEMS) | {("S2", "pair"), ("S2", "zero pair")}
+    assert seen >= set(sy.SYSTEMS) | {("S2", "pair"), ("S2", "zero pair")}
 
 
 def test_derive_params_midpoints():

@@ -702,25 +702,27 @@ def test_certify_rejects_zero_trials_without_coeff(capsys):
 
 def test_certify_runs_each_stage_once(monkeypatch, capsys):
     from lacuna import certificate as ct
+    from lacuna import systems as sy
 
     calls = collections.Counter()
 
-    def counted(name):
-        original = getattr(ct, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(ct, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     names = (
         "assemble_forms", "evaluate_forms", "compute_S_exact", "compute_S_upper_bound",
-        "verify_theorem", "check_systems", "classify_brute_force",
+        "verify_theorem", "check_systems",
     )
     for name in names:
-        counted(name)
-    ct._exceptions.cache_clear()
+        counted(ct, name)
+    counted(sy, "classify_brute_force")
+    sy._exceptions.cache_clear()
     code, _, _ = run(
         capsys, "certify", "--base", "5", "--depth", "4", "--trials", "6", "--seed", "7"
     )

@@ -334,7 +334,7 @@ def test_f_permutation_and_sign_invariance():
 
 def test_f_floors_have_one_home():
     # each floor is assigned in lacuna.integrals alone; the certificate
-    # re-exports the ones f_lower reads, and the cli reads the table
+    # imports the one feasible_b_interval reads, and the cli reads the table
     from lacuna import certificate, cli
 
     src = Path(ig.__file__).parent
