@@ -9,6 +9,13 @@ configuration and seed give byte-identical bytes; json is written as
 ``json.dumps(payload, sort_keys=True, indent=2)`` would write it.
 Classify's json points and csv rows go out a batch at a time, never as
 one report-sized string.
+
+The cyclic garbage collector is paused while a command runs and restored
+to the caller's state when :func:`main` returns, so an in-process caller
+keeps its own policy. A script run (``python -m lacuna.cli`` or the
+installed ``lacuna-verify``) goes through :func:`script_main`, which
+freezes the heap once the report is out, so the interpreter's shutdown
+collections do not walk it.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from . import bessel
 from . import integrals as ig
@@ -717,7 +724,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # A deep classification is hundreds of thousands of acyclic records; each
     # cyclic GC pass would rescan them all and free nothing, so the collector
-    # pauses until the report is out.
+    # pauses until the report is out, then resumes as the caller had it.
+    # script_main freezes the heap after this returns, so the collections
+    # CPython runs at shutdown walk none of it.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -734,5 +743,18 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def script_main() -> NoReturn:
+    """Run :func:`main` as a whole process: the ``lacuna-verify`` command.
+
+    Once the report is out, ``gc.freeze`` moves every live object into the
+    permanent generation, so the interpreter's shutdown collections skip
+    the heap the run leaves behind; atexit handlers and stdio flushing run
+    as usual.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    script_main()

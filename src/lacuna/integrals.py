@@ -77,7 +77,22 @@ ALIAS_TOL = 1.0e-17                  # size of a term either direct-route kernel
 TEMP_DOUBLES = 1 << 17               # 1 MB: largest temporary of the trapezoid kernel
 UNIT_ROUNDOFF = 2.0**-53
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
+# The GL_ORDER-point Gauss-Legendre rule on [-1, 1], as
+# np.polynomial.legendre.leggauss(GL_ORDER) returns it, written out so no
+# run imports numpy.polynomial; test_gauss_legendre_literals_are_leggauss
+# pins these bits to leggauss's.
+_GL_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+    0.9739065285171717,
+])
+_GL_WEIGHTS = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+    0.06667134430868814,
+])
 _LOG_ALIAS_TOL = math.log(ALIAS_TOL)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command tests through lacuna.cli.main."""
 
+import ast
 import collections
 import csv
 import gc
@@ -839,18 +840,20 @@ def test_main_restores_the_callers_gc_state(monkeypatch, capsys):
     def broken(args):
         raise CertificateError("lost accuracy")
 
-    assert gc.isenabled()
+    # only a script run freezes the heap; a freeze here would move every
+    # object of the test session into the permanent generation
+    assert gc.isenabled() and gc.get_freeze_count() == 0
     assert run(capsys, "bessel", "eval", "-n", "0", "-x", "1")[0] == 0
-    assert gc.isenabled()
+    assert gc.isenabled() and gc.get_freeze_count() == 0
     assert run(capsys, "bessel", "eval", "-n", "0", "-x", "1", "--threads", "0")[0] == 2
-    assert gc.isenabled()
+    assert gc.isenabled() and gc.get_freeze_count() == 0
     monkeypatch.setattr(cli, "cmd_bessel_eval", broken)
     assert run(capsys, "bessel", "eval", "-n", "0", "-x", "1")[0] == 1
-    assert gc.isenabled()
+    assert gc.isenabled() and gc.get_freeze_count() == 0
     gc.disable()
     try:
         assert run(capsys, "bessel", "eval", "-n", "0", "-x", "1", "--threads", "0")[0] == 2
-        assert not gc.isenabled()
+        assert not gc.isenabled() and gc.get_freeze_count() == 0
     finally:
         gc.enable()
 
@@ -858,13 +861,14 @@ def test_main_restores_the_callers_gc_state(monkeypatch, capsys):
 # a child process imports the lacuna this suite imports, installed or not
 _CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(lacuna.__file__).resolve().parents[1])}
 
-# a fresh interpreter runs the command and reports whether scipy and the
-# certificate got loaded
+# a fresh interpreter runs the command and reports whether scipy,
+# numpy.polynomial and the certificate got loaded
 _PROBE = (
     "import sys\n"
     "import lacuna.cli\n"
     "code = lacuna.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
     "sys.stderr.write(f'scipy loaded: {\"scipy\" in sys.modules}, '\n"
+    "                 f'numpy.polynomial loaded: {\"numpy.polynomial\" in sys.modules}, '\n"
     "                 f'certificate loaded: {\"lacuna.certificate\" in sys.modules}')\n"
     "sys.exit(code)\n"
 )
@@ -890,7 +894,9 @@ def test_no_command_imports_scipy(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
     # only certify runs the certificate, so only certify imports it
     loaded = argv[:1] == ("certify",)
-    assert proc.stderr == f"scipy loaded: False, certificate loaded: {loaded}"
+    assert proc.stderr == (
+        f"scipy loaded: False, numpy.polynomial loaded: False, certificate loaded: {loaded}"
+    )
 
 
 def test_closed_stdout_keeps_the_exit_code(tmp_path):
@@ -918,6 +924,33 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == pytest.approx(0.4400505857449335, rel=1e-12)
+    # the installed command and `python -m lacuna.cli` end through one function
+    guard = ast.parse(Path(cli.__file__).read_text()).body[-1]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    script_main()"
+    tomllib = pytest.importorskip("tomllib")  # new in Python 3.11
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"]["lacuna-verify"] == "lacuna.cli:script_main"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("certify", "--base", "4", "--depth", "3", "--trials", "2"), 0),
+        (("integrals", "sweep", "--suite", "bounds-f", "--n-max", "3", "--r-max", "100"), 1),
+        (("certify", "--base", "4", "--depth", "4", "--trials", "-3"), 2),
+    ],
+    ids=["ok", "fail", "usage"],
+)
+def test_script_run_keeps_exit_code_and_bytes(capsys, argv, code):
+    # the script path freezes the heap before exit; that moves no byte and
+    # no exit code away from an in-process main()
+    proc = subprocess.run(
+        [sys.executable, "-m", "lacuna.cli", *argv], capture_output=True, env=_CHILD_ENV
+    )
+    in_process = run(capsys, *argv)
+    assert in_process[0] == proc.returncode == code
+    assert proc.stdout == in_process[1].encode()
+    assert proc.stderr == in_process[2].encode()
 
 
 # ---------------------------------------------------------------------------

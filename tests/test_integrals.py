@@ -601,6 +601,14 @@ def test_table_uses_array_passes(monkeypatch):
     assert table.bessel_cache.shape == (1001, 41)
 
 
+def test_gauss_legendre_literals_are_leggauss():
+    # the module writes the rule out rather than import numpy.polynomial
+    t, w = np.polynomial.legendre.leggauss(ig.GL_ORDER)
+    for literal, reference in ((ig._GL_NODES, t), (ig._GL_WEIGHTS, w)):
+        assert len(literal) == ig.GL_ORDER and literal.dtype == np.float64
+        assert np.array_equal(literal.view(np.int64), reference.view(np.int64))
+
+
 def test_grid_blocks_are_the_whole_grid_bit_for_bit():
     # every grid node comes from _grid_blocks, cut at multiples of
     # BESSEL_BLOCK from node 0; the blocks hold the whole-grid expressions'
