@@ -10,12 +10,13 @@ product integral. ``compute_S_exact`` evaluates S literally on a finite
 support. The eleven grouped sums that dominate S, after every cross term
 has been split by Cauchy-Schwarz, a weighted AM-GM with one free weight
 b, and one free weight eps_D per exception point, are one cubic form in
-x = |fhat|^2, built as one (n, n, n) tensor; ``compute_S_upper_bound``
-evaluates it on one vector's support. ``check_systems`` reads F for
-the exception systems of ``lacuna.systems``, which make the grouped
-bound at most I(0,0,0) times the cubed mass, and decides them there.
-``verdict_of`` compares both ends with a three-valued verdict, and
-``verify_theorem`` applies it to the literal S of one vector.
+x = |fhat|^2: ``lacuna.systems`` gives its terms free of integrals, and
+``_bound_tensor`` builds it as one (n, n, n) tensor from one table of
+diagonal integrals. ``check_systems`` reads F for the systems of
+``lacuna.systems``, which make the grouped bound at most I(0,0,0) times
+the cubed mass, and decides them there. ``verdict_of`` compares both
+ends with a three-valued verdict, and ``verify_theorem`` applies it to
+the literal S of one vector.
 
 S is also a fixed Hermitian form in the amplitudes, sum over D of
 v_D^H M_D v_D with v_D[R] = p(R) times the product of fhat over R.
@@ -51,8 +52,8 @@ from .integrals import (
 )
 from .spectrum import SpectrumSet, Triple, perm_count, triples_by_sum
 from .systems import (
-    _WRITING, DEFAULT_B, CertificateParams, SystemReport, _exceptions, _rows, decide,
-    params_from_reports,
+    DEFAULT_B, CertificateParams, SystemReport, _bound_terms, _rows, check_weight, decide,
+    exception_frequencies, params_from_reports,
 )
 
 MAX_SUPPORT = 11        # cap of the literal compute_S_exact: O(support^6) grouped by D
@@ -124,8 +125,7 @@ def check_basic_inequality(r: float, s: float, b: float) -> bool:
     r : s = x : y and b = p/q, both sides times 2(b - 1) > 0 and q are
     homogeneous of degree 4 in (x, y).
     """
-    if not b > 1:
-        raise RangeError(f"weight b must exceed 1, got {b}")
+    check_weight(b)
     if r < 0 or s < 0:
         raise RangeError("r and s must be non-negative")
     (rn, rd), (sn, sd), (p, q) = (float(v).as_integer_ratio() for v in (r, s, b))
@@ -236,82 +236,24 @@ def _bound_tensor(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The eleven grouped sums as one cubic form T over ``support``, with its error.
 
-    Index k stands for ``support[k]``. A term adds coeff * integral to
-    T[k1, k2, k3] and |coeff| times its error bound to the error tensor,
-    so the bound is sum T[a, b, c] x_a x_b x_c with x = |fhat|^2. An
-    exception writing adds its share coeff * eps^power, its power read
-    from ``_exceptions`` as the systems read it, so eps lands on the
-    writing they assume; eps weights are looked up per fired exception and
-    a missing one is a hard error.
+    Index k stands for ``support[k]``. Each term of ``systems._bound_terms``
+    adds coeff * I to T[k1, k2, k3] and |coeff| times I's error bound to
+    the error tensor, I the diagonal integral at its moduli, read once per
+    distinct sorted triple. The bound is sum T[a, b, c] x_a x_b x_c.
     """
-    powers = {d: p for d, (_, p, _) in _exceptions(spectrum).items()}
     supp = tuple(support)
     col = {n: k for k, n in enumerate(supp)}
-    present = set(supp)
-    b = params.b
+    terms = [
+        (coeff, tuple(col[n] for n in mono), tuple(sorted(map(abs, mono))))
+        for coeff, mono in _bound_terms(spectrum, params, supp)
+    ]
+    keys = dict.fromkeys(key for *_, key in terms)
+    table = {key: i_direct(key + key, r_max=r_max) for key in keys}
     value = np.zeros((len(supp),) * 3)
     error = np.zeros((len(supp),) * 3)
-
-    def add(coeff: float, mono: tuple[int, int, int], moduli: tuple[int, int, int]) -> None:
-        # added only where x can be nonzero; each modulus appears twice,
-        # so the sextet's sign is always +
-        if present.issuperset(mono):
-            ival = i_direct(moduli + moduli, r_max=r_max)
-            k = tuple(col[m] for m in mono)
-            value[k] += coeff * ival.value
-            error[k] += abs(coeff) * ival.error_bound
-
-    def split(d: int, kind: str) -> tuple[float, float]:
-        # a writing's flat coefficient and its eps share, 0 off the exceptions
-        _, flat, coeff, _ = _WRITING[kind]
-        power = powers.get(d, {}).get(kind)
-        if power is None:
-            return flat, 0.0
-        eps = params.eps_for(d) if power else 1.0
-        return flat, coeff / eps if power < 0 else coeff * eps
-
-    # distinct-moduli triples: the flat and the eps share in one coefficient
-    for n1 in supp:
-        for n2 in supp:
-            if abs(n1) == abs(n2):
-                continue
-            for n3 in supp:
-                if abs(n3) == abs(n1) or abs(n3) == abs(n2):
-                    continue
-                add(sum(split(n1 + n2 + n3, "distinct")), (n1, n2, n3), (n1, n2, n3))
-
-    for n1 in supp:
-        if n1 == 0:
-            continue
-        # quartic cross sums over n2 with a different modulus: the flat,
-        # then the eps share as a term of its own
-        for n2 in supp:
-            if abs(n1) == abs(n2):
-                continue
-            quartic = (n1, n1, n2)
-            flat, share = split(2 * n1 + n2, "pair" if n2 else "zero pair")
-            add(flat, quartic, quartic)
-            if share:
-                add(share, quartic, quartic)
-            # paired-conjugate cross sum, nonzero opposite modulus only
-            if n2 != 0:
-                add(9.0, (n1, -n1, n2), quartic)
-        # pure sixth powers
-        add(sum(split(3 * n1, "cube")), (n1, n1, n1), (n1, n1, n1))
-        add(9.0, (n1, n1, -n1), (n1, n1, n1))
-        # rows against the zero frequency
-        add(9.0 * (b + 1.0) / (b - 1.0), (n1, n1, 0), (n1, n1, 0))
-        add(9.0 * (b - 3.0) / (b - 1.0), (n1, -n1, 0), (n1, n1, 0))
-        add(6.0, (n1, 0, 0), (n1, 0, 0))
-    # conjugate-pair square sums, any first modulus
-    for n1 in supp:
-        for n2 in supp:
-            if abs(n1) == abs(n2):
-                continue
-            coeff = 18.0 - (9.0 if n2 == 0 else 0.0)
-            add(coeff, (n1, n2, -n2), (n1, n2, n2))
-    # the constant-mode cube
-    add(1.0, (0, 0, 0), (0, 0, 0))
+    for coeff, k, key in terms:
+        value[k] += coeff * table[key].value
+        error[k] += abs(coeff) * table[key].error_bound
     return value, error
 
 
@@ -459,8 +401,7 @@ def check_systems(
     eps split, and every row reads interval lower bounds for F, so a
     reported window survives quadrature error.
     """
-    if not b > 1:
-        raise RangeError(f"weight b must exceed 1, got {b}")
+    check_weight(b)
     fill_grid_rows((0, *A.elements), r_max)
     rows = list(_rows(A, b))
     keys = dict.fromkeys(tuple(sorted(row[4])) for row in rows)
@@ -529,16 +470,6 @@ def verify_theorem(
 
 # ---------------------------------------------------------------------------
 # randomized trial vectors
-
-
-@functools.lru_cache(maxsize=64)
-def exception_frequencies(spectrum: SpectrumSet) -> tuple[int, ...]:
-    """Elements participating in some exception writing, sorted."""
-    out: set[int] = set()
-    for *_, point in _exceptions(spectrum).values():
-        for rep in point.reps:
-            out.update(rep)
-    return tuple(sorted(out))
 
 
 def random_vector(

@@ -556,8 +556,6 @@ def cmd_certify(args: argparse.Namespace) -> Report:
     if args.trials == 0 and args.coeff is None:
         raise RangeError("trials must be >= 1 without --coeff: no vector would be checked")
     b = DEFAULT_B if args.b is None else args.b
-    if not math.isfinite(b):
-        raise RangeError(f"b must be finite, got {b}")
     spectrum = _spectrum_from_args(args)
     ig.quad_bound(args.r_max, spectrum.top)  # refuses a bad r_max before any grid
     # the vectors come first: a bad --coeff file is a usage error whatever b is

@@ -71,11 +71,11 @@ class SpectrumSet:
         return frozenset(self.elements)
 
 
-def _generator_int(value: object, what: str, lo: int, kind: str) -> int:
+def _spectrum_int(value: object, what: str, lo: float, kind: str) -> int:
     try:
         return check_int(value, what, lo, math.inf)
     except RangeError:
-        raise SpectrumError(f"generator {what} must be {kind}, got {value!r}") from None
+        raise SpectrumError(f"{what} must be {kind}, got {value!r}") from None
 
 
 def make_spectrum(
@@ -88,24 +88,24 @@ def make_spectrum(
     """Validate an explicit lambda list or expand a geometric generator.
 
     Generator form produces [0, scale, scale*base, ..., scale*base^(depth-1)];
-    base must be an integer >= 4 so the ratio stays strictly above 3; each
-    parameter goes through ``check_int``, and a refusal is a SpectrumError.
+    base must be an integer >= 4 so the ratio stays strictly above 3; every
+    parameter and lambda passes ``check_int``, and a refusal is a SpectrumError.
     """
     if (lambdas is None) == (base is None):
         raise SpectrumError("provide either an explicit lambda list or a generator base")
     if base is not None:
-        base = _generator_int(base, "base", MIN_GENERATOR_BASE, "an integer >= 4")
-        depth = _generator_int(depth, "depth", 0, "a non-negative integer")
-        scale = _generator_int(scale, "scale", 1, "a positive integer")
+        base = _spectrum_int(base, "generator base", MIN_GENERATOR_BASE, "an integer >= 4")
+        depth = _spectrum_int(depth, "generator depth", 0, "a non-negative integer")
+        scale = _spectrum_int(scale, "generator scale", 1, "a positive integer")
         if 2 * depth + 1 > MAX_ELEMENTS:  # refused before any power is built
             raise RangeError(f"{2 * depth + 1} elements exceed the supported {MAX_ELEMENTS}")
         lambdas = [0] + [scale * base**k for k in range(depth)]
-    seq = tuple(lambdas)
+    seq = tuple(
+        _spectrum_int(v, f"lambda at index {i}", -math.inf, "an integer")
+        for i, v in enumerate(lambdas)
+    )
     if not seq:
         raise SpectrumError("lambda list is empty")
-    for i, v in enumerate(seq):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise SpectrumError(f"lambda at index {i} is not an integer: {v!r}")
     if seq[0] != 0:
         raise SpectrumError(f"lambda_0 must be 0, got {seq[0]}")
     for i in range(1, len(seq)):

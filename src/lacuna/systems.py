@@ -1,17 +1,18 @@
-"""Exception systems: the table, the F-free row templates and the decision.
+"""Exception systems and the grouped bound's terms, free of F and I.
 
 The grouped bound stays below I(0,0,0) times the cubed mass when, per
 exception writing, the grouped coefficients stay below the interaction
 margin 3F. One table, ``_SYSTEM_OF_KINDS``, gives each exception point
 its system and tells both the bound and the systems which writing
 carries eps_D and which 1/eps_D. Every row, global or exception, is an
-F-free template of ``_rows`` that names F's arguments, and ``decide``
-checks every row against a table of F lower ends in one loop.
+F-free template of ``_rows``, and ``decide`` checks every row against a
+table of F lower ends in one loop. Every term of the bound is an
+integral-free template of ``_bound_terms``.
 
 The module is pure data and arithmetic: it imports only the standard
 library, ``lacuna.spectrum`` and ``lacuna.errors``, so the decision runs
 as well on exact rationals as on floats, with no quadrature loaded.
-``lacuna.certificate.check_systems`` reads F and calls ``decide``.
+``lacuna.certificate`` reads F and I for the rows and the terms.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import CertificateError, RangeError, StructureViolation
 from .spectrum import ClassifiedPoint, PointKind, SpectrumSet, Triple, classify_brute_force
@@ -96,8 +97,21 @@ def _exceptions(spectrum: SpectrumSet) -> dict[int, tuple[str, dict[str, int], C
     }
 
 
+@functools.lru_cache(maxsize=64)
+def exception_frequencies(spectrum: SpectrumSet) -> tuple[int, ...]:
+    """Elements participating in some exception writing, sorted."""
+    points = [point for *_, point in _exceptions(spectrum).values()]
+    return tuple(sorted({n for point in points for rep in point.reps for n in rep}))
+
+
 # ---------------------------------------------------------------------------
 # the weights, the rows and the decision
+
+
+def check_weight(b: float) -> None:
+    """Refuse a weight b of the grouped bound that is not finite and > 1."""
+    if not 1 < b < math.inf:
+        raise RangeError(f"weight b must exceed 1 and be finite, got {b}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +122,7 @@ class CertificateParams:
     eps: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.b > 1:
-            raise RangeError(f"weight b must exceed 1, got {self.b}")
+        check_weight(self.b)
         for d, e in self.eps:
             if not (e > 0 and math.isfinite(e)):
                 raise RangeError(f"eps for exception {d} must be positive, got {e}")
@@ -204,6 +217,74 @@ def _rows(spectrum: SpectrumSet, b: float) -> Iterator[_Row]:
             if power == 0:
                 rhs, coeff = (flat + coeff,), 0.0
             yield system, d, texts[power].format(*moduli), mult, moduli, rhs, coeff, power
+
+
+def _bound_terms(
+    spectrum: SpectrumSet, params: CertificateParams, support: Sequence[int]
+) -> Iterator[tuple[float, tuple[int, int, int]]]:
+    """The eleven grouped sums as integral-free terms over ``support``.
+
+    The bound is the sum over the terms (coeff, (n1, n2, n3)), in one
+    fixed order, of coeff * I(m1,m1,m2,m2,m3,m3) x_n1 x_n2 x_n3 with
+    x = |fhat|^2 and m = |n|. An exception writing's share coeff *
+    eps^power reads its power from ``_exceptions`` as ``_rows`` does; a
+    fired exception without an eps weight is a hard error.
+    """
+    powers = {d: p for d, (_, p, _) in _exceptions(spectrum).items()}
+    present = set(support)
+
+    def split(d: int, kind: str) -> tuple[float, float]:
+        # a writing's flat coefficient and its eps share, 0 off the exceptions
+        _, flat, coeff, _ = _WRITING[kind]
+        power = powers.get(d, {}).get(kind)
+        if power is None:
+            return flat, 0.0
+        eps = params.eps_for(d) if power else 1.0
+        return flat, coeff / eps if power < 0 else coeff * eps
+
+    def grouped() -> Iterator[tuple[float, tuple[int, int, int]]]:
+        # distinct-moduli triples: the flat and the eps share in one coefficient
+        for n1 in support:
+            for n2 in support:
+                if abs(n1) == abs(n2):
+                    continue
+                for n3 in support:
+                    if abs(n3) == abs(n1) or abs(n3) == abs(n2):
+                        continue
+                    yield sum(split(n1 + n2 + n3, "distinct")), (n1, n2, n3)
+        for n1 in support:
+            if n1 == 0:
+                continue
+            # quartic cross sums over n2 with a different modulus: the flat,
+            # then the eps share as a term of its own
+            for n2 in support:
+                if abs(n1) == abs(n2):
+                    continue
+                flat, share = split(2 * n1 + n2, "pair" if n2 else "zero pair")
+                yield flat, (n1, n1, n2)
+                if share:
+                    yield share, (n1, n1, n2)
+                # paired-conjugate cross sum, nonzero opposite modulus only
+                if n2 != 0:
+                    yield 9.0, (n1, -n1, n2)
+            # pure sixth powers
+            yield sum(split(3 * n1, "cube")), (n1, n1, n1)
+            yield 9.0, (n1, n1, -n1)
+            # rows against the zero frequency
+            yield 9.0 * (params.b + 1.0) / (params.b - 1.0), (n1, n1, 0)
+            yield 9.0 * (params.b - 3.0) / (params.b - 1.0), (n1, -n1, 0)
+            yield 6.0, (n1, 0, 0)
+        # conjugate-pair square sums, any first modulus
+        for n1 in support:
+            for n2 in support:
+                if abs(n1) == abs(n2):
+                    continue
+                yield 18.0 - (9.0 if n2 == 0 else 0.0), (n1, n2, -n2)
+        # the constant-mode cube
+        yield 1.0, (0, 0, 0)
+
+    # only where x can be nonzero; each |n| is twice in I, so its sign is +
+    return (term for term in grouped() if present.issuperset(term[1]))
 
 
 def decide(rows: list[_Row], f_table: Mapping[tuple[int, ...], float]) -> list[SystemReport]:

@@ -251,7 +251,7 @@ def test_s_exact_reads_no_classification(monkeypatch):
     def refuse(spectrum):
         raise AssertionError("S consulted the classification")
 
-    monkeypatch.setattr(ct, "_exceptions", refuse)
+    monkeypatch.setattr(sy, "_exceptions", refuse)
     for f, want in zip(vectors, expected, strict=True):
         got = ct.compute_S_exact(f)
         assert got.value == want.value and got.error_bound == want.error_bound > 0
@@ -479,6 +479,38 @@ def test_system_table_gives_each_eps_point_one_window():
         for *_, point in sy._exceptions(spectrum).values()
     }
     assert met == set(sy._SYSTEM_OF_KINDS)
+
+
+def test_rows_imply_the_bound_class_by_class():
+    # group the bound's terms by the multiset M of their frequencies, with
+    # c(M) the sum of their coefficients and mult(M) = 3!/prod(multiplicity!).
+    # With F >= r(|M|), the largest (rhs + coeff eps^power) / mult of the rows
+    # naming |M|, c(M) I(|M|) <= mult(M) I000, so the bound is at most
+    # I000 mass^3. Every eps-carrying class equals its exception row at any
+    # eps, so no F is read. The grid's spectra take the twelve (b, eps) pairs
+    # in turn, b every spectrum and eps every fourth, so neither follows the
+    # grid's scale: a twelfth of the 1332 cases, each pair on 9 or 10 spectra
+    pairs = [(b, eps) for eps in (0.25, 1.0, 4.0) for b in (6.66, 5.0, 7.0, 2.5)]
+    classes = tight = 0
+    for i, spectrum in enumerate(SUBTYPE_GRID):
+        b, eps = pairs[i % len(pairs)]
+        params = ct.CertificateParams.from_mapping(b, dict.fromkeys(sy._exceptions(spectrum), eps))
+        coeff = collections.defaultdict(Fraction)
+        for c, mono in sy._bound_terms(spectrum, params, spectrum.elements):
+            coeff[tuple(sorted(mono))] += Fraction(c)
+        ceiling = {(0, 0, 0): Fraction(1)}   # F(0,0,0) = 1
+        for *_, mult, moduli, rhs, c, power in sy._rows(spectrum, b):
+            r = (sum(map(Fraction, rhs)) + Fraction(c) * Fraction(eps) ** power) / Fraction(mult)
+            key = tuple(sorted(moduli))
+            ceiling[key] = max(ceiling.get(key, r), r)
+        for m, c in coeff.items():
+            r = ceiling[tuple(sorted(map(abs, m)))]   # every class is named by a row
+            repeats = collections.Counter(m).values()
+            mult = Fraction(6, math.prod(math.factorial(k) for k in repeats))
+            assert c / mult <= r * (1 + Fraction(1e-15)), (spectrum.lambdas, b, eps, m)
+            tight += c / mult == r
+        classes += len(coeff)
+    assert classes > 15000 and tight > classes / 2
 
 
 # ---------------------------------------------------------------------------
@@ -877,6 +909,54 @@ def test_certificate_reaches_direct_values_through_i_direct_only():
     assert not [name for name in imported if name.startswith("_")]
 
 
+def test_certificate_binds_no_exception_table_internal():
+    # the rows and the bound's terms reach the certificate as templates of
+    # lacuna.systems; no exception table, writing kind or list is bound here
+    internals = {"_WRITING", "_SYSTEM_OF_KINDS", "_exceptions", "_kind", "_system_of"}
+    assert not internals & set(vars(ct))
+    tree = ast.parse(Path(ct.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "systems"
+        for alias in node.names
+    ]
+    assert {name for name in imported if name.startswith("_")} == {"_bound_terms", "_rows"}
+
+
+@pytest.mark.parametrize(
+    "spectrum, reads", [(A4, 56), (make_spectrum([0, 1, 4, 13, 40, 121, 364]), 84)]
+)
+def test_bound_tensor_reads_each_diagonal_integral_once(monkeypatch, spectrum, reads):
+    # one i_direct call per distinct sorted moduli triple of the support:
+    # C(m + 2, 3) of them for m moduli, each a diagonal sextet
+    params, _ = ct.derive_params(spectrum)
+    keys = []
+    original = ct.i_direct
+
+    def counted(index, **kwargs):
+        keys.append(tuple(sorted(map(abs, index))))
+        return original(index, **kwargs)
+
+    monkeypatch.setattr(ct, "i_direct", counted)
+    ct._bound_tensor(spectrum, params, spectrum.elements, ig.DEFAULT_R_MAX)
+    assert len(keys) == len(set(keys)) == reads
+    assert all(key[0::2] == key[1::2] for key in keys)
+
+
+@pytest.mark.parametrize("b", [math.inf, math.nan])
+def test_weight_b_must_be_finite(monkeypatch, b):
+    # refused by the one check in lacuna.systems, before any grid row is built
+    def refuse(*args):
+        raise AssertionError("a grid row was built")
+
+    monkeypatch.setattr(ct, "fill_grid_rows", refuse)
+    with pytest.raises(RangeError, match="weight b must exceed 1 and be finite"):
+        ct.check_systems(make_spectrum(base=4, depth=3), b)
+    with pytest.raises(RangeError, match="finite"):
+        ct.CertificateParams(b=b)
+
+
 def test_systems_build_every_row_in_one_bessel_pass(monkeypatch):
     # the seven moduli of 0,1,4,13,40,121,364 share one Hankel start per
     # BESSEL_BLOCK chunk of the grid past X0, where one row per modulus
@@ -919,4 +999,4 @@ def test_every_direct_lookup_passes_i_direct(monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     lookups = after.hits + after.misses - before.hits - before.misses
-    assert calls == lookups > 1000
+    assert calls == lookups == 854

@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +37,9 @@ def test_explicit_form_validation():
         sp.make_spectrum([0, 4, 4])
     with pytest.raises(SpectrumError, match="integer"):
         sp.make_spectrum([0, 1.5, 6])
+    # a numpy integer passes the one integer check, as in the generator form
+    numpy_ints = sp.make_spectrum([0, np.int64(1), 5])
+    assert numpy_ints.lambdas == (0, 1, 5) and all(type(v) is int for v in numpy_ints.lambdas)
     with pytest.raises(SpectrumError):
         sp.make_spectrum([])
     with pytest.raises(SpectrumError):

@@ -15,14 +15,20 @@ from lacuna.spectrum import make_spectrum
 
 
 def test_systems_load_no_numeric_stack():
+    # the rows and the bound's terms are built, not only imported
     probe = (
-        "import sys, lacuna.systems; "
-        "print(sorted({'numpy', 'lacuna.integrals'} & set(sys.modules)))"
+        "import sys\n"
+        "from lacuna import systems as sy\n"
+        "from lacuna.spectrum import make_spectrum\n"
+        "a = make_spectrum(base=4, depth=5)\n"
+        "p = sy.CertificateParams.from_mapping(6.66, dict.fromkeys(sy._exceptions(a), 1.0))\n"
+        "print(len(list(sy._rows(a, p.b))), len(list(sy._bound_terms(a, p, a.elements))))\n"
+        "print(sorted({'numpy', 'lacuna.integrals'} & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(lacuna.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "92 1057\n[]\n"   # 92 row templates, 1057 terms
 
 
 SPECTRA = [
